@@ -13,7 +13,6 @@ use wp_cpu::Processor;
 use wp_energy::{CacheEnergyModel, RelativeEnergyTable};
 use wp_experiments::engine::{SimEngine, SimPlan, SimPoint};
 use wp_experiments::runner::{simulate, MachineConfig, RunOptions};
-use wp_experiments::table4;
 use wp_workloads::{
     Benchmark, OpKind, TraceConfig, TraceGenerator, TraceReader, TraceWriter, WorkloadSpec,
 };
@@ -43,16 +42,14 @@ fn table3_energy_model(c: &mut Criterion) {
     });
 }
 
-/// Table 4: miss-rate measurement (direct-mapped vs 4-way) on one benchmark.
+/// Table 4: the direct-mapped point (the 4-way column is the baseline
+/// every d-cache figure shares).
 fn table4_miss_rates(c: &mut Criterion) {
     let options = bench_options();
+    let machine =
+        MachineConfig::baseline().with_l1d(L1Config::paper_dcache().with_associativity(1));
     c.bench_function("table4_miss_rates_gcc", |b| {
-        b.iter(|| {
-            (
-                black_box(table4::miss_rate_percent(Benchmark::Gcc, 1, &options)),
-                black_box(table4::miss_rate_percent(Benchmark::Gcc, 4, &options)),
-            )
-        })
+        b.iter(|| black_box(simulate(Benchmark::Gcc, &machine, &options)))
     });
 }
 

@@ -4,8 +4,8 @@
 //!
 //! Four sections, each reporting its mismatch count:
 //!
-//! 1. **sweep** — every unique point of the `run_all` union plan (all 253
-//!    at the default options), optimized engine vs. oracle;
+//! 1. **sweep** — every unique point of the `run_all` union plan (all
+//!    264), optimized engine vs. oracle;
 //! 2. **trace** — a workload captured to a `WPTR` trace file and replayed
 //!    through both backends under several policies;
 //! 3. **random** — `--random N` seeded random (configuration, workload)

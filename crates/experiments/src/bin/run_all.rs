@@ -113,7 +113,7 @@ fn main() {
 
     let results = RunAllResult {
         table3: table3::from_matrix(&matrix, &options),
-        table4: table4::run_threaded(&options, engine.threads()),
+        table4: table4::from_matrix(&matrix, &options),
         fig4: fig4::from_matrix(&matrix, &options),
         fig5: fig5::from_matrix(&matrix, &options),
         fig6: fig6::from_matrix(&matrix, &options),

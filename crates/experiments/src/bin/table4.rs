@@ -3,14 +3,10 @@
 //! Usage: `cargo run --release -p wp-experiments --bin table4
 //! [--quick] [--ops N] [--seed N] [--threads N] [--json]`
 
-use wp_experiments::runner::CliOptions;
+use wp_experiments::table4;
 
 fn main() {
-    let cli = CliOptions::from_env_or_exit();
-    let result = wp_experiments::table4::run_threaded(&cli.run, cli.engine().threads());
-    if cli.json {
-        println!("{}", wp_experiments::report::to_json(&result));
-    } else {
-        println!("{}", result.to_table());
-    }
+    wp_experiments::runner::artefact_main(table4::plan, table4::from_matrix, |result| {
+        result.to_table()
+    });
 }

@@ -22,7 +22,7 @@
 //! Three checking surfaces (see `docs/VALIDATION.md`):
 //!
 //! 1. [`check_plan`] — a whole [`SimPlan`] (the `conformance` binary runs
-//!    the full `run_all` union plan: all 253 unique sweep points);
+//!    the full `run_all` union plan: all 264 unique sweep points);
 //! 2. [`random_points`] — a seeded random matrix over cache geometries,
 //!    latencies, policies, core widths, and workloads (benchmarks,
 //!    parameterised scenarios, recorded traces);
@@ -354,7 +354,7 @@ pub fn render_golden_artefacts(threads: usize) -> Vec<(&'static str, String)> {
     use crate::report::to_json;
     vec![
         ("table3", to_json(&table3::from_matrix(&matrix, &options))),
-        ("table4", to_json(&table4::run_threaded(&options, threads))),
+        ("table4", to_json(&table4::from_matrix(&matrix, &options))),
         ("fig4", to_json(&fig4::from_matrix(&matrix, &options))),
         ("fig5", to_json(&fig5::from_matrix(&matrix, &options))),
         ("fig6", to_json(&fig6::from_matrix(&matrix, &options))),

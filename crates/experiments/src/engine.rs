@@ -902,8 +902,6 @@ pub fn available_threads() -> usize {
 /// own local vector — no per-item lock, no shared result slots — and the
 /// per-worker vectors are merged back into input order at the end.
 /// Wall-clock scales with the slowest items rather than a static partition.
-/// Used by the engine and by experiments with non-`simulate` work (Table
-/// 4's trace replays).
 pub fn parallel_map<T: Sync, R: Send>(
     threads: usize,
     items: &[T],

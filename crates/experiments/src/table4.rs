@@ -5,14 +5,21 @@
 //! direct-mapped and 4-way columns is what conflicting accesses cost, and it
 //! is small for most benchmarks (swim even inverts it), which is why most
 //! accesses can safely use direct mapping.
+//!
+//! Both columns come from the simulation matrix: the processor's d-cache
+//! sees every load and store in program order, and a parallel-access
+//! cache's contents never depend on timing, so the baseline machine with a
+//! 1-way or 4-way L1d measures exactly the miss rate of a bare replay. The
+//! 4-way column is the baseline that Figures 4–6 and Table 5 already
+//! declare.
 
 use serde::{Deserialize, Serialize};
-use wp_cache::{DCacheController, DCachePolicy, L1Config};
-use wp_workloads::{Benchmark, OpKind, TraceConfig, TraceGenerator};
+use wp_cache::L1Config;
+use wp_workloads::Benchmark;
 
-use crate::engine::{available_threads, parallel_map, SimMatrix, SimPlan};
+use crate::engine::{available_threads, SimEngine, SimMatrix, SimPlan};
 use crate::report::TextTable;
-use crate::runner::RunOptions;
+use crate::runner::{MachineConfig, RunOptions};
 
 /// One row of Table 4.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -36,65 +43,55 @@ pub struct Table4Result {
     pub rows: Vec<Table4Row>,
 }
 
-/// Measures the miss rate of `benchmark` on a 16 KB cache with the given
-/// associativity by replaying the trace's loads and stores through a
-/// conventional parallel-access controller.
-pub fn miss_rate_percent(benchmark: Benchmark, associativity: usize, options: &RunOptions) -> f64 {
-    let config = L1Config::paper_dcache().with_associativity(associativity);
-    let mut cache = DCacheController::new(config, DCachePolicy::Parallel)
-        .expect("16 KB caches of power-of-two associativity are valid");
-    let trace = TraceGenerator::new(
-        TraceConfig::new(benchmark)
-            .with_ops(options.ops)
-            .with_seed(options.seed),
-    );
-    for op in trace {
-        match op.kind {
-            OpKind::Load { addr, approx_addr } => {
-                cache.load(op.pc, addr, approx_addr);
-            }
-            OpKind::Store { addr } => {
-                cache.store(op.pc, addr);
-            }
-            _ => {}
-        }
+/// The baseline machine with a 16 KB parallel-access L1d of the given
+/// associativity.
+fn machine(associativity: usize) -> MachineConfig {
+    MachineConfig::baseline().with_l1d(L1Config::paper_dcache().with_associativity(associativity))
+}
+
+/// The simulation points Table 4 needs: the baseline machine with a 1-way
+/// and a 4-way L1d on every benchmark.
+pub fn plan(options: &RunOptions) -> SimPlan {
+    let mut plan = SimPlan::new();
+    for associativity in [1, 4] {
+        plan.add_all_benchmarks(machine(associativity), *options);
     }
-    cache.miss_rate_percent()
+    plan
 }
 
-/// The simulation points Table 4 needs: none — the miss rates come from
-/// bare-controller trace replays, not full-machine simulations.
-pub fn plan(_options: &RunOptions) -> SimPlan {
-    SimPlan::new()
+/// Renders Table 4 from an executed matrix containing [`plan`]'s points.
+pub fn from_matrix(matrix: &SimMatrix, options: &RunOptions) -> Table4Result {
+    let miss_rate = |benchmark, associativity| {
+        matrix
+            .require(benchmark, &machine(associativity), options)
+            .dcache
+            .miss_rate_percent()
+    };
+    let rows = Benchmark::all()
+        .iter()
+        .map(|&b| {
+            let profile = b.profile();
+            Table4Row {
+                benchmark: b.name().to_string(),
+                direct_mapped: miss_rate(b, 1),
+                paper_direct_mapped: profile.paper_dm_miss_rate,
+                set_associative: miss_rate(b, 4),
+                paper_set_associative: profile.paper_sa_miss_rate,
+            }
+        })
+        .collect();
+    Table4Result { rows }
 }
 
-/// Renders Table 4; the matrix is unused (trace-replay result), accepted
-/// for interface uniformity with the simulated figures. Uses all available
-/// cores; binaries honouring `--threads` call [`run_threaded`] instead.
-pub fn from_matrix(_matrix: &SimMatrix, options: &RunOptions) -> Table4Result {
-    run(options)
-}
-
-/// Regenerates Table 4 on all available cores.
+/// Regenerates Table 4 standalone on all available cores.
 pub fn run(options: &RunOptions) -> Table4Result {
     run_threaded(options, available_threads())
 }
 
-/// Regenerates Table 4. The per-benchmark trace replays are independent, so
-/// they run in parallel on `threads` workers.
+/// Regenerates Table 4 standalone (plans, executes, renders) on `threads`
+/// workers.
 pub fn run_threaded(options: &RunOptions, threads: usize) -> Table4Result {
-    let benchmarks = Benchmark::all();
-    let rows = parallel_map(threads, &benchmarks, |&b| {
-        let profile = b.profile();
-        Table4Row {
-            benchmark: b.name().to_string(),
-            direct_mapped: miss_rate_percent(b, 1, options),
-            paper_direct_mapped: profile.paper_dm_miss_rate,
-            set_associative: miss_rate_percent(b, 4, options),
-            paper_set_associative: profile.paper_sa_miss_rate,
-        }
-    });
-    Table4Result { rows }
+    from_matrix(&SimEngine::new(threads).run(&plan(options)), options)
 }
 
 impl Table4Result {
@@ -151,5 +148,20 @@ mod tests {
         for b in Benchmark::all() {
             assert!(text.contains(b.name()));
         }
+    }
+
+    #[test]
+    fn rendering_from_a_matrix_without_the_plan_points_panics() {
+        let panic = std::panic::catch_unwind(|| {
+            from_matrix(&SimMatrix::new(), &RunOptions::quick().with_ops(2_000))
+        })
+        .expect_err("a matrix without Table 4's points cannot render it");
+        let message = panic
+            .downcast_ref::<String>()
+            .expect("the panic carries a formatted message");
+        assert!(
+            message.contains("plan/renderer mismatch"),
+            "unexpected panic: {message}"
+        );
     }
 }

@@ -204,11 +204,13 @@ fn profile_flag_rejects_broken_files_with_exact_messages() {
 
     // Single-artefact binaries reject the flag outright rather than
     // silently ignoring a workload the artefact cannot honour.
-    assert_cli_error(
-        env!("CARGO_BIN_EXE_fig6"),
-        &["--profile", "/tmp/p.json"],
-        "flag `--profile` is not supported by single-artefact binaries",
-    );
+    for bin in [env!("CARGO_BIN_EXE_fig6"), env!("CARGO_BIN_EXE_table4")] {
+        assert_cli_error(
+            bin,
+            &["--profile", "/tmp/p.json"],
+            "flag `--profile` is not supported by single-artefact binaries",
+        );
+    }
 }
 
 #[test]

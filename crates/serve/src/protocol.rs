@@ -1235,7 +1235,12 @@ mod tests {
         let options = RunOptions::default().with_ops(4_000).with_seed(42);
         let plan = wp_experiments::run_all_plan(&options);
         assert_eq!(requested, plan.len());
-        assert_eq!(points, plan.unique_points(), "253 deduplicated points");
+        assert_eq!(
+            points,
+            plan.unique_points(),
+            "the plan's {} deduplicated points",
+            plan.unique_points().len()
+        );
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! longer than the daemon's 250 ms read timeout, must still get its
 //! request parsed — the handler's persistent [`protocol::FrameReader`]
 //! holds the partial bytes across timeouts instead of discarding them.
+//! Plus the hostile-nesting regression: a small frame of deeply nested
+//! JSON is a `bad_request`, not a stack overflow that aborts the daemon.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -113,6 +115,45 @@ fn a_mid_frame_pause_straddling_many_timeouts_keeps_the_payload_intact() {
     assert!(
         response.contains("\"id\":23") && response.contains("\"ok\":true"),
         "the split frame parses whole: {response}"
+    );
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn a_deeply_nested_frame_is_a_bad_request_and_the_daemon_keeps_serving() {
+    let server = start();
+    let connect = || {
+        let stream = TcpStream::connect(server.addr()).expect("raw client connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout set");
+        stream
+    };
+
+    // 30,000 nested arrays: 3% of the frame cap, and far deeper than a
+    // connection thread's stack can recurse.
+    let mut stream = connect();
+    stream
+        .write_all(&frame_bytes(&"[".repeat(30_000)))
+        .expect("hostile frame sends");
+    let response = read_response(&mut stream);
+    assert!(
+        response.contains("\"code\":\"bad_request\"")
+            && response.contains("recursion limit exceeded"),
+        "nesting past the parser's cap is a typed rejection: {response}"
+    );
+
+    // The daemon survived: a fresh connection still gets answers.
+    let mut stream = connect();
+    stream
+        .write_all(&frame_bytes("{\"v\":1,\"id\":24,\"type\":\"health\"}"))
+        .expect("health frame sends");
+    let response = read_response(&mut stream);
+    assert!(
+        response.contains("\"id\":24") && response.contains("\"ok\":true"),
+        "the daemon still serves after the hostile frame: {response}"
     );
 
     server.shutdown();

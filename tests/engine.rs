@@ -1,12 +1,14 @@
 //! Integration tests for the simulation engine: determinism across
-//! execution schedules, cross-figure dedup, and the run_all
-//! execute-each-point-exactly-once invariant.
+//! execution schedules, cross-figure dedup, the run_all
+//! execute-each-point-exactly-once invariant, and Table 4's matrix-derived
+//! miss rates against a bare d-cache replay.
 
-use wpsdm::cache::DCachePolicy;
+use proptest::prelude::*;
+use wpsdm::cache::{DCacheController, DCachePolicy, L1Config};
 use wpsdm::experiments::engine::{SimEngine, SimPlan};
-use wpsdm::experiments::{fig11, fig6, run_all_plan};
+use wpsdm::experiments::{fig11, fig6, run_all_plan, table4};
 use wpsdm::experiments::{MachineConfig, RunOptions, SimPoint};
-use wpsdm::workloads::Benchmark;
+use wpsdm::workloads::{Benchmark, OpKind, TraceConfig, TraceGenerator};
 
 /// A trace length small enough to sweep the full run_all plan in a test.
 fn tiny() -> RunOptions {
@@ -106,5 +108,60 @@ fn serial_and_parallel_runs_are_identical() {
             "{}: serial and parallel results must be identical for the same seed",
             point.workload
         );
+    }
+}
+
+/// The miss rate of a bare 16 KB parallel-access d-cache replaying the
+/// benchmark's loads and stores in program order, with no processor around
+/// it.
+fn bare_replay_miss_rate(benchmark: Benchmark, associativity: usize, options: &RunOptions) -> f64 {
+    let config = L1Config::paper_dcache().with_associativity(associativity);
+    let mut cache = DCacheController::new(config, DCachePolicy::Parallel).expect("valid config");
+    let trace = TraceGenerator::new(
+        TraceConfig::new(benchmark)
+            .with_ops(options.ops)
+            .with_seed(options.seed),
+    );
+    for op in trace {
+        match op.kind {
+            OpKind::Load { addr, approx_addr } => {
+                cache.load(op.pc, addr, approx_addr);
+            }
+            OpKind::Store { addr } => {
+                cache.store(op.pc, addr);
+            }
+            _ => {}
+        }
+    }
+    cache.miss_rate_percent()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The processor's d-cache sees the replay's exact access sequence and
+    /// a parallel-access cache's contents never depend on timing, so the
+    /// miss rates Table 4 reads from full-machine simulations equal a bare
+    /// controller replay, bit for bit, at both associativities, on every
+    /// benchmark.
+    #[test]
+    fn table4_matrix_miss_rates_equal_a_bare_controller_replay(
+        seed in 0u64..1_000,
+        ops in 1_000usize..8_001,
+    ) {
+        let options = RunOptions::quick().with_ops(ops).with_seed(seed);
+        let matrix = SimEngine::new(2).run(&table4::plan(&options));
+        let table = table4::from_matrix(&matrix, &options);
+        for (row, &benchmark) in table.rows.iter().zip(Benchmark::all().iter()) {
+            prop_assert_eq!(&row.benchmark, benchmark.name());
+            prop_assert_eq!(
+                row.direct_mapped.to_bits(),
+                bare_replay_miss_rate(benchmark, 1, &options).to_bits()
+            );
+            prop_assert_eq!(
+                row.set_associative.to_bits(),
+                bare_replay_miss_rate(benchmark, 4, &options).to_bits()
+            );
+        }
     }
 }

@@ -75,6 +75,11 @@ fn warm_cache_serves_all_eleven_artefacts_bit_identically() {
         "a warm matrix cache must serve every point without simulating"
     );
     assert_eq!(warm.cache_hits(), unique);
+    assert_eq!(
+        warm.ops_generated(),
+        0,
+        "a warm sweep generates no workload stream, Table 4's included"
+    );
 
     // Every point's result is bit-identical across all three matrices
     // (PartialEq on SimResult compares the f64 energy totals exactly).

@@ -12,7 +12,7 @@ use wp_cache::{DCacheController, DCachePolicy, ICachePolicy, L1Config};
 use wp_cpu::Processor;
 use wp_energy::{CacheEnergyModel, RelativeEnergyTable};
 use wp_experiments::engine::{SimEngine, SimPlan, SimPoint};
-use wp_experiments::runner::{simulate, MachineConfig, RunOptions};
+use wp_experiments::runner::{simulate_workload, MachineConfig, RunOptions};
 use wp_workloads::{
     Benchmark, OpKind, TraceConfig, TraceGenerator, TraceReader, TraceWriter, WorkloadSpec,
 };
@@ -46,20 +46,22 @@ fn table3_energy_model(c: &mut Criterion) {
 /// every d-cache figure shares).
 fn table4_miss_rates(c: &mut Criterion) {
     let options = bench_options();
+    let workload = WorkloadSpec::Benchmark(Benchmark::Gcc);
     let machine =
         MachineConfig::baseline().with_l1d(L1Config::paper_dcache().with_associativity(1));
     c.bench_function("table4_miss_rates_gcc", |b| {
-        b.iter(|| black_box(simulate(Benchmark::Gcc, &machine, &options)))
+        b.iter(|| black_box(simulate_workload(&workload, &machine, &options)))
     });
 }
 
 /// Figure 4: sequential-access d-cache simulation.
 fn fig4_sequential(c: &mut Criterion) {
     let options = bench_options();
+    let workload = WorkloadSpec::Benchmark(Benchmark::Gcc);
     c.bench_function("fig4_sequential_gcc", |b| {
         b.iter(|| {
-            black_box(simulate(
-                Benchmark::Gcc,
+            black_box(simulate_workload(
+                &workload,
                 &machine(DCachePolicy::Sequential, ICachePolicy::Parallel),
                 &options,
             ))
@@ -70,6 +72,7 @@ fn fig4_sequential(c: &mut Criterion) {
 /// Figure 5: PC- and XOR-based way-prediction.
 fn fig5_way_prediction(c: &mut Criterion) {
     let options = bench_options();
+    let workload = WorkloadSpec::Benchmark(Benchmark::Vortex);
     let mut group = c.benchmark_group("fig5_way_prediction");
     for (name, policy) in [
         ("pc", DCachePolicy::WayPredictPc),
@@ -77,8 +80,8 @@ fn fig5_way_prediction(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                black_box(simulate(
-                    Benchmark::Vortex,
+                black_box(simulate_workload(
+                    &workload,
                     &machine(policy, ICachePolicy::Parallel),
                     &options,
                 ))
@@ -91,6 +94,7 @@ fn fig5_way_prediction(c: &mut Criterion) {
 /// Figure 6 / Table 5: the selective-DM schemes.
 fn fig6_selective_dm(c: &mut Criterion) {
     let options = bench_options();
+    let workload = WorkloadSpec::Benchmark(Benchmark::Gcc);
     let mut group = c.benchmark_group("fig6_selective_dm");
     for (name, policy) in [
         ("seldm_parallel", DCachePolicy::SelDmParallel),
@@ -99,8 +103,8 @@ fn fig6_selective_dm(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                black_box(simulate(
-                    Benchmark::Gcc,
+                black_box(simulate_workload(
+                    &workload,
                     &machine(policy, ICachePolicy::Parallel),
                     &options,
                 ))
@@ -114,10 +118,11 @@ fn fig6_selective_dm(c: &mut Criterion) {
 /// configuration end to end.
 fn table5_summary(c: &mut Criterion) {
     let options = bench_options();
+    let workload = WorkloadSpec::Benchmark(Benchmark::Li);
     c.bench_function("table5_seldm_waypred_li", |b| {
         b.iter(|| {
-            black_box(simulate(
-                Benchmark::Li,
+            black_box(simulate_workload(
+                &workload,
                 &machine(DCachePolicy::SelDmWayPredict, ICachePolicy::Parallel),
                 &options,
             ))
@@ -128,43 +133,47 @@ fn table5_summary(c: &mut Criterion) {
 /// Figure 7: cache-size sweep (32 KB point).
 fn fig7_cache_size(c: &mut Criterion) {
     let options = bench_options();
+    let workload = WorkloadSpec::Benchmark(Benchmark::Perl);
     let machine = MachineConfig::baseline()
         .with_l1d(L1Config::paper_dcache().with_size(32 * 1024))
         .with_dpolicy(DCachePolicy::SelDmWayPredict);
     c.bench_function("fig7_32k_seldm_waypred", |b| {
-        b.iter(|| black_box(simulate(Benchmark::Perl, &machine, &options)))
+        b.iter(|| black_box(simulate_workload(&workload, &machine, &options)))
     });
 }
 
 /// Figure 8: associativity sweep (8-way point).
 fn fig8_associativity(c: &mut Criterion) {
     let options = bench_options();
+    let workload = WorkloadSpec::Benchmark(Benchmark::Applu);
     let machine = MachineConfig::baseline()
         .with_l1d(L1Config::paper_dcache().with_associativity(8))
         .with_dpolicy(DCachePolicy::SelDmWayPredict);
     c.bench_function("fig8_8way_seldm_waypred", |b| {
-        b.iter(|| black_box(simulate(Benchmark::Applu, &machine, &options)))
+        b.iter(|| black_box(simulate_workload(&workload, &machine, &options)))
     });
 }
 
 /// Figure 9: the 2-cycle base-latency d-cache.
 fn fig9_high_latency(c: &mut Criterion) {
     let options = bench_options();
+    let workload = WorkloadSpec::Benchmark(Benchmark::Go);
     let machine = MachineConfig::baseline()
         .with_l1d(L1Config::paper_dcache().with_base_latency(2))
         .with_dpolicy(DCachePolicy::SelDmSequential);
     c.bench_function("fig9_2cycle_seldm_sequential", |b| {
-        b.iter(|| black_box(simulate(Benchmark::Go, &machine, &options)))
+        b.iter(|| black_box(simulate_workload(&workload, &machine, &options)))
     });
 }
 
 /// Figure 10: i-cache way-prediction.
 fn fig10_icache(c: &mut Criterion) {
     let options = bench_options();
+    let workload = WorkloadSpec::Benchmark(Benchmark::M88ksim);
     c.bench_function("fig10_icache_waypred_m88ksim", |b| {
         b.iter(|| {
-            black_box(simulate(
-                Benchmark::M88ksim,
+            black_box(simulate_workload(
+                &workload,
                 &machine(DCachePolicy::Parallel, ICachePolicy::WayPredict),
                 &options,
             ))
@@ -175,10 +184,11 @@ fn fig10_icache(c: &mut Criterion) {
 /// Figure 11: the combined configuration that produces the headline result.
 fn fig11_processor(c: &mut Criterion) {
     let options = bench_options();
+    let workload = WorkloadSpec::Benchmark(Benchmark::Troff);
     c.bench_function("fig11_combined_troff", |b| {
         b.iter(|| {
-            black_box(simulate(
-                Benchmark::Troff,
+            black_box(simulate_workload(
+                &workload,
                 &machine(DCachePolicy::SelDmWayPredict, ICachePolicy::WayPredict),
                 &options,
             ))
@@ -258,8 +268,8 @@ fn trace_codec(c: &mut Criterion) {
 
 /// End-to-end simulator throughput: the d-cache access loop under the
 /// conventional and the headline policies, and the block-driven processor
-/// run — the same quantities `bench_report` records into
-/// `BENCH_sim_throughput.json` (see `docs/PERFORMANCE.md`).
+/// run (the benchmark ledger in `ledger/` measures the same layers with a
+/// host fingerprint and a spread; see `ledger/README.md`).
 fn sim_throughput(c: &mut Criterion) {
     let stream: Vec<(u64, u64, u64, bool)> = TraceGenerator::new(
         TraceConfig::new(Benchmark::Gcc)

@@ -25,9 +25,9 @@
 //! Exits non-zero on any mismatch or drift. See `docs/VALIDATION.md`.
 //!
 //! Usage: `cargo run --release -p wp-experiments --bin conformance --
-//! [--quick] [--ops N] [--seed N] [--threads N] [--no-gang] [--no-lanes]
-//! [--stream-cap BYTES] [--random N] [--bless] [--golden-dir PATH]
-//! [--skip-sweep] [--profile FILE] [--faulty-cache SEED]`
+//! [--quick] [--ops N] [--seed N] [--threads N] [--stream-cap BYTES]
+//! [--random N] [--bless] [--golden-dir PATH] [--skip-sweep]
+//! [--profile FILE] [--faulty-cache SEED]`
 
 use std::path::PathBuf;
 
@@ -42,14 +42,13 @@ use wp_experiments::MatrixCache;
 use wp_workloads::WorkloadSpec;
 
 const USAGE: &str = "usage: conformance [--quick] [--ops N] [--seed N] [--threads N] \
-                     [--no-gang] [--no-lanes] [--stream-cap BYTES] [--random N] \
-                     [--bless] [--golden-dir PATH] [--skip-sweep] [--profile FILE] \
-                     [--faulty-cache SEED]";
+                     [--stream-cap BYTES] [--random N] [--bless] [--golden-dir PATH] \
+                     [--skip-sweep] [--profile FILE] [--faulty-cache SEED]";
 
 struct Cli {
     run: RunOptions,
-    /// The optimized-side engine (threads, gang setting, stream cap); the
-    /// oracle side mirrors its thread count and cap.
+    /// The optimized-side engine (threads, stream cap); the oracle side
+    /// mirrors both.
     engine: SimEngine,
     threads: usize,
     random: usize,
@@ -116,12 +115,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let profile = options.load_profile().map_err(|e| e.to_string())?;
     let threads = options.threads.unwrap_or_else(available_threads);
     let mut engine = SimEngine::new(threads);
-    if options.no_gang {
-        engine = engine.without_gang();
-    }
-    if options.no_lanes {
-        engine = engine.without_lanes();
-    }
     if let Some(cap) = options.stream_cap {
         engine = engine.with_stream_memory_cap(cap);
     }

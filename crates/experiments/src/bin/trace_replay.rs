@@ -25,8 +25,7 @@ use wp_experiments::runner::{CliOptions, MachineConfig, RunOptions};
 use wp_workloads::WorkloadSpec;
 
 const USAGE: &str = "usage: trace_replay --trace PATH [--ops N] [--threads N] [--json] \
-                     [--no-gang] [--no-lanes] [--no-matrix-cache] [--matrix-cache-dir PATH] \
-                     [--matrix-cache-cap BYTES]";
+                     [--no-matrix-cache] [--matrix-cache-dir PATH] [--matrix-cache-cap BYTES]";
 
 /// The policies replayed against the recorded stream (the baseline first).
 const POLICIES: [DCachePolicy; 4] = [
@@ -41,8 +40,6 @@ struct Cli {
     ops: Option<usize>,
     threads: Option<usize>,
     json: bool,
-    no_gang: bool,
-    no_lanes: bool,
     no_matrix_cache: bool,
     matrix_cache_dir: Option<PathBuf>,
     matrix_cache_cap: Option<u64>,
@@ -53,15 +50,11 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let mut ops: Option<usize> = None;
     let mut threads: Option<usize> = None;
     let mut json = false;
-    let mut no_gang = false;
-    let mut no_lanes = false;
     let mut no_matrix_cache = false;
     let mut matrix_cache_dir: Option<PathBuf> = None;
     let mut matrix_cache_cap: Option<u64> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--no-gang" => no_gang = true,
-            "--no-lanes" => no_lanes = true,
             "--no-matrix-cache" => no_matrix_cache = true,
             "--matrix-cache-dir" => {
                 matrix_cache_dir = Some(PathBuf::from(
@@ -113,8 +106,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
         ops,
         threads,
         json,
-        no_gang,
-        no_lanes,
         no_matrix_cache,
         matrix_cache_dir,
         matrix_cache_cap,
@@ -185,8 +176,6 @@ fn main() {
         run: options,
         json: cli.json,
         threads: cli.threads,
-        no_gang: cli.no_gang,
-        no_lanes: cli.no_lanes,
         no_matrix_cache: cli.no_matrix_cache,
         matrix_cache_dir: cli.matrix_cache_dir.clone(),
         matrix_cache_cap: cli.matrix_cache_cap,

@@ -6,8 +6,8 @@
 //! produce the *same* [`SimResult`] from two independent implementations:
 //!
 //! * the **optimized** stack ([`crate::runner::simulate_workload`] /
-//!   [`SimEngine`]): SoA tag stores, SWAR tag matching, monomorphized
-//!   policy kernels, gang-scheduled shared streams;
+//!   [`SimEngine`]): SoA tag stores, monomorphized policy kernels,
+//!   gang-scheduled shared streams, config-parallel lane batches;
 //! * the **oracle** ([`wp_oracle::OracleProcessor`]): nested-`Vec` LRU
 //!   sets, per-access policy `match`es, per-access energy-model
 //!   evaluation, one micro-op at a time.
@@ -112,7 +112,7 @@ impl PointReport {
 }
 
 /// Checks every unique point of `plan`: the optimized side executes through
-/// a fresh [`SimEngine`] (gang scheduling, SWAR, kernels — the real
+/// a fresh [`SimEngine`] (gang scheduling, lane batches, kernels — the real
 /// production path, no persistent cache), the oracle side replays the same
 /// materialized streams per-op, and each pair is compared bit for bit.
 /// Returns one report per unique point, in plan order. Streams spill under
@@ -121,30 +121,13 @@ pub fn check_plan(plan: &SimPlan, threads: usize) -> Vec<PointReport> {
     check_plan_with(&SimEngine::new(threads), plan)
 }
 
-/// [`check_plan`] with an explicit spill cap for both backends: the
-/// optimized engine via [`SimEngine::with_stream_memory_cap`], the
-/// oracle's fan-out via [`SharedStream::materialize_capped`]. `None` uses
-/// the default cap. A tiny cap forces every stream through the `WPTR`
-/// spill codec — the conformance binary's `--stream-cap` and the spill
-/// tests use this without touching process-global environment.
-pub fn check_plan_capped(
-    plan: &SimPlan,
-    threads: usize,
-    stream_cap: Option<usize>,
-) -> Vec<PointReport> {
-    let mut engine = SimEngine::new(threads);
-    if let Some(cap) = stream_cap {
-        engine = engine.with_stream_memory_cap(cap);
-    }
-    check_plan_with(&engine, plan)
-}
-
 /// [`check_plan`] against a caller-configured optimized engine — the
-/// general entry: the engine's thread count, gang setting, and stream cap
-/// all apply to the optimized side, and the oracle side mirrors the
-/// thread count and cap. Any attached [`crate::MatrixCache`] is ignored:
-/// conformance exists to *execute* both stacks, never to compare a stack
-/// against its own stored output.
+/// general entry: the engine's thread count and stream cap apply to the
+/// optimized side, and the oracle side mirrors both. A tiny cap forces
+/// every stream of both backends through the `WPTR` spill codec. Any
+/// attached [`crate::MatrixCache`] is ignored: conformance exists to
+/// *execute* both stacks, never to compare a stack against its own stored
+/// output.
 pub fn check_plan_with(engine: &SimEngine, plan: &SimPlan) -> Vec<PointReport> {
     check_matrix_against_oracle(&engine.clone().without_matrix_cache(), plan)
 }

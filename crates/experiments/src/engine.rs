@@ -11,6 +11,12 @@
 //! (benchmark, machine, options) configuration. Each figure then renders
 //! from its slice of the matrix.
 //!
+//! Execution has one path: points are gang-scheduled by workload stream
+//! (each stream is materialized once and replayed by every configuration
+//! that needs it), and within a gang, members sharing a d-cache policy and
+//! geometry run as lane batches of up to [`MAX_LANES`] through one walk of
+//! the stream. A gang of one is point-at-a-time execution.
+//!
 //! Simulations are deterministic in their key — the trace seed is part of
 //! [`RunOptions`] — so a matrix produced serially and one produced in
 //! parallel contain identical results, and a point is never executed twice.
@@ -23,8 +29,8 @@ use wp_workloads::{Benchmark, SharedStream, StreamKey, WorkloadSpec};
 
 use crate::matrix_cache::{CacheHealth, MatrixCache};
 use crate::runner::{
-    simulate_workload, simulate_workload_cancellable, simulate_workload_shared,
-    simulate_workload_shared_lanes, CancelToken, MachineConfig, RunOptions,
+    simulate_workload_shared, simulate_workload_shared_lanes, CancelToken, MachineConfig,
+    RunOptions,
 };
 
 /// A streaming-run callback: invoked with each completed point and its
@@ -275,23 +281,21 @@ impl SimMatrix {
     }
 
     /// How many gangs (groups of executed points sharing one workload
-    /// stream) the engine scheduled into this matrix. Zero when gang
-    /// scheduling is disabled or nothing simulated.
+    /// stream) the engine scheduled into this matrix. Zero when nothing
+    /// simulated.
     pub fn gangs(&self) -> usize {
         self.gangs
     }
 
     /// How many workload streams were materialized for gang-scheduled
-    /// execution — the stream-production counter: with gangs enabled this
-    /// equals the number of distinct [`StreamKey`]s simulated, never the
-    /// point count.
+    /// execution — the stream-production counter: it equals the number of
+    /// distinct [`StreamKey`]s simulated, never the point count.
     pub fn streams_materialized(&self) -> usize {
         self.streams_materialized
     }
 
-    /// Total micro-ops *produced* by workload sources for this matrix. With
-    /// gang scheduling each shared stream is produced once; without it,
-    /// every point produces its own.
+    /// Total micro-ops *produced* by workload sources for this matrix: each
+    /// shared stream is produced once, however many points replay it.
     pub fn ops_generated(&self) -> u64 {
         self.ops_generated
     }
@@ -303,18 +307,17 @@ impl SimMatrix {
     }
 
     /// How many config-parallel lane batches (width ≥ 2) the engine ran
-    /// into this matrix. Zero when lane kernels are disabled (or gang
-    /// scheduling is, which lane batching rides on).
+    /// into this matrix.
     pub fn lane_batches(&self) -> usize {
         self.lane_batches
     }
 
-    /// How many executed points fell back to the scalar executor while lane
-    /// kernels were enabled — points whose `(d-policy, d-geometry)` batch
-    /// key matched no other gang member, plus width-1 chunk remainders.
-    /// Together with the lane-batched points this partitions the executed
-    /// set: `lane_points() + lane_scalar_fallback()` equals the number of
-    /// gang-scheduled executed points (asserted by `tests/lanes.rs`).
+    /// How many executed points fell back to the scalar executor — points
+    /// whose `(d-policy, d-geometry)` batch key matched no other gang
+    /// member, plus width-1 chunk remainders. Together with the
+    /// lane-batched points this partitions the executed set:
+    /// `lane_points() + lane_scalar_fallback()` equals the number of
+    /// executed points (asserted by `tests/lanes.rs`).
     pub fn lane_scalar_fallback(&self) -> usize {
         self.lane_scalar_fallback
     }
@@ -405,22 +408,18 @@ impl SimMatrix {
 pub struct SimEngine {
     threads: usize,
     cache: Option<MatrixCache>,
-    gang: bool,
-    lanes: bool,
     stream_memory_cap: usize,
 }
 
 impl SimEngine {
     /// An engine running on `threads` worker threads (clamped to at least
-    /// one), with no persistent cache, gang scheduling enabled, and the
-    /// default spill cap ([`wp_workloads::stream_memory_cap`]: the
-    /// `WPSDM_STREAM_MEMORY_CAP` environment override if set).
+    /// one), with no persistent cache and the default spill cap
+    /// ([`wp_workloads::stream_memory_cap`]: the `WPSDM_STREAM_MEMORY_CAP`
+    /// environment override if set).
     pub fn new(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
             cache: None,
-            gang: true,
-            lanes: true,
             stream_memory_cap: wp_workloads::stream_memory_cap(),
         }
     }
@@ -448,50 +447,6 @@ impl SimEngine {
     /// The attached persistent cache, if any.
     pub fn matrix_cache(&self) -> Option<&MatrixCache> {
         self.cache.as_ref()
-    }
-
-    /// Enables or disables gang scheduling: grouping the points to simulate
-    /// by workload-stream identity ([`StreamKey`]), materializing each
-    /// stream once, and broadcasting it to every configuration in the
-    /// group. Results are bit-identical either way (asserted by
-    /// `tests/gang.rs` and CI); the flag exists for determinism auditing
-    /// and benchmarking, not correctness.
-    pub fn with_gang(mut self, gang: bool) -> Self {
-        self.gang = gang;
-        self
-    }
-
-    /// Disables gang scheduling: every point generates its own stream.
-    pub fn without_gang(self) -> Self {
-        self.with_gang(false)
-    }
-
-    /// True if gang scheduling is enabled.
-    pub fn gang_enabled(&self) -> bool {
-        self.gang
-    }
-
-    /// Enables or disables config-parallel lane kernels: within each gang,
-    /// points sharing a `(d-policy, d-geometry)` batch key are driven
-    /// through one stream walk ([`wp_cpu::run_lane_batch`]) instead of one
-    /// walk per point; the rest fall back to the scalar executor. Results
-    /// are bit-identical either way (asserted by `tests/lanes.rs`, the
-    /// conformance harness, and CI). Lane batching rides on gang
-    /// scheduling — with gangs disabled the flag has no effect.
-    pub fn with_lanes(mut self, lanes: bool) -> Self {
-        self.lanes = lanes;
-        self
-    }
-
-    /// Disables config-parallel lane kernels: every gang member replays
-    /// its stream through the scalar executor.
-    pub fn without_lanes(self) -> Self {
-        self.with_lanes(false)
-    }
-
-    /// True if config-parallel lane kernels are enabled.
-    pub fn lanes_enabled(&self) -> bool {
-        self.lanes
     }
 
     /// Caps the resident bytes of one materialized gang stream; longer
@@ -524,49 +479,8 @@ impl SimEngine {
     /// [`MatrixCache`] are loaded from disk, and only the remainder
     /// simulates; repeated calls never re-execute work.
     pub fn run_into(&self, matrix: &mut SimMatrix, plan: &SimPlan) {
-        let missing: Vec<SimPoint> = plan
-            .unique_points()
-            .into_iter()
-            .filter(|p| !matrix.contains(p))
-            .collect();
-        let mut to_simulate = Vec::with_capacity(missing.len());
-        for point in missing {
-            match self.cache.as_ref().and_then(|cache| cache.load(&point)) {
-                Some(result) => {
-                    matrix.cache_hits += 1;
-                    matrix.results.insert(point, result);
-                }
-                None => to_simulate.push(point),
-            }
-        }
-        let results: Vec<SimResult> = if self.gang {
-            self.run_gangs(matrix, &to_simulate, None, None)
-                .into_iter()
-                .map(|r| r.expect("uncancelled gang execution completes every point"))
-                .collect()
-        } else {
-            let results = parallel_map(self.threads, &to_simulate, |point| {
-                simulate_workload(&point.workload, &point.machine, &point.options)
-            });
-            // Without gangs every point generates its own stream, so
-            // production equals consumption.
-            let consumed: u64 = results.iter().map(|r| r.activity.instructions).sum();
-            matrix.ops_generated += consumed;
-            matrix.ops_consumed += consumed;
-            results
-        };
-        matrix.executed += to_simulate.len();
-        for (point, result) in to_simulate.into_iter().zip(results) {
-            if let Some(cache) = &self.cache {
-                cache.store(&point, &result);
-            }
-            matrix.results.insert(point, result);
-        }
-        if let Some(cache) = &self.cache {
-            // Cumulative cache health counters: the cache is shared state
-            // (clones share counters), so copy rather than accumulate.
-            matrix.cache_health = cache.health();
-        }
+        let complete = self.run_streaming(matrix, plan, &CancelToken::never(), &|_, _| {});
+        assert!(complete, "an uncancelled run completes every point");
     }
 
     /// Runs the not-yet-simulated points of `plan` into `matrix` like
@@ -574,14 +488,11 @@ impl SimEngine {
     /// each completed point as its result lands — cache hits immediately,
     /// simulated points from whichever worker thread finishes them — and
     /// the run stops claiming new work once `token` fires. Cancellation
-    /// granularity is one gang work unit (or one op block on the non-gang
-    /// path); a unit in flight when the token fires completes and is still
+    /// granularity is one work unit (a lane batch or a scalar point); a
+    /// unit in flight when the token fires completes and is still
     /// observed, stored, and counted. Returns true if every point of the
-    /// plan completed.
-    ///
-    /// Bytes are the batch bytes: a result observed here is bit-identical
-    /// to the one [`run`](Self::run) would produce for the same point —
-    /// streaming changes delivery order, never values.
+    /// plan completed. [`run_into`](Self::run_into) is this call with a
+    /// token that never fires and no observer.
     pub fn run_streaming(
         &self,
         matrix: &mut SimMatrix,
@@ -612,31 +523,8 @@ impl SimEngine {
         }
         let results: Vec<Option<SimResult>> = if cancelled {
             vec![None; to_simulate.len()]
-        } else if self.gang {
-            self.run_gangs(matrix, &to_simulate, Some(token), Some(observer))
         } else {
-            let results = parallel_map(self.threads, &to_simulate, |point| {
-                if token.is_cancelled() {
-                    return None;
-                }
-                let result = simulate_workload_cancellable(
-                    &point.workload,
-                    &point.machine,
-                    &point.options,
-                    token,
-                )
-                .ok()?;
-                observer(point, &result);
-                Some(result)
-            });
-            let consumed: u64 = results
-                .iter()
-                .flatten()
-                .map(|r| r.activity.instructions)
-                .sum();
-            matrix.ops_generated += consumed;
-            matrix.ops_consumed += consumed;
-            results
+            self.run_gangs(matrix, &to_simulate, token, observer)
         };
         let mut complete = !cancelled;
         for (point, result) in to_simulate.into_iter().zip(results) {
@@ -661,20 +549,20 @@ impl SimEngine {
     /// materialize each distinct stream exactly once (in parallel), then
     /// broadcast each stream to every machine configuration in its gang.
     /// Returns the results in `points` order; a `None` slot is a point
-    /// whose work unit was never claimed because `token` fired (without a
-    /// token every slot is `Some`). When `observer` is set, each completed
-    /// point is reported from its worker thread as its unit finishes.
+    /// whose work unit was never claimed because `token` fired. `observer`
+    /// hears each completed point from its worker thread as its unit
+    /// finishes.
     fn run_gangs(
         &self,
         matrix: &mut SimMatrix,
         points: &[SimPoint],
-        token: Option<&CancelToken>,
-        observer: Option<PointObserver<'_>>,
+        token: &CancelToken,
+        observer: PointObserver<'_>,
     ) -> Vec<Option<SimResult>> {
         if points.is_empty() {
             return Vec::new();
         }
-        if token.is_some_and(CancelToken::is_cancelled) {
+        if token.is_cancelled() {
             return vec![None; points.len()];
         }
         // Group by stream identity, first-seen order.
@@ -710,14 +598,13 @@ impl SimEngine {
 
         // Split each gang into work units: lane batches of up to MAX_LANES
         // points sharing a (d-policy, d-geometry) batch key, and scalar
-        // fallbacks for the rest. With lanes disabled every point is its
-        // own scalar unit. The partition is computed deterministically here
-        // (first-seen order) before any parallel execution, so the results
-        // are independent of worker scheduling; the lane counters are
-        // accumulated per *completed* unit below — identical totals when
-        // nothing cancels, and only work actually done when the token
-        // fires.
-        let units = self.lane_partition(points, &jobs, keys.len());
+        // fallbacks for the rest. The partition is computed
+        // deterministically here (first-seen order) before any parallel
+        // execution, so the results are independent of worker scheduling;
+        // the lane counters are accumulated per *completed* unit below —
+        // identical totals when nothing cancels, and only work actually
+        // done when the token fires.
+        let units = Self::lane_partition(points, &jobs, keys.len());
         let run_unit = |unit: &WorkUnit| -> Vec<(usize, SimResult)> {
             let unit_results: Vec<(usize, SimResult)> = match unit {
                 WorkUnit::Scalar(point_index, stream_index) => vec![(
@@ -737,10 +624,8 @@ impl SimEngine {
                         .collect()
                 }
             };
-            if let Some(observer) = observer {
-                for (point_index, result) in &unit_results {
-                    observer(&points[*point_index], result);
-                }
+            for (point_index, result) in &unit_results {
+                observer(&points[*point_index], result);
             }
             unit_results
         };
@@ -758,7 +643,7 @@ impl SimEngine {
                     scope.spawn(|| {
                         let mut produced = Vec::new();
                         loop {
-                            if token.is_some_and(CancelToken::is_cancelled) {
+                            if token.is_cancelled() {
                                 return produced;
                             }
                             let index = cursor.fetch_add(1, Ordering::Relaxed);
@@ -782,8 +667,7 @@ impl SimEngine {
                     matrix.lane_batches += 1;
                     matrix.lane_width_histogram[batch.len()] += 1;
                 }
-                WorkUnit::Scalar(..) if self.lanes => matrix.lane_scalar_fallback += 1,
-                WorkUnit::Scalar(..) => {}
+                WorkUnit::Scalar(..) => matrix.lane_scalar_fallback += 1,
             }
             for (point_index, result) in unit_results {
                 slots[point_index] = Some(result);
@@ -805,19 +689,12 @@ impl SimEngine {
     /// gang, points sharing a `(d-policy, d-geometry)` batch key are
     /// chunked into lane batches of up to [`MAX_LANES`]; width-1 groups and
     /// chunk remainders fall back to scalar units. Every point lands in
-    /// exactly one unit. With lanes disabled, every point is a scalar unit.
+    /// exactly one unit.
     fn lane_partition(
-        &self,
         points: &[SimPoint],
         jobs: &[(usize, usize)],
         stream_count: usize,
     ) -> Vec<WorkUnit> {
-        if !self.lanes {
-            return jobs
-                .iter()
-                .map(|&(point_index, stream_index)| WorkUnit::Scalar(point_index, stream_index))
-                .collect();
-        }
         // Gang members in point order, per stream.
         let mut per_stream: Vec<Vec<usize>> = vec![Vec::new(); stream_count];
         for &(point_index, stream_index) in jobs {

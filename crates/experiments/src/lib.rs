@@ -82,8 +82,8 @@ pub use engine::{PointObserver, SimEngine, SimMatrix, SimPlan, SimPoint};
 pub use matrix_cache::{CacheHealth, EvictLockTimeout, MatrixCache};
 pub use report::TextTable;
 pub use runner::{
-    simulate_workload, simulate_workload_cancellable, BenchmarkRun, CancelToken, Cancelled,
-    CliError, CliOptions, MachineConfig, RunOptions,
+    simulate_workload, simulate_workload_cancellable, CancelToken, Cancelled, CliError, CliOptions,
+    MachineConfig, RunOptions,
 };
 pub use service::{Flight, FlightOutcome, Join, LeaderTicket, PointService, SweepReport};
 

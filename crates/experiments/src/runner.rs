@@ -1,17 +1,18 @@
-//! Shared simulation driver: build a processor for a (benchmark, policy,
-//! cache configuration) triple, run the trace, and return the results.
+//! Shared simulation driver: build a processor for a (workload, machine)
+//! pair, run the stream, and return the results.
 //!
-//! The experiment modules do not usually call [`simulate`] directly any
-//! more — they declare [`crate::engine::SimPlan`]s and render from the
-//! deduplicated [`crate::engine::SimMatrix`]; this module supplies the
-//! underlying executor and the [`MachineConfig`] key type.
+//! The experiment modules do not call these executors directly — they
+//! declare [`crate::engine::SimPlan`]s and render from the deduplicated
+//! [`crate::engine::SimMatrix`]; this module supplies the executors the
+//! engine schedules, the per-point [`simulate_workload`] reference, and the
+//! [`MachineConfig`] key type.
 
 use core::fmt;
 
 use serde::{Deserialize, Serialize};
 use wp_cache::{DCachePolicy, ICachePolicy, L1Config};
 use wp_cpu::{run_lane_batch, CpuConfig, LaneMember, Processor, SimResult};
-use wp_workloads::{Benchmark, SharedStream, WorkloadSpec};
+use wp_workloads::{SharedStream, WorkloadSpec};
 
 use crate::engine::{SimEngine, SimMatrix, SimPlan};
 use crate::matrix_cache::MatrixCache;
@@ -116,17 +117,6 @@ impl MachineConfig {
     }
 }
 
-/// One (benchmark, machine) simulation outcome.
-#[derive(Debug, Clone)]
-pub struct BenchmarkRun {
-    /// The benchmark simulated.
-    pub benchmark: Benchmark,
-    /// The machine configuration simulated.
-    pub machine: MachineConfig,
-    /// The measured result.
-    pub result: SimResult,
-}
-
 /// Builds and runs one simulation over any workload source: a synthetic
 /// benchmark, a stress scenario, or a recorded trace replayed off disk. The
 /// stream never materializes in memory; the processor consumes it the same
@@ -143,18 +133,24 @@ pub fn simulate_workload(
     machine: &MachineConfig,
     options: &RunOptions,
 ) -> SimResult {
-    let mut cpu = Processor::with_l1(
+    simulate_workload_cancellable(workload, machine, options, &CancelToken::never())
+        .expect("a token that never fires cannot cancel")
+}
+
+/// The processor `machine` describes.
+///
+/// # Panics
+///
+/// Panics if `machine` contains an invalid cache configuration.
+fn processor(machine: &MachineConfig) -> Processor {
+    Processor::with_l1(
         machine.cpu,
         machine.l1d,
         machine.dpolicy,
         machine.l1i,
         machine.ipolicy,
     )
-    .expect("experiment cache configurations must be valid");
-    let stream = workload
-        .stream(options.ops, options.seed)
-        .unwrap_or_else(|e| panic!("workload {workload} failed to open: {e}"));
-    cpu.run(stream)
+    .expect("experiment cache configurations must be valid")
 }
 
 /// A cooperative cancellation token for [`simulate_workload_cancellable`]:
@@ -266,10 +262,10 @@ impl<S: wp_workloads::OpBlockSource> wp_workloads::OpBlockSource for CancelSourc
 /// [`simulate_workload`] with cooperative cancellation: the run checks
 /// `token` at op-block granularity and stops early once it fires, returning
 /// [`Cancelled`] with partial-progress counters instead of a result. A run
-/// whose token never fires returns a result bit-identical to
-/// [`simulate_workload`] — the cancel seam adds no observable behaviour
-/// (asserted by the runner tests), so the service and the batch path share
-/// one executor.
+/// whose token never fires returns a result bit-identical to an unwrapped
+/// [`Processor::run`] of the stream — the cancel seam adds no observable
+/// behaviour (asserted by the runner tests), so [`simulate_workload`] and
+/// the service's point path share this one executor.
 ///
 /// # Errors
 ///
@@ -287,14 +283,7 @@ pub fn simulate_workload_cancellable(
     options: &RunOptions,
     token: &CancelToken,
 ) -> Result<SimResult, Cancelled> {
-    let mut cpu = Processor::with_l1(
-        machine.cpu,
-        machine.l1d,
-        machine.dpolicy,
-        machine.l1i,
-        machine.ipolicy,
-    )
-    .expect("experiment cache configurations must be valid");
+    let mut cpu = processor(machine);
     let stream = workload
         .stream(options.ops, options.seed)
         .unwrap_or_else(|e| panic!("workload {workload} failed to open: {e}"));
@@ -328,14 +317,7 @@ pub fn simulate_workload_cancellable(
 /// Panics if `machine` contains an invalid cache configuration or a spilled
 /// stream's temp file cannot be re-opened.
 pub fn simulate_workload_shared(stream: &SharedStream, machine: &MachineConfig) -> SimResult {
-    let mut cpu = Processor::with_l1(
-        machine.cpu,
-        machine.l1d,
-        machine.dpolicy,
-        machine.l1i,
-        machine.ipolicy,
-    )
-    .expect("experiment cache configurations must be valid");
+    let mut cpu = processor(machine);
     let mut reader = stream
         .reader()
         .unwrap_or_else(|e| panic!("shared workload stream failed to re-open: {e}"));
@@ -382,33 +364,6 @@ pub fn simulate_workload_shared_lanes(
         .expect("experiment cache configurations must be valid")
 }
 
-/// Builds and runs one simulation of a paper benchmark.
-///
-/// # Panics
-///
-/// Panics if `machine` contains an invalid cache configuration; the
-/// configurations used by the experiment modules are all statically valid.
-pub fn simulate(
-    benchmark: Benchmark,
-    machine: &MachineConfig,
-    options: &RunOptions,
-) -> BenchmarkRun {
-    let result = simulate_workload(&WorkloadSpec::Benchmark(benchmark), machine, options);
-    BenchmarkRun {
-        benchmark,
-        machine: *machine,
-        result,
-    }
-}
-
-/// Runs every benchmark on one machine configuration.
-pub fn simulate_all(machine: &MachineConfig, options: &RunOptions) -> Vec<BenchmarkRun> {
-    Benchmark::all()
-        .iter()
-        .map(|&b| simulate(b, machine, options))
-        .collect()
-}
-
 /// Command-line options shared by every experiment binary.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CliOptions {
@@ -431,19 +386,6 @@ pub struct CliOptions {
     /// Zero is rejected at parse time — a cache that can hold nothing is a
     /// misconfiguration, not a policy.
     pub matrix_cache_cap: Option<u64>,
-    /// Disable gang scheduling (`--no-gang`): every simulated point
-    /// generates its own workload stream instead of sharing one
-    /// materialization per `(workload, ops, seed)` gang. Results are
-    /// bit-identical either way; the flag exists for determinism auditing
-    /// (CI diffs gang-on against gang-off output) and benchmarking.
-    pub no_gang: bool,
-    /// Disable config-parallel lane kernels (`--no-lanes`): every gang
-    /// member replays its stream through the scalar executor instead of
-    /// batching geometry-sharing members through one
-    /// [`simulate_workload_shared_lanes`] walk. Results are bit-identical
-    /// either way; like `--no-gang` the flag exists for determinism
-    /// auditing and benchmarking.
-    pub no_lanes: bool,
     /// Path of a workload-profile file (`--profile FILE`): a versioned
     /// JSON description of an adversarial scenario mix (see
     /// `docs/WORKLOADS.md`). Parsed here, loaded and validated by
@@ -521,12 +463,6 @@ impl CliOptions {
             Some(threads) => SimEngine::new(threads),
             None => SimEngine::default(),
         };
-        if self.no_gang {
-            engine = engine.without_gang();
-        }
-        if self.no_lanes {
-            engine = engine.without_lanes();
-        }
         if let Some(cap) = self.stream_cap {
             engine = engine.with_stream_memory_cap(cap);
         }
@@ -552,9 +488,9 @@ impl CliOptions {
 
 /// Usage text shared by the binaries.
 pub const USAGE: &str = "usage: <experiment> [--quick] [--ops N] [--seed N] [--threads N] \
-                         [--json] [--profile FILE] [--no-gang] [--no-lanes] \
-                         [--stream-cap BYTES] [--no-matrix-cache] [--matrix-cache-dir PATH] \
-                         [--matrix-cache-cap BYTES] [--health-json PATH]";
+                         [--json] [--profile FILE] [--stream-cap BYTES] [--no-matrix-cache] \
+                         [--matrix-cache-dir PATH] [--matrix-cache-cap BYTES] \
+                         [--health-json PATH]";
 
 /// Shared body of the single-artefact binaries: parse the command line,
 /// execute the artefact's plan on the engine, render from the matrix, and
@@ -622,12 +558,10 @@ impl std::error::Error for CliError {}
 /// Parses the command-line arguments shared by every experiment binary:
 /// `--quick` for the short configuration, `--ops N` and `--seed N` for the
 /// trace, `--threads N` for the engine's worker count, `--json` for
-/// machine-readable output, `--no-gang` to disable gang-scheduled stream
-/// sharing, `--no-lanes` to disable config-parallel lane kernels within
-/// gangs, and `--no-matrix-cache` / `--matrix-cache-dir PATH` to control
-/// the persistent result cache (CI and trace_replay use
-/// `--no-matrix-cache` to force every point to simulate, and diff
-/// `--no-gang` output against the default to audit gang determinism).
+/// machine-readable output, and `--no-matrix-cache` /
+/// `--matrix-cache-dir PATH` to control the persistent result cache (CI
+/// and trace_replay use `--no-matrix-cache` to force every point to
+/// simulate).
 /// Unknown flags are reported as errors rather than silently
 /// ignored, and explicit `--ops`/`--seed` always override `--quick`
 /// regardless of flag order.
@@ -650,8 +584,6 @@ pub fn options_from_args(args: impl Iterator<Item = String>) -> Result<CliOption
                 }
                 options.threads = Some(threads);
             }
-            "--no-gang" => options.no_gang = true,
-            "--no-lanes" => options.no_lanes = true,
             "--stream-cap" => {
                 options.stream_cap = Some(parse_value("--stream-cap", args.next())?);
             }
@@ -709,6 +641,7 @@ fn parse_value<T: std::str::FromStr>(
 mod tests {
     use super::*;
     use std::time::Duration;
+    use wp_workloads::Benchmark;
 
     fn parse(args: &[&str]) -> Result<CliOptions, CliError> {
         options_from_args(args.iter().map(|s| s.to_string()))
@@ -735,23 +668,24 @@ mod tests {
 
     #[test]
     fn simulate_produces_consistent_counts() {
-        let run = simulate(
-            Benchmark::Troff,
+        let result = simulate_workload(
+            &WorkloadSpec::Benchmark(Benchmark::Troff),
             &MachineConfig::baseline(),
             &RunOptions::quick().with_ops(20_000),
         );
-        assert_eq!(run.result.activity.instructions, 20_000);
-        assert!(run.result.cycles > 0);
+        assert_eq!(result.activity.instructions, 20_000);
+        assert!(result.cycles > 0);
     }
 
     #[test]
     fn identical_options_give_identical_results() {
+        let workload = WorkloadSpec::Benchmark(Benchmark::Li);
         let machine = MachineConfig::baseline().with_dpolicy(DCachePolicy::SelDmWayPredict);
         let options = RunOptions::quick().with_ops(15_000);
-        let a = simulate(Benchmark::Li, &machine, &options);
-        let b = simulate(Benchmark::Li, &machine, &options);
-        assert_eq!(a.result.cycles, b.result.cycles);
-        assert_eq!(a.result.dcache, b.result.dcache);
+        let a = simulate_workload(&workload, &machine, &options);
+        let b = simulate_workload(&workload, &machine, &options);
+        assert_eq!(a.cycles, b.cycles);
+        assert_eq!(a.dcache, b.dcache);
     }
 
     #[test]
@@ -857,26 +791,6 @@ mod tests {
     }
 
     #[test]
-    fn gang_flag_parses_and_disables_gang_scheduling() {
-        let default = parse(&[]).expect("valid");
-        assert!(!default.no_gang);
-        assert!(default.engine().gang_enabled());
-        let off = parse(&["--no-gang"]).expect("valid");
-        assert!(off.no_gang);
-        assert!(!off.engine().gang_enabled());
-    }
-
-    #[test]
-    fn lanes_flag_parses_and_disables_lane_batching() {
-        let default = parse(&[]).expect("valid");
-        assert!(!default.no_lanes);
-        assert!(default.engine().lanes_enabled());
-        let off = parse(&["--no-lanes"]).expect("valid");
-        assert!(off.no_lanes);
-        assert!(!off.engine().lanes_enabled());
-    }
-
-    #[test]
     fn profile_flag_parses_and_loads_lazily() {
         let none = parse(&[]).expect("valid");
         assert_eq!(none.profile, None);
@@ -924,7 +838,11 @@ mod tests {
         let workload = WorkloadSpec::Benchmark(Benchmark::Gcc);
         let machine = MachineConfig::baseline().with_dpolicy(DCachePolicy::SelDmWayPredict);
         let options = RunOptions::quick().with_ops(12_000);
-        let plain = simulate_workload(&workload, &machine, &options);
+        let plain = processor(&machine).run(
+            workload
+                .stream(options.ops, options.seed)
+                .expect("generated workloads always open"),
+        );
         let cancellable =
             simulate_workload_cancellable(&workload, &machine, &options, &CancelToken::never())
                 .expect("a token that never fires must not cancel");

@@ -41,6 +41,10 @@ fn assert_cli_error(binary: &str, args: &[&str], message: &str) {
 fn run_all_rejects_bad_command_lines_with_exact_messages() {
     let bin = env!("CARGO_BIN_EXE_run_all");
     assert_cli_error(bin, &["--frobnicate"], "unknown flag `--frobnicate`");
+    // The engine has one execution path: the old gang and lane opt-outs
+    // are unknown flags, not silently accepted no-ops.
+    assert_cli_error(bin, &["--no-gang"], "unknown flag `--no-gang`");
+    assert_cli_error(bin, &["--no-lanes"], "unknown flag `--no-lanes`");
     assert_cli_error(bin, &["--ops"], "flag `--ops` requires a value");
     assert_cli_error(bin, &["--seed"], "flag `--seed` requires a value");
     assert_cli_error(
@@ -131,6 +135,7 @@ fn trace_capture_rejects_bad_command_lines_with_exact_messages() {
 fn trace_replay_rejects_bad_command_lines_with_exact_messages() {
     let bin = env!("CARGO_BIN_EXE_trace_replay");
     assert_cli_error(bin, &["--frobnicate"], "unknown flag `--frobnicate`");
+    assert_cli_error(bin, &["--no-gang"], "unknown flag `--no-gang`");
     assert_cli_error(bin, &["--trace"], "flag `--trace` requires a value");
     assert_cli_error(
         bin,
@@ -219,6 +224,7 @@ fn conformance_rejects_bad_command_lines_with_exact_messages() {
     // Shared flags go through the same parser as the artefact binaries, so
     // the messages are identical to run_all's.
     assert_cli_error(bin, &["--frobnicate"], "unknown flag `--frobnicate`");
+    assert_cli_error(bin, &["--no-lanes"], "unknown flag `--no-lanes`");
     assert_cli_error(bin, &["--ops"], "flag `--ops` requires a value");
     assert_cli_error(
         bin,

@@ -205,12 +205,10 @@ impl SetAssocCache {
     /// One fused pass over `set`'s ways: the hot loop walks the contiguous
     /// tag lane with a scalar early-exit compare against the set's
     /// valid-bitset word. At L1 associativities (2–8 ways) the early exit
-    /// wins: most probes hit, usually in a hot way, and the branch-free
-    /// SWAR mask ([`crate::swar::tag_match_mask`]) that briefly replaced
-    /// this loop always pays for the whole lane — the committed bench
-    /// measured it at 0.797× the scalar scan, so the SWAR path is retired
-    /// to a reference module (its lane-compare idea pays off on the
-    /// config axis instead; see `wp-mem`'s `LaneTagStore`). On a miss —
+    /// wins: most probes hit, usually in a hot way, while a branch-free
+    /// whole-lane compare always pays for every way — measured at 0.797×
+    /// the scalar scan, so the lane-compare idea is spent on the config
+    /// axis instead (see [`crate::lane::LaneTagStore`]). On a miss —
     /// where the whole set was necessarily visited — the scan also reports
     /// the victim a set-associative fill would choose (first invalid way,
     /// else the first way with the minimum LRU stamp), so the fill path
@@ -314,16 +312,6 @@ impl SetAssocCache {
         self.scan(base, self.geometry.tag(addr)).hit_way
     }
 
-    /// Returns the resident line at (`set`, `way`), if any.
-    pub fn line(&self, set: usize, way: WayIndex) -> Option<CacheLine> {
-        let index = set * self.assoc + way;
-        self.valid.get(index).then_some(CacheLine {
-            block_addr: self.geometry.block_addr_from_parts(set, self.tags[index]),
-            dirty: self.flags[index] & FLAG_DIRTY != 0,
-            direct_mapped: self.flags[index] & FLAG_DM != 0,
-        })
-    }
-
     /// Performs a full access: looks up `addr`, fills on a miss using the
     /// requested `placement`, updates LRU state and statistics.
     ///
@@ -365,40 +353,6 @@ impl SetAssocCache {
             in_direct_mapped_way: way == dm_way,
             evicted,
         }
-    }
-
-    /// Fills `addr` into the cache (used by callers that separate the miss
-    /// lookup from the fill, e.g. when the fill returns from L2 later).
-    ///
-    /// Returns the way filled and the evicted block, if any. If the block is
-    /// already resident the call only refreshes its LRU state.
-    #[inline]
-    pub fn fill(&mut self, addr: Addr, placement: Placement) -> (WayIndex, Option<CacheLine>) {
-        self.clock += 1;
-        let set = self.geometry.set_index(addr);
-        let tag = self.geometry.tag(addr);
-        let dm_way = self.geometry.direct_mapped_way(addr);
-        let base = set * self.assoc;
-        let scan = self.scan(base, tag);
-        if let Some(way) = scan.hit_way {
-            self.lru_stamps[base + way] = self.clock;
-            return (way, None);
-        }
-        self.fill_scanned(set, tag, dm_way, placement, scan.victim_way)
-    }
-
-    /// Invalidates `addr` if resident, returning the line that was removed.
-    pub fn invalidate(&mut self, addr: Addr) -> Option<CacheLine> {
-        let set = self.geometry.set_index(addr);
-        let base = set * self.assoc;
-        let way = self.scan(base, self.geometry.tag(addr)).hit_way?;
-        let line = self.line(set, way);
-        let index = base + way;
-        self.valid.set(index, false);
-        self.flags[index] = 0;
-        self.tags[index] = 0;
-        self.lru_stamps[index] = 0;
-        line
     }
 
     /// Number of valid blocks currently resident.
@@ -568,25 +522,6 @@ mod tests {
             res.evicted.expect("must evict").block_addr,
             c.geometry().block_addr(a)
         );
-    }
-
-    #[test]
-    fn invalidate_removes_block() {
-        let mut c = small_cache(4);
-        c.access(0x100, AccessKind::Read, Placement::SetAssociative);
-        assert!(c.invalidate(0x100).is_some());
-        assert!(c.probe(0x100).is_none());
-        assert!(c.invalidate(0x100).is_none());
-    }
-
-    #[test]
-    fn fill_is_idempotent_for_resident_blocks() {
-        let mut c = small_cache(4);
-        c.access(0x100, AccessKind::Read, Placement::SetAssociative);
-        let before = c.resident_blocks();
-        let (_, evicted) = c.fill(0x100, Placement::SetAssociative);
-        assert!(evicted.is_none());
-        assert_eq!(c.resident_blocks(), before);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! structure-of-arrays *across configs*: the `(set, way)` slot of all N
 //! lanes is contiguous (`tags[(set * assoc + way) * lanes + lane]`), so one
 //! probe compares the splatted probe tag against N resident tags with a
-//! straight-line pass — the SWAR idea from [`crate::swar`], pointed along
-//! the config axis, where every lane genuinely needs an answer and no
-//! early exit exists to lose to.
+//! straight-line pass — a whole-lane compare pointed along the config
+//! axis, where every lane genuinely needs an answer and no early exit
+//! exists to lose to.
 //!
 //! Per lane, the semantics are *exactly* [`crate::SetAssocCache`]: LRU
 //! stamps from a shared clock (each lane performs one access per call, so

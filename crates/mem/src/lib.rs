@@ -38,7 +38,6 @@ mod geometry;
 mod hierarchy;
 pub mod lane;
 mod stats;
-pub mod swar;
 
 pub use cache::{AccessKind, AccessResult, CacheLine, Placement, SetAssocCache};
 pub use geometry::{CacheGeometry, GeometryError};

@@ -3,7 +3,7 @@
 //!
 //! This is the model `wp_mem::SetAssocCache` is *supposed* to implement.
 //! Where the optimized store keeps structure-of-arrays tag lanes, packed
-//! flag bytes, a valid bitset, and a SWAR scan, the oracle keeps a
+//! flag bytes, a valid bitset, and a fused scan, the oracle keeps a
 //! `Vec<Vec<Option<Line>>>` holding whole block addresses, scans sets one
 //! way at a time, and derives set/tag/way by `/` and `%` instead of
 //! precomputed shifts and masks. Every observable decision — hit way,
@@ -127,6 +127,15 @@ impl OracleCache {
         let block_addr = self.geometry.block_addr(addr);
         set.iter()
             .position(|way| matches!(way, Some(line) if line.block_addr == block_addr))
+    }
+
+    /// Number of valid blocks currently resident.
+    pub fn resident_blocks(&self) -> usize {
+        self.sets
+            .iter()
+            .flatten()
+            .filter(|way| way.is_some())
+            .count()
     }
 
     /// One full access: look up, fill on a miss under the requested

@@ -3,9 +3,9 @@
 //!
 //! The optimized stack resolves the [`wp_cache::DCachePolicy`] once per run
 //! (monomorphized kernels), prices probes from a precomputed cost table,
-//! and scans tags with SWAR. The oracle re-reads the policy enum on every
-//! load, calls the [`wp_energy::CacheEnergyModel`] for every probe, and
-//! runs the nested-`Vec` [`OracleCache`]. The prediction *tables*
+//! and scans structure-of-arrays tag lanes. The oracle re-reads the policy
+//! enum on every load, calls the [`wp_energy::CacheEnergyModel`] for every
+//! probe, and runs the nested-`Vec` [`OracleCache`]. The prediction *tables*
 //! (selective-DM counters, PC/XOR way tables) are reused from
 //! `wp-predictors` — they were never optimized and serve as the shared
 //! ground truth — while the victim list, whose optimized form carries

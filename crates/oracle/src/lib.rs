@@ -1,9 +1,9 @@
 //! `wp-oracle` — the transparent reference simulator the optimized wpsdm
 //! stack is pinned to.
 //!
-//! Four PRs of aggressive optimization (structure-of-arrays tag stores,
-//! SWAR tag matching, monomorphized per-policy kernels, gang-scheduled
-//! shared streams, a persistent result cache) left the simulator fast but
+//! Aggressive optimization (structure-of-arrays tag stores, monomorphized
+//! per-policy kernels, gang-scheduled shared streams, config-parallel lane
+//! batches, a persistent result cache) left the simulator fast but
 //! its correctness pinned only to scattered internal reference tests. This
 //! crate is the end-to-end answer: a deliberately naive, allocation-happy,
 //! per-access re-implementation of the whole model that a reviewer can

@@ -109,10 +109,11 @@ impl FrameReader {
     /// Reads (or resumes reading) one frame. `Ok(None)` is a clean
     /// end-of-stream at a frame boundary; EOF mid-frame is an error. On
     /// `Err` of any kind the decode state is preserved, so a retriable
-    /// error (`WouldBlock`/`TimedOut`) resumes losslessly.
+    /// error (`WouldBlock`/`TimedOut`) resumes losslessly. `Interrupted`
+    /// is retried here and never surfaces.
     pub fn read(&mut self, reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
         while !self.decoding_payload {
-            let got = reader.read(&mut self.len[self.len_got..])?;
+            let got = read_uninterrupted(reader, &mut self.len[self.len_got..])?;
             if got == 0 {
                 if self.len_got == 0 {
                     return Ok(None);
@@ -137,7 +138,7 @@ impl FrameReader {
             }
         }
         while self.payload_got < self.payload.len() {
-            let got = reader.read(&mut self.payload[self.payload_got..])?;
+            let got = read_uninterrupted(reader, &mut self.payload[self.payload_got..])?;
             if got == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -149,6 +150,20 @@ impl FrameReader {
         self.len_got = 0;
         self.decoding_payload = false;
         Ok(Some(std::mem::take(&mut self.payload)))
+    }
+}
+
+/// `reader.read`, retried while a signal interrupts it. A socket read
+/// under `SO_RCVTIMEO` is never restarted after a signal handler runs
+/// (signal(7)), so without the retry a signal delivered to the process,
+/// or a stop and resume, surfaces as a spurious `Interrupted` error that
+/// would fail a client call or cut a live server connection.
+fn read_uninterrupted(reader: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    loop {
+        match reader.read(buf) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            result => return result,
+        }
     }
 }
 
@@ -1044,21 +1059,23 @@ mod tests {
         parse_request(json.as_bytes())
     }
 
-    /// A reader that yields its script one chunk at a time, interleaving a
-    /// `WouldBlock` timeout after every chunk — a deterministic dribbling
-    /// sender.
+    /// A reader that yields its script one chunk at a time, failing with
+    /// `pause` (a `WouldBlock` timeout, say) before every chunk — a
+    /// deterministic dribbling sender.
     struct Dribble {
         chunks: Vec<Vec<u8>>,
         next: usize,
         blocked: bool,
+        pause: io::ErrorKind,
     }
 
     impl Dribble {
-        fn new(wire: &[u8], chunk: usize) -> Self {
+        fn new(wire: &[u8], chunk: usize, pause: io::ErrorKind) -> Self {
             Self {
                 chunks: wire.chunks(chunk).map(<[u8]>::to_vec).collect(),
                 next: 0,
                 blocked: false,
+                pause,
             }
         }
     }
@@ -1067,7 +1084,7 @@ mod tests {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
             if !self.blocked {
                 self.blocked = true;
-                return Err(io::Error::new(io::ErrorKind::WouldBlock, "dribble pause"));
+                return Err(io::Error::new(self.pause, "dribble pause"));
             }
             self.blocked = false;
             let Some(chunk) = self.chunks.get(self.next) else {
@@ -1117,7 +1134,7 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, b"{\"v\":1,\"id\":7}").expect("write");
         write_frame(&mut wire, b"{\"v\":2}").expect("write");
-        let mut dribble = Dribble::new(&wire, 1);
+        let mut dribble = Dribble::new(&wire, 1, io::ErrorKind::WouldBlock);
         let mut frames = FrameReader::new();
         let mut decoded = Vec::new();
         let mut timeouts = 0;
@@ -1137,13 +1154,28 @@ mod tests {
     }
 
     #[test]
+    fn frame_reader_retries_interrupted_reads() {
+        // A signal before every byte: one call still returns the whole
+        // frame and never surfaces `Interrupted` to the caller.
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"{\"v\":1,\"id\":9}").expect("write");
+        let mut signalled = Dribble::new(&wire, 1, io::ErrorKind::Interrupted);
+        let mut frames = FrameReader::new();
+        assert_eq!(
+            frames.read(&mut signalled).expect("interrupts are retried"),
+            Some(b"{\"v\":1,\"id\":9}".to_vec())
+        );
+        assert_eq!(frames.read(&mut signalled).expect("clean end"), None);
+    }
+
+    #[test]
     fn mid_frame_flag_distinguishes_idle_from_paused() {
         let mut wire = Vec::new();
         write_frame(&mut wire, b"{}").expect("write");
         let mut frames = FrameReader::new();
         assert!(!frames.mid_frame(), "fresh reader is at a boundary");
         // Feed exactly one length byte, then stall.
-        let mut partial = Dribble::new(&wire[..1], 1);
+        let mut partial = Dribble::new(&wire[..1], 1, io::ErrorKind::WouldBlock);
         loop {
             match frames.read(&mut partial) {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => continue,

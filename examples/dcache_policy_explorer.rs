@@ -7,9 +7,9 @@
 //! `vortex`).
 
 use wpsdm::cache::DCachePolicy;
-use wpsdm::experiments::runner::{simulate, MachineConfig, RunOptions};
+use wpsdm::experiments::runner::{simulate_workload, MachineConfig, RunOptions};
 use wpsdm::experiments::TextTable;
-use wpsdm::workloads::Benchmark;
+use wpsdm::workloads::{Benchmark, WorkloadSpec};
 
 fn parse_benchmark(name: &str) -> Option<Benchmark> {
     Benchmark::all().into_iter().find(|b| b.name() == name)
@@ -27,8 +27,9 @@ fn main() {
         std::process::exit(1);
     };
 
+    let workload = WorkloadSpec::Benchmark(benchmark);
     let options = RunOptions::default().with_ops(200_000);
-    let baseline = simulate(benchmark, &MachineConfig::baseline(), &options);
+    let baseline = simulate_workload(&workload, &MachineConfig::baseline(), &options);
 
     let mut table = TextTable::new(vec![
         "policy",
@@ -40,18 +41,18 @@ fn main() {
     ]);
     for policy in DCachePolicy::all() {
         let machine = MachineConfig::baseline().with_dpolicy(policy);
-        let run = simulate(benchmark, &machine, &options);
-        let metrics = run.result.dcache_relative_to(&baseline.result);
+        let result = simulate_workload(&workload, &machine, &options);
+        let metrics = result.dcache_relative_to(&baseline);
         table.add_row(vec![
             policy.label().to_string(),
             format!("{:.2}", metrics.relative_energy_delay),
             format!("{:.1}", metrics.energy_savings() * 100.0),
             format!(
                 "{:.1}",
-                run.result.performance_degradation_vs(&baseline.result) * 100.0
+                result.performance_degradation_vs(&baseline) * 100.0
             ),
-            format!("{:.1}", run.result.dcache.miss_rate_percent()),
-            format!("{:.0}", run.result.dcache.way_prediction_accuracy() * 100.0),
+            format!("{:.1}", result.dcache.miss_rate_percent()),
+            format!("{:.0}", result.dcache.way_prediction_accuracy() * 100.0),
         ]);
     }
     println!("d-cache design options on {benchmark} (vs 1-cycle parallel access)\n");

@@ -78,7 +78,7 @@ proptest! {
 }
 
 /// Lane-batched engine runs of an adversarial profile are bit-identical
-/// to scalar (no-gang, no-lane) runs for every policy × scenario pair.
+/// to scalar per-point runs for every policy × scenario pair.
 #[test]
 fn lane_batches_match_scalar_on_adversarial_profiles() {
     let options = RunOptions {
@@ -97,10 +97,9 @@ fn lane_batches_match_scalar_on_adversarial_profiles() {
         }
     }
     let laned = SimEngine::new(2).run(&plan);
-    let scalar = SimEngine::new(2).without_gang().without_lanes().run(&plan);
     for point in plan.unique_points() {
         let a = laned.require_workload(&point.workload, &point.machine, &point.options);
-        let b = scalar.require_workload(&point.workload, &point.machine, &point.options);
+        let b = &simulate_workload(&point.workload, &point.machine, &point.options);
         assert!(
             a.exact_eq(b),
             "lane and scalar runs diverged on {} / {:?}: fields {:?}",

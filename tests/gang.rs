@@ -1,12 +1,14 @@
-//! Integration tests for gang-scheduled sweep execution: bit-identical
-//! results with gangs on, off, and single-threaded; the
-//! materialize-each-stream-exactly-once invariant over the full `run_all`
-//! plan; and spill-path equivalence under a tiny stream memory cap.
+//! Integration tests for gang-scheduled sweep execution: results
+//! bit-identical to per-point [`simulate_workload`] (which streams from the
+//! generator and never materializes a stream) and to a single-threaded
+//! engine; the materialize-each-stream-exactly-once invariant over the full
+//! `run_all` plan; and spill-path equivalence under a tiny stream memory
+//! cap.
 
 use proptest::prelude::*;
 use wpsdm::cache::{DCachePolicy, ICachePolicy};
 use wpsdm::experiments::engine::{SimEngine, SimPlan};
-use wpsdm::experiments::{run_all_plan, MachineConfig, RunOptions, SimPoint};
+use wpsdm::experiments::{run_all_plan, simulate_workload, MachineConfig, RunOptions, SimPoint};
 use wpsdm::workloads::{Benchmark, Scenario, WorkloadSpec};
 
 fn tiny() -> RunOptions {
@@ -69,15 +71,19 @@ fn assert_matrices_identical(
 fn gang_results_are_bit_identical_to_point_at_a_time() {
     let plan = mixed_plan(tiny());
     let gang = SimEngine::new(2).run(&plan);
-    let point_at_a_time = SimEngine::new(2).without_gang().run(&plan);
     let serial_gang = SimEngine::serial().run(&plan);
-    assert_matrices_identical(&plan, &gang, &point_at_a_time, "gang vs no-gang");
+    for point in plan.unique_points() {
+        let point_at_a_time = simulate_workload(&point.workload, &point.machine, &point.options);
+        assert_eq!(
+            gang.require_workload(&point.workload, &point.machine, &point.options),
+            &point_at_a_time,
+            "gang vs point-at-a-time: results diverged at {}",
+            point.workload
+        );
+    }
     assert_matrices_identical(&plan, &gang, &serial_gang, "threads vs serial");
-    // The no-gang engine materializes nothing; the gang engine groups the
-    // four stream identities (three workloads at the base length, one at
-    // the halved length).
-    assert_eq!(point_at_a_time.streams_materialized(), 0);
-    assert_eq!(point_at_a_time.gangs(), 0);
+    // The gang engine groups the four stream identities (three workloads at
+    // the base length, one at the halved length).
     assert_eq!(gang.streams_materialized(), 4);
     assert_eq!(gang.gangs(), 4);
 }
@@ -153,11 +159,10 @@ proptest! {
             ));
         }
         let gang = SimEngine::new(2).run(&plan);
-        let plain = SimEngine::new(2).without_gang().run(&plan);
         for point in plan.unique_points() {
             let a = gang.require_workload(&point.workload, &point.machine, &point.options);
-            let b = plain.require_workload(&point.workload, &point.machine, &point.options);
-            prop_assert_eq!(a, b);
+            let b = simulate_workload(&point.workload, &point.machine, &point.options);
+            prop_assert_eq!(a, &b);
         }
     }
 }

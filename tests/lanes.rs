@@ -4,12 +4,14 @@
 //! free parameters), the engine's lane partition is exhaustive and
 //! exclusive (every gang-executed point lands in exactly one of
 //! {lane batch, scalar fallback}), and lane batching changes no engine
-//! result.
+//! result against per-point [`simulate_workload`].
 
 use proptest::prelude::*;
 use wpsdm::cache::{DCachePolicy, ICachePolicy, L1Config};
 use wpsdm::cpu::{run_lane_batch, CpuConfig, LaneMember, Processor, MAX_LANES};
-use wpsdm::experiments::{run_all_plan, MachineConfig, RunOptions, SimEngine, SimPlan, SimPoint};
+use wpsdm::experiments::{
+    run_all_plan, simulate_workload, MachineConfig, RunOptions, SimEngine, SimPlan, SimPoint,
+};
 use wpsdm::workloads::{Benchmark, IterBlockSource, TraceConfig, TraceGenerator, WorkloadSpec};
 
 /// The lane-free parameters of one member, drawn as indices into small
@@ -194,22 +196,21 @@ fn full_run_all_plan_partitions_under_lanes() {
 }
 
 #[test]
-fn disabling_lanes_zeroes_the_counters_and_changes_nothing() {
+fn lane_batching_changes_no_engine_result() {
     let options = RunOptions::quick().with_ops(2_000);
     let plan = mixed_shape_plan(options);
-    let lanes_on = SimEngine::new(2).run(&plan);
-    let lanes_off = SimEngine::new(2).without_lanes().run(&plan);
+    let laned = SimEngine::new(2).run(&plan);
     let serial = SimEngine::serial().run(&plan);
 
-    assert_eq!(lanes_off.lane_batches(), 0);
-    assert_eq!(lanes_off.lane_points(), 0);
-    assert_eq!(lanes_off.lane_scalar_fallback(), 0);
-
     for point in plan.unique_points() {
-        let on = lanes_on.require_workload(&point.workload, &point.machine, &point.options);
-        let off = lanes_off.require_workload(&point.workload, &point.machine, &point.options);
+        let on = laned.require_workload(&point.workload, &point.machine, &point.options);
+        let scalar = simulate_workload(&point.workload, &point.machine, &point.options);
         let ser = serial.require_workload(&point.workload, &point.machine, &point.options);
-        assert_eq!(on, off, "lanes on vs off diverged at {}", point.workload);
-        assert_eq!(on, ser, "lanes on vs serial diverged at {}", point.workload);
+        assert_eq!(
+            on, &scalar,
+            "lanes vs point-at-a-time diverged at {}",
+            point.workload
+        );
+        assert_eq!(on, ser, "lanes vs serial diverged at {}", point.workload);
     }
 }

@@ -1,178 +1,27 @@
 //! Property-based tests (proptest) over the core data structures and
-//! invariants: cache residency/consistency, LRU behaviour, predictor
-//! bounds, energy-model monotonicity, trace determinism, and controller
-//! accounting identities.
+//! invariants: cache residency/consistency, LRU behaviour and equivalence
+//! with the oracle's tag store, predictor bounds, energy-model
+//! monotonicity, trace determinism, and controller accounting identities.
 
 use proptest::prelude::*;
 use wpsdm::cache::{DCacheController, DCachePolicy, L1Config};
 use wpsdm::energy::CacheEnergyModel;
-use wpsdm::mem::{AccessKind, CacheGeometry, Placement, SetAssocCache};
+use wpsdm::mem::{AccessKind, AccessResult, CacheGeometry, Placement, SetAssocCache};
+use wpsdm::oracle::{OracleAccess, OracleCache, OracleGeometry};
 use wpsdm::predictors::{MappingPrediction, SaturatingCounter, SelDmPredictor, VictimList};
 use wpsdm::workloads::{Benchmark, TraceConfig, TraceGenerator};
 
-/// The pre-flattening tag store: the nested-`Vec<Vec<Way>>` implementation
-/// the structure-of-arrays [`SetAssocCache`] replaced, kept verbatim as a
-/// behavioural reference. The property tests below drive both over
-/// arbitrary address streams and demand the same hit/way/eviction sequence
-/// access for access.
-mod reference {
-    use wpsdm::mem::{AccessKind, AccessResult, CacheGeometry, CacheLine, Placement, WayIndex};
-
-    #[derive(Debug, Clone, Copy)]
-    struct Way {
-        valid: bool,
-        tag: u64,
-        block_addr: u64,
-        dirty: bool,
-        direct_mapped: bool,
-        lru_stamp: u64,
-    }
-
-    impl Way {
-        fn empty() -> Self {
-            Self {
-                valid: false,
-                tag: 0,
-                block_addr: 0,
-                dirty: false,
-                direct_mapped: false,
-                lru_stamp: 0,
-            }
-        }
-    }
-
-    pub struct NestedVecCache {
-        geometry: CacheGeometry,
-        sets: Vec<Vec<Way>>,
-        clock: u64,
-    }
-
-    impl NestedVecCache {
-        pub fn new(geometry: CacheGeometry) -> Self {
-            let sets = vec![vec![Way::empty(); geometry.associativity()]; geometry.num_sets()];
-            Self {
-                geometry,
-                sets,
-                clock: 0,
-            }
-        }
-
-        pub fn probe(&self, addr: u64) -> Option<WayIndex> {
-            let set = self.geometry.set_index(addr);
-            let tag = self.geometry.tag(addr);
-            self.sets[set].iter().position(|w| w.valid && w.tag == tag)
-        }
-
-        pub fn resident_blocks(&self) -> usize {
-            self.sets
-                .iter()
-                .map(|s| s.iter().filter(|w| w.valid).count())
-                .sum()
-        }
-
-        pub fn access(
-            &mut self,
-            addr: u64,
-            kind: AccessKind,
-            placement: Placement,
-        ) -> AccessResult {
-            self.clock += 1;
-            let set = self.geometry.set_index(addr);
-            let tag = self.geometry.tag(addr);
-            let dm_way = self.geometry.direct_mapped_way(addr);
-            if let Some(way) = self.sets[set].iter().position(|w| w.valid && w.tag == tag) {
-                let entry = &mut self.sets[set][way];
-                entry.lru_stamp = self.clock;
-                if kind == AccessKind::Write {
-                    entry.dirty = true;
-                }
-                return AccessResult {
-                    hit: true,
-                    way,
-                    in_direct_mapped_way: way == dm_way,
-                    evicted: None,
-                };
-            }
-            let (way, evicted) = self.fill_at(set, tag, addr, dm_way, placement);
-            if kind == AccessKind::Write {
-                self.sets[set][way].dirty = true;
-            }
-            AccessResult {
-                hit: false,
-                way,
-                in_direct_mapped_way: way == dm_way,
-                evicted,
-            }
-        }
-
-        pub fn fill(&mut self, addr: u64, placement: Placement) -> (WayIndex, Option<CacheLine>) {
-            self.clock += 1;
-            let set = self.geometry.set_index(addr);
-            let tag = self.geometry.tag(addr);
-            let dm_way = self.geometry.direct_mapped_way(addr);
-            if let Some(way) = self.sets[set].iter().position(|w| w.valid && w.tag == tag) {
-                self.sets[set][way].lru_stamp = self.clock;
-                return (way, None);
-            }
-            self.fill_at(set, tag, addr, dm_way, placement)
-        }
-
-        pub fn invalidate(&mut self, addr: u64) -> Option<CacheLine> {
-            let set = self.geometry.set_index(addr);
-            let tag = self.geometry.tag(addr);
-            let way = self.sets[set]
-                .iter()
-                .position(|w| w.valid && w.tag == tag)?;
-            let w = &self.sets[set][way];
-            let line = CacheLine {
-                block_addr: w.block_addr,
-                dirty: w.dirty,
-                direct_mapped: w.direct_mapped,
-            };
-            self.sets[set][way] = Way::empty();
-            Some(line)
-        }
-
-        fn fill_at(
-            &mut self,
-            set: usize,
-            tag: u64,
-            addr: u64,
-            dm_way: WayIndex,
-            placement: Placement,
-        ) -> (WayIndex, Option<CacheLine>) {
-            let victim_way = match placement {
-                Placement::DirectMapped => dm_way,
-                Placement::SetAssociative => self.choose_victim(set),
-            };
-            let victim = &self.sets[set][victim_way];
-            let evicted = victim.valid.then_some(CacheLine {
-                block_addr: victim.block_addr,
-                dirty: victim.dirty,
-                direct_mapped: victim.direct_mapped,
-            });
-            self.sets[set][victim_way] = Way {
-                valid: true,
-                tag,
-                block_addr: self.geometry.block_addr(addr),
-                dirty: false,
-                direct_mapped: victim_way == dm_way,
-                lru_stamp: self.clock,
-            };
-            (victim_way, evicted)
-        }
-
-        fn choose_victim(&self, set: usize) -> WayIndex {
-            if let Some(way) = self.sets[set].iter().position(|w| !w.valid) {
-                return way;
-            }
-            self.sets[set]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.lru_stamp)
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        }
+/// The optimized store's access result in the oracle's shape, so the two
+/// compare field for field: hit, way, direct-mapped flag, and the evicted
+/// line as `(block_addr, dirty, direct_mapped)`.
+fn as_oracle(result: AccessResult) -> OracleAccess {
+    OracleAccess {
+        hit: result.hit,
+        way: result.way,
+        in_direct_mapped_way: result.in_direct_mapped_way,
+        evicted: result
+            .evicted
+            .map(|line| (line.block_addr, line.dirty, line.direct_mapped)),
     }
 }
 
@@ -317,84 +166,30 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// The SWAR tag-match primitive produces the identical way mask to the
-    /// retained scalar reference over arbitrary lanes — duplicate tags,
-    /// absent tags, extreme values, every lane length up to a full mask.
-    #[test]
-    fn swar_tag_match_equals_scalar_reference(
-        raw in prop::collection::vec((any::<u64>(), any::<bool>()), 0..64),
-        probe_raw in any::<u64>(),
-        probe_small in any::<bool>(),
-    ) {
-        // A mix of arbitrary lanes and a dense small-value band (high
-        // duplicate / match probability), plus extreme values.
-        let mut lane: Vec<u64> = raw
-            .iter()
-            .map(|&(v, small)| if small { v % 8 } else { v })
-            .collect();
-        if let Some(first) = lane.first_mut() {
-            *first = u64::MAX;
-        }
-        let probe = if probe_small { probe_raw % 8 } else { probe_raw };
-        prop_assert_eq!(
-            wpsdm::mem::swar::tag_match_mask(&lane, probe),
-            wpsdm::mem::swar::tag_match_mask_scalar(&lane, probe)
-        );
-        // The valid-mask-folding hit scan agrees with the retained
-        // early-exit scalar scan under every low-bit valid pattern.
-        let full = if lane.is_empty() { 0 } else { u64::MAX >> (64 - lane.len()) };
-        for valid in [0u64, full, probe_raw & full, !probe_raw & full] {
-            prop_assert_eq!(
-                wpsdm::mem::swar::first_hit(&lane, probe, valid),
-                wpsdm::mem::swar::first_hit_scalar(&lane, probe, valid)
-            );
-        }
-        // Probing a value present in the lane always sets that lane's bit.
-        for (way, &tag) in lane.iter().enumerate() {
-            prop_assert_ne!(wpsdm::mem::swar::tag_match_mask(&lane, tag) & (1u64 << way), 0);
-        }
-    }
-
     /// The flat structure-of-arrays tag store is access-for-access
-    /// equivalent to the nested-Vec implementation it replaced: the same
-    /// hit/way/eviction sequence over arbitrary interleavings of reads,
-    /// writes, fills, and invalidates, under both placement modes. Since
-    /// the fused scan now runs on the SWAR primitive, this also proves the
-    /// SWAR set-scan's hit way, victim choice, and valid/dirty interactions
-    /// across random geometries against the pre-SWAR scalar behaviour.
+    /// equivalent to the oracle's nested-`Vec` store: the same hit, way,
+    /// direct-mapped flag, eviction, probe, and residency over arbitrary
+    /// interleavings of reads and writes, under both placement modes.
     #[test]
     fn soa_cache_matches_nested_vec_reference(
         geometry in geometry_strategy(),
-        ops in prop::collection::vec((0u64..0x8_0000, 0u8..4, any::<bool>()), 1..300),
+        ops in prop::collection::vec((0u64..0x8_0000, any::<bool>(), any::<bool>()), 1..300),
     ) {
         let mut flat = SetAssocCache::new(geometry);
-        let mut reference = reference::NestedVecCache::new(geometry);
-        for (addr, action, direct) in ops {
+        let mut oracle = OracleCache::new(OracleGeometry::from_mem(&geometry));
+        for (addr, write, direct) in ops {
+            let kind = if write { AccessKind::Write } else { AccessKind::Read };
             let placement = if direct {
                 Placement::DirectMapped
             } else {
                 Placement::SetAssociative
             };
-            match action {
-                0 => {
-                    let a = flat.access(addr, AccessKind::Read, placement);
-                    let b = reference.access(addr, AccessKind::Read, placement);
-                    prop_assert_eq!(a, b);
-                }
-                1 => {
-                    let a = flat.access(addr, AccessKind::Write, placement);
-                    let b = reference.access(addr, AccessKind::Write, placement);
-                    prop_assert_eq!(a, b);
-                }
-                2 => {
-                    prop_assert_eq!(flat.fill(addr, placement), reference.fill(addr, placement));
-                }
-                _ => {
-                    prop_assert_eq!(flat.invalidate(addr), reference.invalidate(addr));
-                }
-            }
-            prop_assert_eq!(flat.probe(addr), reference.probe(addr));
-            prop_assert_eq!(flat.resident_blocks(), reference.resident_blocks());
+            prop_assert_eq!(
+                as_oracle(flat.access(addr, kind, placement)),
+                oracle.access(addr, kind, placement)
+            );
+            prop_assert_eq!(flat.probe(addr), oracle.probe(addr));
+            prop_assert_eq!(flat.resident_blocks(), oracle.resident_blocks());
         }
     }
 
@@ -410,15 +205,16 @@ proptest! {
             CacheGeometry::new(4 * 1024, 32, 1 << assoc).expect("valid geometry");
         let set_stride = (geometry.num_sets() * geometry.block_bytes()) as u64;
         let mut flat = SetAssocCache::new(geometry);
-        let mut reference = reference::NestedVecCache::new(geometry);
+        let mut oracle = OracleCache::new(OracleGeometry::from_mem(&geometry));
         for (tag, write) in tags.iter().zip(writes.iter().cycle()) {
             let addr = tag * set_stride;
             let kind = if *write { AccessKind::Write } else { AccessKind::Read };
-            let a = flat.access(addr, kind, Placement::SetAssociative);
-            let b = reference.access(addr, kind, Placement::SetAssociative);
-            prop_assert_eq!(a, b);
+            prop_assert_eq!(
+                as_oracle(flat.access(addr, kind, Placement::SetAssociative)),
+                oracle.access(addr, kind, Placement::SetAssociative)
+            );
         }
-        prop_assert_eq!(flat.resident_blocks(), reference.resident_blocks());
+        prop_assert_eq!(flat.resident_blocks(), oracle.resident_blocks());
     }
 
     /// Controller accounting identity: every load lands in exactly one

@@ -283,7 +283,7 @@ fn main() {
         match conformance::bless_goldens(&cli.golden_dir, cli.threads) {
             Ok(()) => println!(
                 "conformance[golden]: blessed {} artefacts into {} (ops {}, seed {})",
-                conformance::GOLDEN_ARTEFACTS.len(),
+                conformance::golden_names().count(),
                 cli.golden_dir.display(),
                 GOLDEN_OPTIONS.ops,
                 GOLDEN_OPTIONS.seed
@@ -297,7 +297,7 @@ fn main() {
         let drift = conformance::check_goldens(&cli.golden_dir, cli.threads);
         println!(
             "conformance[golden]: {} artefacts, {} drifting",
-            conformance::GOLDEN_ARTEFACTS.len(),
+            conformance::golden_names().count(),
             drift.len()
         );
         for entry in &drift {

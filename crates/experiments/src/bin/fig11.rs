@@ -3,10 +3,6 @@
 //! Usage: `cargo run --release -p wp-experiments --bin fig11
 //! [--quick] [--ops N] [--seed N] [--threads N] [--json]`
 
-use wp_experiments::fig11;
-
 fn main() {
-    wp_experiments::runner::artefact_main(fig11::plan, fig11::from_matrix, |result| {
-        result.to_table()
-    });
+    wp_experiments::runner::artefact_main("fig11");
 }

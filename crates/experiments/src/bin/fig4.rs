@@ -3,10 +3,6 @@
 //! Usage: `cargo run --release -p wp-experiments --bin fig4
 //! [--quick] [--ops N] [--seed N] [--threads N] [--json]`
 
-use wp_experiments::fig4;
-
 fn main() {
-    wp_experiments::runner::artefact_main(fig4::plan, fig4::from_matrix, |result| {
-        result.to_table()
-    });
+    wp_experiments::runner::artefact_main("fig4");
 }

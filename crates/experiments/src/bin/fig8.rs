@@ -3,10 +3,6 @@
 //! Usage: `cargo run --release -p wp-experiments --bin fig8
 //! [--quick] [--ops N] [--seed N] [--threads N] [--json]`
 
-use wp_experiments::fig8;
-
 fn main() {
-    wp_experiments::runner::artefact_main(fig8::plan, fig8::from_matrix, |result| {
-        result.to_table()
-    });
+    wp_experiments::runner::artefact_main("fig8");
 }

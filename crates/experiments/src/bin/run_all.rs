@@ -1,8 +1,8 @@
 //! Regenerates every table and figure of the paper in one run and prints
 //! them in order.
 //!
-//! All eleven artefacts declare their simulation points up front
-//! ([`wp_experiments::run_all_plan`]); the engine dedups the shared points
+//! Every [`wp_experiments::ARTEFACTS`] row declares its simulation points
+//! up front ([`wp_experiments::run_all_plan`]); the engine dedups the shared points
 //! (every d-cache figure reuses the same baseline, Figures 7/8 share the
 //! selective-DM machines, …) and executes each unique point exactly once,
 //! in parallel. With `--json` the eleven results are emitted as one JSON
@@ -20,28 +20,10 @@
 //! second identical invocation executes zero simulations; pass
 //! `--no-matrix-cache` to force everything to simulate.
 
-use serde::Serialize;
-use wp_experiments::coverage::{self, CoverageReport};
+use serde::{Serialize, Value};
+use wp_experiments::coverage;
 use wp_experiments::runner::CliOptions;
-use wp_experiments::{fig10, fig11, fig4, fig5, fig6, fig7, fig8, fig9, table3, table4, table5};
-
-/// Every artefact of the paper's evaluation, in presentation order, plus
-/// the optional `--profile` coverage matrix.
-#[derive(Serialize)]
-struct RunAllResult {
-    table3: table3::Table3Result,
-    table4: table4::Table4Result,
-    fig4: fig4::Fig4Result,
-    fig5: fig5::Fig5Result,
-    fig6: fig6::Fig6Result,
-    table5: table5::Table5Result,
-    fig7: fig7::Fig7Result,
-    fig8: fig8::Fig8Result,
-    fig9: fig9::Fig9Result,
-    fig10: fig10::Fig10Result,
-    fig11: fig11::Fig11Result,
-    coverage: Option<CoverageReport>,
-}
+use wp_experiments::ARTEFACTS;
 
 fn main() {
     let cli = CliOptions::from_env_or_exit();
@@ -111,39 +93,27 @@ fn main() {
     }
     debug_assert_eq!(matrix.executed_points() + matrix.cache_hits(), unique);
 
-    let results = RunAllResult {
-        table3: table3::from_matrix(&matrix, &options),
-        table4: table4::from_matrix(&matrix, &options),
-        fig4: fig4::from_matrix(&matrix, &options),
-        fig5: fig5::from_matrix(&matrix, &options),
-        fig6: fig6::from_matrix(&matrix, &options),
-        table5: table5::from_matrix(&matrix, &options),
-        fig7: fig7::from_matrix(&matrix, &options),
-        fig8: fig8::from_matrix(&matrix, &options),
-        fig9: fig9::from_matrix(&matrix, &options),
-        fig10: fig10::from_matrix(&matrix, &options),
-        fig11: fig11::from_matrix(&matrix, &options),
-        coverage: profile
-            .as_ref()
-            .map(|p| coverage::profile_report(p, &matrix, &options)),
-    };
-
+    let coverage = profile
+        .as_ref()
+        .map(|p| coverage::profile_report(p, &matrix, &options));
     if cli.json {
-        println!("{}", wp_experiments::report::to_json(&results));
+        // Every artefact, in presentation order, then the optional
+        // `--profile` coverage matrix: one tree, rendered without a copy.
+        let json = wp_experiments::report::to_json_with(|| {
+            let artefacts = ARTEFACTS.iter().map(|artefact| {
+                let json = (artefact.json)(&matrix, &options);
+                (artefact.name.to_string(), json)
+            });
+            let coverage = ("coverage".to_string(), coverage.to_value());
+            Value::Object(artefacts.chain([coverage]).collect())
+        });
+        println!("{json}");
         return;
     }
-    println!("{}\n", results.table3.to_table());
-    println!("{}\n", results.table4.to_table());
-    println!("{}\n", results.fig4.to_table());
-    println!("{}\n", results.fig5.to_table());
-    println!("{}\n", results.fig6.to_table());
-    println!("{}\n", results.table5.to_table());
-    println!("{}\n", results.fig7.to_table());
-    println!("{}\n", results.fig8.to_table());
-    println!("{}\n", results.fig9.to_table());
-    println!("{}\n", results.fig10.to_table());
-    println!("{}\n", results.fig11.to_table());
-    if let Some(coverage) = &results.coverage {
+    for artefact in &ARTEFACTS {
+        println!("{}\n", (artefact.table)(&matrix, &options));
+    }
+    if let Some(coverage) = &coverage {
         println!("{}\n", coverage.to_table());
     }
 }

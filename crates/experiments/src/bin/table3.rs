@@ -3,10 +3,6 @@
 //! Usage: `cargo run --release -p wp-experiments --bin table3
 //! [--quick] [--ops N] [--seed N] [--threads N] [--json]`
 
-use wp_experiments::table3;
-
 fn main() {
-    wp_experiments::runner::artefact_main(table3::plan, table3::from_matrix, |result| {
-        result.to_table()
-    });
+    wp_experiments::runner::artefact_main("table3");
 }

@@ -3,10 +3,6 @@
 //! Usage: `cargo run --release -p wp-experiments --bin table5
 //! [--quick] [--ops N] [--seed N] [--threads N] [--json]`
 
-use wp_experiments::table5;
-
 fn main() {
-    wp_experiments::runner::artefact_main(table5::plan, table5::from_matrix, |result| {
-        result.to_table()
-    });
+    wp_experiments::runner::artefact_main("table5");
 }

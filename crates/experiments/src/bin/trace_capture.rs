@@ -20,7 +20,7 @@
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
-use wp_experiments::runner::RunOptions;
+use wp_experiments::runner::{parse_value, RunOptions};
 use wp_workloads::{capture_to_file, ProfileSpec, TextTraceWriter, WorkloadSpec};
 
 const USAGE: &str = "usage: trace_capture (--workload NAME | --profile FILE) --out PATH \
@@ -72,21 +72,9 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
                 ))
             }
             "--quick" => quick = true,
-            "--ops" => {
-                let value = args.next().ok_or("flag `--ops` requires a value")?;
-                ops = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("invalid --ops `{value}`"))?,
-                );
-            }
+            "--ops" => ops = Some(parse_value("--ops", args.next()).map_err(|e| e.to_string())?),
             "--seed" => {
-                let value = args.next().ok_or("flag `--seed` requires a value")?;
-                seed = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("invalid --seed `{value}`"))?,
-                );
+                seed = Some(parse_value("--seed", args.next()).map_err(|e| e.to_string())?);
             }
             "--text" => text = true,
             other => return Err(format!("unknown flag `{other}`")),

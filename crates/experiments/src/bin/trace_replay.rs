@@ -21,7 +21,7 @@ use serde::Serialize;
 use wp_cache::DCachePolicy;
 use wp_experiments::engine::{SimPlan, SimPoint};
 use wp_experiments::report::{ratio, TextTable};
-use wp_experiments::runner::{CliOptions, MachineConfig, RunOptions};
+use wp_experiments::runner::{parse_value, CliError, CliOptions, MachineConfig, RunOptions};
 use wp_workloads::WorkloadSpec;
 
 const USAGE: &str = "usage: trace_replay --trace PATH [--ops N] [--threads N] [--json] \
@@ -63,39 +63,27 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
                 ))
             }
             "--matrix-cache-cap" => {
-                let value = args
-                    .next()
-                    .ok_or("flag `--matrix-cache-cap` requires a value")?;
-                let parsed: u64 = value
-                    .parse()
-                    .map_err(|_| format!("invalid --matrix-cache-cap `{value}`"))?;
-                if parsed == 0 {
-                    return Err("invalid --matrix-cache-cap `0`".to_string());
+                let cap =
+                    parse_value("--matrix-cache-cap", args.next()).map_err(|e| e.to_string())?;
+                if cap == 0 {
+                    return Err(
+                        CliError::InvalidValue("--matrix-cache-cap", "0".into()).to_string()
+                    );
                 }
-                matrix_cache_cap = Some(parsed);
+                matrix_cache_cap = Some(cap);
             }
             "--trace" => {
                 trace = Some(PathBuf::from(
                     args.next().ok_or("flag `--trace` requires a value")?,
                 ))
             }
-            "--ops" => {
-                let value = args.next().ok_or("flag `--ops` requires a value")?;
-                ops = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("invalid --ops `{value}`"))?,
-                );
-            }
+            "--ops" => ops = Some(parse_value("--ops", args.next()).map_err(|e| e.to_string())?),
             "--threads" => {
-                let value = args.next().ok_or("flag `--threads` requires a value")?;
-                let parsed: usize = value
-                    .parse()
-                    .map_err(|_| format!("invalid --threads `{value}`"))?;
-                if parsed == 0 {
-                    return Err("invalid --threads `0`".to_string());
+                let count = parse_value("--threads", args.next()).map_err(|e| e.to_string())?;
+                if count == 0 {
+                    return Err(CliError::InvalidValue("--threads", "0".into()).to_string());
                 }
-                threads = Some(parsed);
+                threads = Some(count);
             }
             "--json" => json = true,
             other => return Err(format!("unknown flag `{other}`")),

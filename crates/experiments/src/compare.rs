@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use wp_cache::{DCachePolicy, L1Config};
 use wp_workloads::Benchmark;
 
-use crate::engine::{SimEngine, SimMatrix, SimPlan};
+use crate::engine::{SimMatrix, SimPlan};
 use crate::runner::{MachineConfig, RunOptions};
 
 /// The metrics the paper's d-cache figures plot for one (benchmark, policy)
@@ -82,20 +82,6 @@ pub fn compare_dcache_policies_in(
         }
     }
     rows
-}
-
-/// Runs `policies` on `l1d` for every benchmark and returns one row per
-/// (benchmark, policy), each measured against the parallel baseline with the
-/// same cache configuration and latency. Convenience over
-/// [`dcache_policy_plan`] + [`compare_dcache_policies_in`] for standalone
-/// use; `run_all` shares one engine run across every figure instead.
-pub fn compare_dcache_policies(
-    policies: &[DCachePolicy],
-    l1d: L1Config,
-    options: &RunOptions,
-) -> Vec<PolicyComparison> {
-    let matrix = SimEngine::default().run(&dcache_policy_plan(policies, l1d, options));
-    compare_dcache_policies_in(&matrix, policies, l1d, options)
 }
 
 /// Averages the per-benchmark rows of each policy (the paper reports
@@ -187,20 +173,6 @@ impl DcacheFigure {
                 .map(|&(label, savings, perf)| (label.to_string(), savings, perf))
                 .collect(),
         }
-    }
-
-    /// Runs `policies` on `l1d`, against the parallel baseline of the same
-    /// configuration, and assembles the figure (standalone convenience:
-    /// plans, executes, and renders in one call).
-    pub fn build(
-        title: &str,
-        policies: &[DCachePolicy],
-        l1d: L1Config,
-        options: &RunOptions,
-        paper_reference: &[(&str, f64, f64)],
-    ) -> Self {
-        let matrix = SimEngine::default().run(&Self::plan(policies, l1d, options));
-        Self::from_matrix(&matrix, title, policies, l1d, options, paper_reference)
     }
 
     /// Renders the per-benchmark relative energy-delay and degradation,

@@ -41,8 +41,9 @@ use wp_oracle::OracleProcessor;
 use wp_workloads::{Benchmark, BlockSourceIter, Scenario, SharedStream, StreamKey, WorkloadSpec};
 
 use crate::engine::{parallel_map, SimEngine, SimPlan, SimPoint};
+use crate::report::{to_json, to_json_with};
 use crate::runner::{MachineConfig, RunOptions};
-use crate::{fig10, fig11, fig4, fig5, fig6, fig7, fig8, fig9, table3, table4, table5};
+use crate::ARTEFACTS;
 
 /// Simulates one point on the oracle backend, from a live workload stream —
 /// the reference twin of [`crate::runner::simulate_workload`].
@@ -318,15 +319,18 @@ pub const GOLDEN_OPTIONS: RunOptions = RunOptions {
     seed: 42,
 };
 
-/// The artefact names, in the paper's presentation order, followed by the
-/// coverage matrix; golden files are `tests/golden/<name>.json`.
-pub const GOLDEN_ARTEFACTS: [&str; 12] = [
-    "table3", "table4", "fig4", "fig5", "fig6", "table5", "fig7", "fig8", "fig9", "fig10", "fig11",
-    "coverage",
-];
+/// The golden snapshot names, `tests/golden/<name>.json`: the
+/// [`ARTEFACTS`] rows, in the paper's presentation order, then the
+/// coverage matrix.
+pub fn golden_names() -> impl Iterator<Item = &'static str> {
+    ARTEFACTS
+        .iter()
+        .map(|artefact| artefact.name)
+        .chain(["coverage"])
+}
 
-/// Renders all twelve artefacts at [`GOLDEN_OPTIONS`] as pretty JSON, in
-/// [`GOLDEN_ARTEFACTS`] order: the eleven paper artefacts plus the
+/// Renders every golden snapshot at [`GOLDEN_OPTIONS`] as pretty JSON, in
+/// [`golden_names`] order: the eleven paper artefacts plus the
 /// (policy × config-axis × outcome-class) coverage matrix over the
 /// adversarial profile tiers. Always simulates fresh (no persistent
 /// cache), on `threads` workers.
@@ -334,24 +338,15 @@ pub fn render_golden_artefacts(threads: usize) -> Vec<(&'static str, String)> {
     let options = GOLDEN_OPTIONS;
     let engine = SimEngine::new(threads);
     let matrix = engine.run(&crate::run_all_plan(&options));
-    use crate::report::to_json;
-    vec![
-        ("table3", to_json(&table3::from_matrix(&matrix, &options))),
-        ("table4", to_json(&table4::from_matrix(&matrix, &options))),
-        ("fig4", to_json(&fig4::from_matrix(&matrix, &options))),
-        ("fig5", to_json(&fig5::from_matrix(&matrix, &options))),
-        ("fig6", to_json(&fig6::from_matrix(&matrix, &options))),
-        ("table5", to_json(&table5::from_matrix(&matrix, &options))),
-        ("fig7", to_json(&fig7::from_matrix(&matrix, &options))),
-        ("fig8", to_json(&fig8::from_matrix(&matrix, &options))),
-        ("fig9", to_json(&fig9::from_matrix(&matrix, &options))),
-        ("fig10", to_json(&fig10::from_matrix(&matrix, &options))),
-        ("fig11", to_json(&fig11::from_matrix(&matrix, &options))),
-        (
-            "coverage",
-            to_json(&crate::coverage::run_artefact(&engine, &options)),
-        ),
-    ]
+    let coverage = to_json(&crate::coverage::run_artefact(&engine, &options));
+    ARTEFACTS
+        .iter()
+        .map(|artefact| {
+            let json = to_json_with(|| (artefact.json)(&matrix, &options));
+            (artefact.name, json)
+        })
+        .chain([("coverage", coverage)])
+        .collect()
 }
 
 /// The repository's committed golden directory (`tests/golden/` at the

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use wp_cache::{ICachePolicy, L1Config};
 use wp_workloads::Benchmark;
 
-use crate::engine::{SimEngine, SimMatrix, SimPlan};
+use crate::engine::{SimMatrix, SimPlan};
 use crate::report::TextTable;
 use crate::runner::{MachineConfig, RunOptions};
 
@@ -89,11 +89,6 @@ pub fn from_matrix(matrix: &SimMatrix, options: &RunOptions) -> Fig10Result {
     }
 }
 
-/// Regenerates Figure 10 standalone (plans, executes, renders).
-pub fn run(options: &RunOptions) -> Fig10Result {
-    from_matrix(&SimEngine::default().run(&plan(options)), options)
-}
-
 impl Fig10Result {
     /// Average savings (fraction) for one associativity.
     pub fn average_savings(&self, associativity: usize) -> f64 {
@@ -166,7 +161,7 @@ mod tests {
 
     #[test]
     fn savings_grow_with_associativity_and_accuracy_is_high() {
-        let result = run(&RunOptions::quick());
+        let result = crate::run_standalone(plan, from_matrix, &RunOptions::quick());
         let s2 = result.average_savings(2);
         let s4 = result.average_savings(4);
         let s8 = result.average_savings(8);

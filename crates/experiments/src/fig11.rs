@@ -11,7 +11,7 @@ use wp_cache::{DCachePolicy, ICachePolicy};
 use wp_energy::{EnergyDelay, ProcessorEnergyModel};
 use wp_workloads::Benchmark;
 
-use crate::engine::{SimEngine, SimMatrix, SimPlan};
+use crate::engine::{SimMatrix, SimPlan};
 use crate::report::TextTable;
 use crate::runner::{MachineConfig, RunOptions};
 
@@ -112,11 +112,6 @@ pub fn from_matrix(matrix: &SimMatrix, options: &RunOptions) -> Fig11Result {
     }
 }
 
-/// Regenerates Figure 11 standalone (plans, executes, renders).
-pub fn run(options: &RunOptions) -> Fig11Result {
-    from_matrix(&SimEngine::default().run(&plan(options)), options)
-}
-
 impl Fig11Result {
     /// Average measured energy-delay savings (fraction).
     pub fn average_savings(&self) -> f64 {
@@ -195,7 +190,7 @@ mod tests {
 
     #[test]
     fn overall_savings_are_bounded_by_the_perfect_case() {
-        let result = run(&RunOptions::quick());
+        let result = crate::run_standalone(plan, from_matrix, &RunOptions::quick());
         let savings = result.average_savings();
         let perfect = result.average_perfect_savings();
         assert!(savings > 0.02, "savings {savings}");

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use wp_cache::{DCachePolicy, L1Config};
 
 use crate::compare::DcacheFigure;
-use crate::engine::{SimEngine, SimMatrix, SimPlan};
+use crate::engine::{SimMatrix, SimPlan};
 use crate::runner::RunOptions;
 
 /// The regenerated Figure 4.
@@ -44,11 +44,6 @@ pub fn from_matrix(matrix: &SimMatrix, options: &RunOptions) -> Fig4Result {
     }
 }
 
-/// Regenerates Figure 4 standalone (plans, executes, renders).
-pub fn run(options: &RunOptions) -> Fig4Result {
-    from_matrix(&SimEngine::default().run(&plan(options)), options)
-}
-
 impl Fig4Result {
     /// Renders the figure data as text.
     pub fn to_table(&self) -> String {
@@ -62,7 +57,7 @@ mod tests {
 
     #[test]
     fn sequential_saves_energy_but_costs_performance() {
-        let result = run(&RunOptions::quick());
+        let result = crate::run_standalone(plan, from_matrix, &RunOptions::quick());
         let savings = result
             .figure
             .average_savings(DCachePolicy::Sequential)

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use wp_cache::{DCachePolicy, L1Config};
 
 use crate::compare::DcacheFigure;
-use crate::engine::{SimEngine, SimMatrix, SimPlan};
+use crate::engine::{SimMatrix, SimPlan};
 use crate::runner::RunOptions;
 
 /// The regenerated Figure 5.
@@ -45,11 +45,6 @@ pub fn from_matrix(matrix: &SimMatrix, options: &RunOptions) -> Fig5Result {
     }
 }
 
-/// Regenerates Figure 5 standalone (plans, executes, renders).
-pub fn run(options: &RunOptions) -> Fig5Result {
-    from_matrix(&SimEngine::default().run(&plan(options)), options)
-}
-
 impl Fig5Result {
     /// Renders the figure data as text.
     pub fn to_table(&self) -> String {
@@ -80,7 +75,7 @@ mod tests {
 
     #[test]
     fn xor_is_more_accurate_than_pc() {
-        let result = run(&RunOptions::quick());
+        let result = crate::run_standalone(plan, from_matrix, &RunOptions::quick());
         let (pc, xor) = result.average_accuracies();
         assert!(pc > 0.35 && pc < 0.95, "pc accuracy {pc}");
         assert!(xor > pc - 0.03, "xor ({xor}) should not trail pc ({pc})");
@@ -88,7 +83,7 @@ mod tests {
 
     #[test]
     fn both_schemes_save_energy_with_small_degradation() {
-        let result = run(&RunOptions::quick());
+        let result = crate::run_standalone(plan, from_matrix, &RunOptions::quick());
         for policy in [DCachePolicy::WayPredictPc, DCachePolicy::WayPredictXor] {
             let savings = result.figure.average_savings(policy).expect("present");
             let degradation = result.figure.average_degradation(policy).expect("present");

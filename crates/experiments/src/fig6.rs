@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use wp_cache::{DCachePolicy, L1Config};
 
 use crate::compare::DcacheFigure;
-use crate::engine::{SimEngine, SimMatrix, SimPlan};
+use crate::engine::{SimMatrix, SimPlan};
 use crate::runner::RunOptions;
 
 /// The regenerated Figure 6.
@@ -57,11 +57,6 @@ pub fn from_matrix(matrix: &SimMatrix, options: &RunOptions) -> Fig6Result {
     }
 }
 
-/// Regenerates Figure 6 standalone (plans, executes, renders).
-pub fn run(options: &RunOptions) -> Fig6Result {
-    from_matrix(&SimEngine::default().run(&plan(options)), options)
-}
-
 impl Fig6Result {
     /// Renders the figure data as text.
     pub fn to_table(&self) -> String {
@@ -86,7 +81,7 @@ mod tests {
 
     #[test]
     fn seldm_orderings_match_the_paper() {
-        let result = run(&RunOptions::quick());
+        let result = crate::run_standalone(plan, from_matrix, &RunOptions::quick());
         let f = &result.figure;
         let parallel = f
             .average_savings(DCachePolicy::SelDmParallel)
@@ -119,7 +114,7 @@ mod tests {
 
     #[test]
     fn most_loads_are_handled_direct_mapped() {
-        let result = run(&RunOptions::quick());
+        let result = crate::run_standalone(plan, from_matrix, &RunOptions::quick());
         let dm = result.average_dm_fraction();
         assert!(dm > 0.55, "direct-mapped fraction {dm}");
     }

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use wp_cache::{DCachePolicy, L1Config};
 
 use crate::compare::DcacheFigure;
-use crate::engine::{SimEngine, SimMatrix, SimPlan};
+use crate::engine::{SimMatrix, SimPlan};
 use crate::runner::RunOptions;
 
 /// The regenerated Figure 7.
@@ -59,11 +59,6 @@ pub fn from_matrix(matrix: &SimMatrix, options: &RunOptions) -> Fig7Result {
     }
 }
 
-/// Regenerates Figure 7 standalone (plans, executes, renders).
-pub fn run(options: &RunOptions) -> Fig7Result {
-    from_matrix(&SimEngine::default().run(&plan(options)), options)
-}
-
 impl Fig7Result {
     /// Renders both halves of the figure.
     pub fn to_table(&self) -> String {
@@ -77,7 +72,7 @@ mod tests {
 
     #[test]
     fn savings_are_roughly_size_independent() {
-        let result = run(&RunOptions::quick());
+        let result = crate::run_standalone(plan, from_matrix, &RunOptions::quick());
         let s16 = result
             .size_16k
             .average_savings(DCachePolicy::SelDmWayPredict)

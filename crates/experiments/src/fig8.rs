@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use wp_cache::{DCachePolicy, L1Config};
 
 use crate::compare::DcacheFigure;
-use crate::engine::{SimEngine, SimMatrix, SimPlan};
+use crate::engine::{SimMatrix, SimPlan};
 use crate::runner::RunOptions;
 
 /// The regenerated Figure 8.
@@ -57,11 +57,6 @@ pub fn from_matrix(matrix: &SimMatrix, options: &RunOptions) -> Fig8Result {
     Fig8Result { by_associativity }
 }
 
-/// Regenerates Figure 8 standalone (plans, executes, renders).
-pub fn run(options: &RunOptions) -> Fig8Result {
-    from_matrix(&SimEngine::default().run(&plan(options)), options)
-}
-
 impl Fig8Result {
     /// Renders all three associativities.
     pub fn to_table(&self) -> String {
@@ -94,7 +89,7 @@ mod tests {
 
     #[test]
     fn savings_grow_with_associativity() {
-        let result = run(&RunOptions::quick());
+        let result = crate::run_standalone(plan, from_matrix, &RunOptions::quick());
         let savings = result.savings_by_associativity();
         assert_eq!(savings.len(), 3);
         assert!(

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use wp_cache::{DCachePolicy, L1Config};
 
 use crate::compare::DcacheFigure;
-use crate::engine::{SimEngine, SimMatrix, SimPlan};
+use crate::engine::{SimMatrix, SimPlan};
 use crate::runner::RunOptions;
 
 /// The regenerated Figure 9.
@@ -49,11 +49,6 @@ pub fn from_matrix(matrix: &SimMatrix, options: &RunOptions) -> Fig9Result {
     }
 }
 
-/// Regenerates Figure 9 standalone (plans, executes, renders).
-pub fn run(options: &RunOptions) -> Fig9Result {
-    from_matrix(&SimEngine::default().run(&plan(options)), options)
-}
-
 impl Fig9Result {
     /// Renders the figure data as text.
     pub fn to_table(&self) -> String {
@@ -67,7 +62,7 @@ mod tests {
 
     #[test]
     fn seldm_absorbs_the_extra_latency_sequential_does_not() {
-        let result = run(&RunOptions::quick());
+        let result = crate::run_standalone(plan, from_matrix, &RunOptions::quick());
         let f = &result.figure;
         let seldm = f
             .average_degradation(DCachePolicy::SelDmWayPredict)

@@ -18,22 +18,24 @@
 //! | [`fig10`] | Figure 10 — i-cache way-prediction |
 //! | [`fig11`] | Figure 11 — overall processor energy and energy-delay |
 //!
-//! Each module exposes three entry points:
+//! Each module exposes two entry points, and its result type renders
+//! itself as text (`to_table`):
 //!
 //! * `plan(&RunOptions) -> SimPlan` — the simulation points the artefact
 //!   needs, *declared* rather than executed;
 //! * `from_matrix(&SimMatrix, &RunOptions) -> …Result` — render the
-//!   artefact from already-executed results;
-//! * `run(&RunOptions) -> …Result` — standalone convenience combining the
-//!   two through a fresh [`SimEngine`].
+//!   artefact from already-executed results.
 //!
-//! The [`engine`] module's [`SimEngine`] dedups identical points across
-//! every consumer's plan and executes the unique set in parallel, so
-//! `run_all` performs one sweep feeding all eleven renderers instead of
-//! eleven serial re-simulations. Every result struct is serialisable and
-//! records the paper's reference numbers next to the measured ones; the
-//! `wp-experiments` binaries (`table3`, `fig4`, …, `run_all`) print the
-//! tables and can dump JSON for EXPERIMENTS.md.
+//! [`ARTEFACTS`] lists the eleven modules once, in presentation order, as
+//! [`Artefact`] rows; `run_all`, the single-artefact binaries and the
+//! golden snapshots all read that table. The [`engine`] module's
+//! [`SimEngine`] dedups identical points across every row's plan and
+//! executes the unique set in parallel, so `run_all` performs one sweep
+//! feeding all eleven renderers instead of eleven serial re-simulations.
+//! Every result struct is serialisable and records the paper's reference
+//! numbers next to the measured ones; the `wp-experiments` binaries
+//! (`table3`, `fig4`, …, `run_all`) print the tables and can dump JSON for
+//! EXPERIMENTS.md.
 //!
 //! A [`SimPoint`]'s workload is a [`wp_workloads::WorkloadSpec`]: a paper
 //! benchmark, a stress scenario, or a recorded trace file whose *content
@@ -46,11 +48,11 @@
 //! # Example
 //!
 //! ```no_run
-//! use wp_experiments::{fig6, RunOptions};
+//! use wp_experiments::{fig6, RunOptions, SimEngine};
 //!
 //! let options = RunOptions::default().with_ops(100_000);
-//! let result = fig6::run(&options);
-//! println!("{}", result.to_table());
+//! let matrix = SimEngine::default().run(&fig6::plan(&options));
+//! println!("{}", fig6::from_matrix(&matrix, &options).to_table());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -87,26 +89,60 @@ pub use runner::{
 };
 pub use service::{Flight, FlightOutcome, Join, LeaderTicket, PointService, SweepReport};
 
-/// The union plan of every table and figure — the set of simulation points
+/// One paper artefact: the name its binary, its `run_all --json` field
+/// and its golden file share, the simulation points it reads, and its two
+/// renderings from a matrix holding those points.
+pub struct Artefact {
+    /// The artefact's name: `table3`, `fig4`, ….
+    pub name: &'static str,
+    /// The module's `plan`.
+    pub plan: fn(&RunOptions) -> SimPlan,
+    /// The module's `from_matrix` result as a JSON tree.
+    pub json: fn(&SimMatrix, &RunOptions) -> serde::Value,
+    /// The module's `from_matrix` result as a text table.
+    pub table: fn(&SimMatrix, &RunOptions) -> String,
+}
+
+/// One [`Artefact`] row per module; every module has the same
+/// `plan`/`from_matrix`/`to_table` API.
+macro_rules! artefacts {
+    ($($module:ident),*) => {
+        [$(Artefact {
+            name: stringify!($module),
+            plan: $module::plan,
+            json: |matrix, options| {
+                serde::Serialize::to_value(&$module::from_matrix(matrix, options))
+            },
+            table: |matrix, options| $module::from_matrix(matrix, options).to_table(),
+        }),*]
+    };
+}
+
+/// The paper's evaluation, in presentation order. Once its module exists,
+/// adding an artefact is one row here plus `conformance --bless` for its
+/// golden snapshot (and a one-call binary named after the row).
+pub static ARTEFACTS: [Artefact; 11] =
+    artefacts![table3, table4, fig4, fig5, fig6, table5, fig7, fig8, fig9, fig10, fig11];
+
+/// The union plan of every [`ARTEFACTS`] row — the set of simulation points
 /// `run_all` executes. Shared by the `run_all` binary and the engine's
 /// integration tests so the executed-exactly-once invariant is asserted
 /// against exactly what the binary runs.
 pub fn run_all_plan(options: &RunOptions) -> SimPlan {
     let mut plan = SimPlan::new();
-    for points in [
-        table3::plan(options),
-        table4::plan(options),
-        fig4::plan(options),
-        fig5::plan(options),
-        fig6::plan(options),
-        table5::plan(options),
-        fig7::plan(options),
-        fig8::plan(options),
-        fig9::plan(options),
-        fig10::plan(options),
-        fig11::plan(options),
-    ] {
-        plan.merge(points);
+    for artefact in &ARTEFACTS {
+        plan.merge((artefact.plan)(options));
     }
     plan
+}
+
+/// Plans, executes and renders one artefact on a fresh engine: the
+/// standalone run the module tests share.
+#[cfg(test)]
+fn run_standalone<R>(
+    plan: fn(&RunOptions) -> SimPlan,
+    from_matrix: fn(&SimMatrix, &RunOptions) -> R,
+    options: &RunOptions,
+) -> R {
+    from_matrix(&SimEngine::default().run(&plan(options)), options)
 }

@@ -1,7 +1,7 @@
 //! Plain-text table rendering shared by every experiment, plus JSON output
 //! helpers for EXPERIMENTS.md.
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 /// A simple aligned text table.
 ///
@@ -99,6 +99,18 @@ pub fn ratio(value: f64) -> String {
 /// `--json` flag and by EXPERIMENTS.md regeneration).
 pub fn to_json<T: Serialize>(value: &T) -> String {
     serde_json::to_string_pretty(value).unwrap_or_else(|e| format!("{{\"error\": \"{e}\"}}"))
+}
+
+/// [`to_json`] of the tree `build` returns. The tree is built inside
+/// [`Serialize::to_value`], so it is rendered without being copied.
+pub fn to_json_with(build: impl Fn() -> Value) -> String {
+    struct Build<F>(F);
+    impl<F: Fn() -> Value> Serialize for Build<F> {
+        fn to_value(&self) -> Value {
+            (self.0)()
+        }
+    }
+    to_json(&Build(build))
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use wp_cache::{DCachePolicy, ICachePolicy, L1Config};
 use wp_cpu::{run_lane_batch, CpuConfig, LaneMember, Processor, SimResult};
 use wp_workloads::{SharedStream, WorkloadSpec};
 
-use crate::engine::{SimEngine, SimMatrix, SimPlan};
+use crate::engine::SimEngine;
 use crate::matrix_cache::MatrixCache;
 
 /// Options shared by every experiment runner.
@@ -493,13 +493,18 @@ pub const USAGE: &str = "usage: <experiment> [--quick] [--ops N] [--seed N] [--t
                          [--health-json PATH]";
 
 /// Shared body of the single-artefact binaries: parse the command line,
-/// execute the artefact's plan on the engine, render from the matrix, and
-/// print the result as a text table or (`--json`) machine-readable JSON.
-pub fn artefact_main<R: serde::Serialize>(
-    plan: fn(&RunOptions) -> SimPlan,
-    from_matrix: fn(&SimMatrix, &RunOptions) -> R,
-    to_table: fn(&R) -> String,
-) {
+/// execute the plan of the [`crate::ARTEFACTS`] row called `name` on the
+/// engine, and print the artefact as a text table or (`--json`)
+/// machine-readable JSON.
+///
+/// # Panics
+///
+/// Panics if no row is called `name`.
+pub fn artefact_main(name: &str) {
+    let artefact = crate::ARTEFACTS
+        .iter()
+        .find(|artefact| artefact.name == name)
+        .unwrap_or_else(|| panic!("`{name}` is not a paper artefact"));
     let cli = CliOptions::from_env_or_exit();
     if cli.profile.is_some() {
         // Profiles describe whole workload mixes; the single-artefact
@@ -509,7 +514,7 @@ pub fn artefact_main<R: serde::Serialize>(
         eprintln!("{USAGE}");
         std::process::exit(2);
     }
-    let matrix = cli.engine().run(&plan(&cli.run));
+    let matrix = cli.engine().run(&(artefact.plan)(&cli.run));
     if matrix.cache_hits() > 0 {
         // Make cached sweeps impossible to mistake for fresh ones: the
         // cache is keyed by configuration, not by code, so after a
@@ -522,11 +527,11 @@ pub fn artefact_main<R: serde::Serialize>(
             matrix.cache_hits() + matrix.executed_points()
         );
     }
-    let result = from_matrix(&matrix, &cli.run);
     if cli.json {
-        println!("{}", crate::report::to_json(&result));
+        let json = crate::report::to_json_with(|| (artefact.json)(&matrix, &cli.run));
+        println!("{json}");
     } else {
-        println!("{}", to_table(&result));
+        println!("{}", (artefact.table)(&matrix, &cli.run));
     }
 }
 
@@ -627,7 +632,14 @@ pub fn options_from_args(args: impl Iterator<Item = String>) -> Result<CliOption
     Ok(options)
 }
 
-fn parse_value<T: std::str::FromStr>(
+/// Parses `flag`'s value, reporting a missing one as
+/// [`CliError::MissingValue`] and an unparsable one as
+/// [`CliError::InvalidValue`]: the error vocabulary every binary prints.
+///
+/// # Errors
+///
+/// Returns the [`CliError`] for a missing or unparsable value.
+pub fn parse_value<T: std::str::FromStr>(
     flag: &'static str,
     value: Option<String>,
 ) -> Result<T, CliError> {

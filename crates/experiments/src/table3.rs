@@ -48,15 +48,9 @@ pub fn plan(_options: &RunOptions) -> SimPlan {
     SimPlan::new()
 }
 
-/// Renders Table 3; the matrix is unused (analytic result), accepted for
-/// interface uniformity with the simulated figures.
-pub fn from_matrix(_matrix: &SimMatrix, options: &RunOptions) -> Table3Result {
-    run(options)
-}
-
-/// Regenerates Table 3. The [`RunOptions`] are accepted for interface
-/// uniformity but unused — the table is analytic, not simulated.
-pub fn run(_options: &RunOptions) -> Table3Result {
+/// Renders Table 3. The matrix and [`RunOptions`] are unused (analytic
+/// result), accepted for interface uniformity with the simulated figures.
+pub fn from_matrix(_matrix: &SimMatrix, _options: &RunOptions) -> Table3Result {
     let geometry = L1Config::paper_dcache()
         .geometry()
         .expect("the paper's L1 geometry is valid");
@@ -110,7 +104,7 @@ mod tests {
 
     #[test]
     fn matches_paper_within_tolerance() {
-        let result = run(&RunOptions::quick());
+        let result = crate::run_standalone(plan, from_matrix, &RunOptions::quick());
         for row in &result.rows {
             if let Some(paper) = row.paper {
                 let tolerance = if paper < 0.05 { 0.005 } else { 0.025 };
@@ -127,7 +121,7 @@ mod tests {
 
     #[test]
     fn renders_all_rows() {
-        let result = run(&RunOptions::quick());
+        let result = crate::run_standalone(plan, from_matrix, &RunOptions::quick());
         let text = result.to_table();
         assert!(text.contains("Cache write"));
         assert!(text.contains("Mispredicted"));

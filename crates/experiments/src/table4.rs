@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use wp_cache::L1Config;
 use wp_workloads::Benchmark;
 
-use crate::engine::{available_threads, SimEngine, SimMatrix, SimPlan};
+use crate::engine::{SimEngine, SimMatrix, SimPlan};
 use crate::report::TextTable;
 use crate::runner::{MachineConfig, RunOptions};
 
@@ -83,13 +83,9 @@ pub fn from_matrix(matrix: &SimMatrix, options: &RunOptions) -> Table4Result {
     Table4Result { rows }
 }
 
-/// Regenerates Table 4 standalone on all available cores.
-pub fn run(options: &RunOptions) -> Table4Result {
-    run_threaded(options, available_threads())
-}
-
 /// Regenerates Table 4 standalone (plans, executes, renders) on `threads`
-/// workers.
+/// workers: the one standalone entry left, because the benchmark ledger
+/// times this pass on its own.
 pub fn run_threaded(options: &RunOptions, threads: usize) -> Table4Result {
     from_matrix(&SimEngine::new(threads).run(&plan(options)), options)
 }
@@ -124,7 +120,7 @@ mod tests {
     #[test]
     fn direct_mapped_misses_more_except_swim() {
         let options = RunOptions::quick().with_ops(120_000);
-        let result = run(&options);
+        let result = crate::run_standalone(plan, from_matrix, &options);
         assert_eq!(result.rows.len(), 11);
         for row in &result.rows {
             if row.benchmark == "swim" {
@@ -143,7 +139,8 @@ mod tests {
 
     #[test]
     fn renders_every_benchmark() {
-        let result = run(&RunOptions::quick().with_ops(30_000));
+        let result =
+            crate::run_standalone(plan, from_matrix, &RunOptions::quick().with_ops(30_000));
         let text = result.to_table();
         for b in Benchmark::all() {
             assert!(text.contains(b.name()));

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use wp_cache::{DCachePolicy, L1Config};
 
 use crate::compare::{average_by_policy, compare_dcache_policies_in, dcache_policy_plan};
-use crate::engine::{SimEngine, SimMatrix, SimPlan};
+use crate::engine::{SimMatrix, SimPlan};
 use crate::report::TextTable;
 use crate::runner::RunOptions;
 
@@ -84,11 +84,6 @@ pub fn from_matrix(matrix: &SimMatrix, options: &RunOptions) -> Table5Result {
     Table5Result { rows }
 }
 
-/// Regenerates Table 5 standalone (plans, executes, renders).
-pub fn run(options: &RunOptions) -> Table5Result {
-    from_matrix(&SimEngine::default().run(&plan(options)), options)
-}
-
 impl Table5Result {
     /// Renders the table as text.
     pub fn to_table(&self) -> String {
@@ -120,7 +115,7 @@ mod tests {
 
     #[test]
     fn selective_dm_options_dominate() {
-        let result = run(&RunOptions::quick());
+        let result = crate::run_standalone(plan, from_matrix, &RunOptions::quick());
         let get = |name: &str| {
             result
                 .rows

@@ -100,12 +100,12 @@ fn trace_capture_rejects_bad_command_lines_with_exact_messages() {
     assert_cli_error(
         bin,
         &["--workload", "gcc", "--out", "/tmp/x.wptr", "--ops", "abc"],
-        "invalid --ops `abc`",
+        "invalid value `abc` for flag `--ops`",
     );
     assert_cli_error(
         bin,
         &["--workload", "gcc", "--out", "/tmp/x.wptr", "--seed", "1.5"],
-        "invalid --seed `1.5`",
+        "invalid value `1.5` for flag `--seed`",
     );
     assert_cli_error(
         bin,
@@ -140,12 +140,12 @@ fn trace_replay_rejects_bad_command_lines_with_exact_messages() {
     assert_cli_error(
         bin,
         &["--trace", "/tmp/x.wptr", "--ops", "abc"],
-        "invalid --ops `abc`",
+        "invalid value `abc` for flag `--ops`",
     );
     assert_cli_error(
         bin,
         &["--trace", "/tmp/x.wptr", "--threads", "0"],
-        "invalid --threads `0`",
+        "invalid value `0` for flag `--threads`",
     );
     assert_cli_error(
         bin,
@@ -155,7 +155,7 @@ fn trace_replay_rejects_bad_command_lines_with_exact_messages() {
     assert_cli_error(
         bin,
         &["--trace", "/tmp/x.wptr", "--matrix-cache-cap", "0"],
-        "invalid --matrix-cache-cap `0`",
+        "invalid value `0` for flag `--matrix-cache-cap`",
     );
     assert_cli_error(bin, &[], "missing required flag `--trace`");
 }

@@ -23,6 +23,7 @@
 use std::time::Duration;
 
 use serde::Value;
+use wp_experiments::runner::parse_value;
 use wp_experiments::{simulate_workload, CliError, MachineConfig, RunOptions, SimPoint};
 use wp_serve::protocol::{self, SweepPlanSpec};
 use wp_serve::Client;
@@ -97,7 +98,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<ClientOptions, CliEr
                 options.workload = args.next().ok_or(CliError::MissingValue("--workload"))?;
             }
             "--ops" => options.ops = positive("--ops", args.next())?,
-            "--seed" => options.seed = positive("--seed", args.next())?,
+            "--seed" => options.seed = parse_value("--seed", args.next())?,
             "--dpolicy" => {
                 options.dpolicy = Some(args.next().ok_or(CliError::MissingValue("--dpolicy"))?);
             }

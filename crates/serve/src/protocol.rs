@@ -633,40 +633,17 @@ pub fn ok_response_for(v: u64, id: u64, result: &SimResult) -> String {
     render(Value::Object(response))
 }
 
-/// Renders a bare v1 acknowledgement (the `shutdown` response).
-pub fn ack_response(id: u64) -> String {
-    ack_response_for(PROTOCOL_VERSION, id)
-}
-
-/// [`ack_response`] with an explicit envelope version.
-pub fn ack_response_for(v: u64, id: u64) -> String {
+/// Renders a bare acknowledgement (the `shutdown` response) in envelope
+/// version `v`.
+pub fn ack_response(v: u64, id: u64) -> String {
     render(Value::Object(envelope(v, id, true)))
 }
 
-/// Renders the `health` response: the same [`CacheHealth`] struct
-/// `run_all --health-json` writes, under `health.cache`, plus the
-/// daemon's singleflight counters and lifecycle state.
+/// Renders the `health` response in envelope version `v`: the same
+/// [`CacheHealth`] struct `run_all --health-json` writes, under
+/// `health.cache`, plus the daemon's singleflight counters and lifecycle
+/// state.
 pub fn health_response(
-    id: u64,
-    cache: &CacheHealth,
-    executed: u64,
-    cache_hits: u64,
-    coalesced: u64,
-    shutting_down: bool,
-) -> String {
-    health_response_for(
-        PROTOCOL_VERSION,
-        id,
-        cache,
-        executed,
-        cache_hits,
-        coalesced,
-        shutting_down,
-    )
-}
-
-/// [`health_response`] with an explicit envelope version.
-pub fn health_response_for(
     v: u64,
     id: u64,
     cache: &CacheHealth,
@@ -688,13 +665,8 @@ pub fn health_response_for(
     render(Value::Object(response))
 }
 
-/// Renders a typed v1 error response.
-pub fn error_response(id: u64, code: ErrorCode, message: &str) -> String {
-    error_response_for(PROTOCOL_VERSION, id, code, message)
-}
-
-/// [`error_response`] with an explicit envelope version.
-pub fn error_response_for(v: u64, id: u64, code: ErrorCode, message: &str) -> String {
+/// Renders a typed error response in envelope version `v`.
+pub fn error_response(v: u64, id: u64, code: ErrorCode, message: &str) -> String {
     let error = vec![
         ("code".to_string(), Value::Str(code.as_str().to_string())),
         ("message".to_string(), Value::Str(message.to_string())),
@@ -704,13 +676,9 @@ pub fn error_response_for(v: u64, id: u64, code: ErrorCode, message: &str) -> St
     render(Value::Object(response))
 }
 
-/// Renders a v1 `deadline_exceeded` error with partial-progress counters.
-pub fn deadline_response(id: u64, ops_completed: u64, ops_requested: u64) -> String {
-    deadline_response_for(PROTOCOL_VERSION, id, ops_completed, ops_requested)
-}
-
-/// [`deadline_response`] with an explicit envelope version.
-pub fn deadline_response_for(v: u64, id: u64, ops_completed: u64, ops_requested: u64) -> String {
+/// Renders a `deadline_exceeded` error with partial-progress counters in
+/// envelope version `v`.
+pub fn deadline_response(v: u64, id: u64, ops_completed: u64, ops_requested: u64) -> String {
     let error = vec![
         (
             "code".to_string(),
@@ -1453,13 +1421,18 @@ mod tests {
         assert!(a.starts_with("{\"v\":1,\"id\":7,\"ok\":true,\"result\":{"));
         assert!(a.contains("\"cycles\":"));
 
-        let error = error_response(3, ErrorCode::Overloaded, "the request queue is full");
+        let error = error_response(
+            PROTOCOL_VERSION,
+            3,
+            ErrorCode::Overloaded,
+            "the request queue is full",
+        );
         assert_eq!(
             error,
             "{\"v\":1,\"id\":3,\"ok\":false,\"error\":{\"code\":\"overloaded\",\
              \"message\":\"the request queue is full\"}}"
         );
-        let deadline = deadline_response(4, 1_024, 50_000);
+        let deadline = deadline_response(PROTOCOL_VERSION, 4, 1_024, 50_000);
         assert!(deadline.contains("\"code\":\"deadline_exceeded\""));
         assert!(deadline.contains("\"ops_completed\":1024"));
         assert!(deadline.contains("\"ops_requested\":50000"));
@@ -1533,7 +1506,7 @@ mod tests {
 
     #[test]
     fn health_responses_embed_the_cache_health_struct() {
-        let health = health_response(1, &CacheHealth::default(), 5, 2, 3, false);
+        let health = health_response(PROTOCOL_VERSION, 1, &CacheHealth::default(), 5, 2, 3, false);
         assert!(health.contains(
             "\"cache\":{\"io_errors\":0,\"evictions\":0,\
                                  \"lock_timeouts\":0,\"recovered_tmp\":0,\"compacted\":0,\

@@ -838,7 +838,7 @@ fn handle_connection(mut conn: Conn, shared: &Shared) {
         let request = match protocol::parse_request(&payload) {
             Ok(request) => request,
             Err((v, id, message)) => {
-                let response = protocol::error_response_for(v, id, ErrorCode::BadRequest, &message);
+                let response = protocol::error_response(v, id, ErrorCode::BadRequest, &message);
                 if protocol::write_frame(&mut conn, response.as_bytes()).is_err() {
                     return;
                 }
@@ -885,7 +885,7 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
         Request::Health { v, id } => {
             let service = &shared.service;
             (
-                protocol::health_response_for(
+                protocol::health_response(
                     v,
                     id,
                     &service.cache_health(),
@@ -903,11 +903,11 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
         ),
         Request::Shutdown { v, id } => {
             shared.shutdown.store(true, Ordering::SeqCst);
-            (protocol::ack_response_for(v, id), true)
+            (protocol::ack_response(v, id), true)
         }
         // Sweeps stream; they never come through this path.
         Request::Sweep { id, .. } => (
-            protocol::error_response_for(
+            protocol::error_response(
                 protocol::PROTOCOL_V2,
                 id,
                 ErrorCode::Internal,
@@ -924,7 +924,7 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
         } => {
             if shared.shutdown.load(Ordering::SeqCst) {
                 return (
-                    protocol::error_response_for(
+                    protocol::error_response(
                         v,
                         id,
                         ErrorCode::ShuttingDown,
@@ -937,7 +937,7 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
             if *served > shared.max_conn_requests {
                 shared.shed.fetch_add(1, Ordering::Relaxed);
                 return (
-                    protocol::error_response_for(
+                    protocol::error_response(
                         v,
                         id,
                         ErrorCode::Overloaded,
@@ -973,7 +973,7 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
                                 shared.shed.fetch_add(1, Ordering::Relaxed);
                                 drop(job); // the dropped ticket publishes Shed to any followers
                                 break (
-                                    protocol::error_response_for(
+                                    protocol::error_response(
                                         v,
                                         id,
                                         ErrorCode::Overloaded,
@@ -986,7 +986,7 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
                                 shared.shed.fetch_add(1, Ordering::Relaxed);
                                 drop(job);
                                 break (
-                                    protocol::error_response_for(
+                                    protocol::error_response(
                                         v,
                                         id,
                                         ErrorCode::Overloaded,
@@ -998,7 +998,7 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
                             Err(Refused::Closed(job)) => {
                                 drop(job);
                                 break (
-                                    protocol::error_response_for(
+                                    protocol::error_response(
                                         v,
                                         id,
                                         ErrorCode::ShuttingDown,
@@ -1016,16 +1016,11 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
                                 ops_completed,
                                 ops_requested,
                             }) => (
-                                protocol::deadline_response_for(
-                                    v,
-                                    id,
-                                    ops_completed,
-                                    ops_requested,
-                                ),
+                                protocol::deadline_response(v, id, ops_completed, ops_requested),
                                 false,
                             ),
                             Some(FlightOutcome::Shed) => (
-                                protocol::error_response_for(
+                                protocol::error_response(
                                     v,
                                     id,
                                     ErrorCode::Overloaded,
@@ -1033,10 +1028,7 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
                                 ),
                                 false,
                             ),
-                            None => (
-                                protocol::deadline_response_for(v, id, 0, ops_requested),
-                                false,
-                            ),
+                            None => (protocol::deadline_response(v, id, 0, ops_requested), false),
                         };
                     }
                     Join::Follower(flight) => match flight.wait(Some(deadline + WAIT_GRACE)) {
@@ -1052,12 +1044,7 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
                                 continue;
                             }
                             break (
-                                protocol::deadline_response_for(
-                                    v,
-                                    id,
-                                    ops_completed,
-                                    ops_requested,
-                                ),
+                                protocol::deadline_response(v, id, ops_completed, ops_requested),
                                 false,
                             );
                         }
@@ -1067,7 +1054,7 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
                                 continue;
                             }
                             break (
-                                protocol::error_response_for(
+                                protocol::error_response(
                                     v,
                                     id,
                                     ErrorCode::Overloaded,
@@ -1077,10 +1064,7 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
                             );
                         }
                         None => {
-                            break (
-                                protocol::deadline_response_for(v, id, 0, ops_requested),
-                                false,
-                            )
+                            break (protocol::deadline_response(v, id, 0, ops_requested), false)
                         }
                     },
                 }
@@ -1119,7 +1103,7 @@ fn handle_sweep(
     } = params;
     let v2 = protocol::PROTOCOL_V2;
     if shared.shutdown.load(Ordering::SeqCst) {
-        let response = protocol::error_response_for(
+        let response = protocol::error_response(
             v2,
             id,
             ErrorCode::ShuttingDown,
@@ -1131,7 +1115,7 @@ fn handle_sweep(
     *served += 1;
     if *served > shared.max_conn_requests {
         shared.shed.fetch_add(1, Ordering::Relaxed);
-        let response = protocol::error_response_for(
+        let response = protocol::error_response(
             v2,
             id,
             ErrorCode::Overloaded,
@@ -1176,7 +1160,7 @@ fn handle_sweep(
             Err(Refused::Full(job)) => {
                 shared.shed.fetch_add(1, Ordering::Relaxed);
                 drop(job);
-                let response = protocol::error_response_for(
+                let response = protocol::error_response(
                     v2,
                     id,
                     ErrorCode::Overloaded,
@@ -1188,7 +1172,7 @@ fn handle_sweep(
             Err(Refused::LaneFull(job)) => {
                 shared.shed.fetch_add(1, Ordering::Relaxed);
                 drop(job);
-                let response = protocol::error_response_for(
+                let response = protocol::error_response(
                     v2,
                     id,
                     ErrorCode::Overloaded,
@@ -1199,7 +1183,7 @@ fn handle_sweep(
             }
             Err(Refused::Closed(job)) => {
                 drop(job);
-                let response = protocol::error_response_for(
+                let response = protocol::error_response(
                     v2,
                     id,
                     ErrorCode::ShuttingDown,

@@ -6,8 +6,10 @@
 use std::process::Command;
 use std::time::Duration;
 
+use wp_experiments::{simulate_workload, MachineConfig, RunOptions};
 use wp_serve::protocol;
 use wp_serve::Client;
+use wp_workloads::{Benchmark, WorkloadSpec};
 
 /// Runs a binary with `args`; returns `(exit_code, stderr)`.
 fn run(binary: &str, args: &[&str]) -> (i32, String) {
@@ -151,6 +153,25 @@ fn serve_client_rejects_bad_command_lines_with_exact_messages() {
         bin,
         &["--connect", "127.0.0.1:1", "--sweep"],
         "flag `--sweep` requires a value",
+    );
+}
+
+#[test]
+fn serve_client_accepts_seed_zero_like_the_daemon() {
+    let output = Command::new(env!("CARGO_BIN_EXE_serve_client"))
+        .args(["--batch", "--seed", "0", "--ops", "1000"])
+        .output()
+        .expect("serve_client spawns");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    let result = simulate_workload(
+        &WorkloadSpec::Benchmark(Benchmark::Gcc),
+        &MachineConfig::baseline(),
+        &RunOptions::default().with_ops(1_000).with_seed(0),
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&output.stdout),
+        format!("{}\n", protocol::ok_response(1, &result))
     );
 }
 

@@ -71,7 +71,15 @@ fn a_frame_dribbled_one_byte_per_300ms_still_parses() {
     let response = read_response(&mut stream);
     assert_eq!(
         response,
-        protocol::health_response(21, &server.service().cache_health(), 0, 0, 0, false),
+        protocol::health_response(
+            protocol::PROTOCOL_VERSION,
+            21,
+            &server.service().cache_health(),
+            0,
+            0,
+            0,
+            false
+        ),
         "the dribbled frame must parse as if sent in one write"
     );
 

@@ -151,6 +151,7 @@ fn a_full_queue_sheds_with_overloaded_instead_of_stalling() {
     assert_eq!(
         shed,
         protocol::error_response(
+            protocol::PROTOCOL_VERSION,
             7,
             protocol::ErrorCode::Overloaded,
             "the request queue is full"
@@ -258,7 +259,12 @@ fn malformed_requests_get_typed_bad_request_errors() {
         .expect("error response arrives");
     assert_eq!(
         response,
-        protocol::error_response(3, protocol::ErrorCode::BadRequest, "missing field `v`"),
+        protocol::error_response(
+            protocol::PROTOCOL_VERSION,
+            3,
+            protocol::ErrorCode::BadRequest,
+            "missing field `v`"
+        ),
         "the connection survives a bad request and echoes its id"
     );
     stop(server);
@@ -277,6 +283,7 @@ fn the_per_connection_budget_sheds_and_closes() {
     assert_eq!(
         response,
         protocol::error_response(
+            protocol::PROTOCOL_VERSION,
             1,
             protocol::ErrorCode::Overloaded,
             "per-connection request budget exhausted; reconnect to continue"
@@ -301,13 +308,14 @@ fn a_shutdown_request_acks_drains_and_rejects_new_work() {
     let ack = shutter
         .request("{\"v\":1,\"id\":9,\"type\":\"shutdown\"}")
         .expect("shutdown acks");
-    assert_eq!(ack, protocol::ack_response(9));
+    assert_eq!(ack, protocol::ack_response(protocol::PROTOCOL_VERSION, 9));
     // The still-open connection is told the daemon is draining.
     let request = protocol::simulate_request(1, &point(Benchmark::Gcc, QUICK_OPS), None);
     let response = survivor.request(&request).expect("drain response arrives");
     assert_eq!(
         response,
         protocol::error_response(
+            protocol::PROTOCOL_VERSION,
             1,
             protocol::ErrorCode::ShuttingDown,
             "the daemon is draining for shutdown"
@@ -332,7 +340,15 @@ fn health_reports_cache_and_singleflight_counters() {
         .expect("health responds");
     assert_eq!(
         health,
-        protocol::health_response(2, &server.service().cache_health(), 1, 1, 0, false),
+        protocol::health_response(
+            protocol::PROTOCOL_VERSION,
+            2,
+            &server.service().cache_health(),
+            1,
+            1,
+            0,
+            false
+        ),
         "one executed, one cache hit, nothing coalesced"
     );
     stop(server);

@@ -9,7 +9,7 @@
 //! `docs/VALIDATION.md`).
 
 use wpsdm::experiments::conformance::{
-    check_goldens, default_golden_dir, render_golden_artefacts, GOLDEN_ARTEFACTS,
+    check_goldens, default_golden_dir, golden_names, render_golden_artefacts,
 };
 
 #[test]
@@ -25,7 +25,7 @@ fn committed_goldens_match_the_fresh_render() {
 #[test]
 fn every_artefact_has_a_committed_golden() {
     let dir = default_golden_dir();
-    for name in GOLDEN_ARTEFACTS {
+    for name in golden_names() {
         assert!(
             dir.join(format!("{name}.json")).is_file(),
             "missing golden snapshot {name}.json"

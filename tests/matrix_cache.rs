@@ -14,10 +14,7 @@ use std::sync::Arc;
 use wpsdm::experiments::engine::SimEngine;
 use wpsdm::experiments::matrix_cache::MatrixCache;
 use wpsdm::experiments::storage::{FaultKind, FaultPlan, FaultyIo};
-use wpsdm::experiments::{
-    fig10, fig11, fig4, fig5, fig6, fig7, fig8, fig9, report, run_all_plan, table3, table4, table5,
-    RunOptions, SimMatrix,
-};
+use wpsdm::experiments::{report, run_all_plan, RunOptions, SimMatrix, ARTEFACTS};
 
 /// A trace length small enough to sweep the full run_all plan three times.
 fn tiny() -> RunOptions {
@@ -30,22 +27,13 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Renders every one of the 11 figure/table artefacts from a matrix as one
-/// JSON document — the repo's definition of "the outputs".
+/// Renders every one of the 11 figure/table artefacts from a matrix as
+/// JSON — the repo's definition of "the outputs".
 fn render_all(matrix: &SimMatrix, options: &RunOptions) -> Vec<String> {
-    vec![
-        report::to_json(&table3::from_matrix(matrix, options)),
-        report::to_json(&table4::from_matrix(matrix, options)),
-        report::to_json(&fig4::from_matrix(matrix, options)),
-        report::to_json(&fig5::from_matrix(matrix, options)),
-        report::to_json(&fig6::from_matrix(matrix, options)),
-        report::to_json(&table5::from_matrix(matrix, options)),
-        report::to_json(&fig7::from_matrix(matrix, options)),
-        report::to_json(&fig8::from_matrix(matrix, options)),
-        report::to_json(&fig9::from_matrix(matrix, options)),
-        report::to_json(&fig10::from_matrix(matrix, options)),
-        report::to_json(&fig11::from_matrix(matrix, options)),
-    ]
+    ARTEFACTS
+        .iter()
+        .map(|artefact| report::to_json_with(|| (artefact.json)(matrix, options)))
+        .collect()
 }
 
 #[test]
@@ -95,8 +83,8 @@ fn warm_cache_serves_all_eleven_artefacts_bit_identically() {
     let from_fresh = render_all(&uncached, &options);
     let from_warm = render_all(&warm, &options);
     assert_eq!(from_fresh.len(), 11);
-    for (index, (fresh, warm)) in from_fresh.iter().zip(from_warm.iter()).enumerate() {
-        assert_eq!(fresh, warm, "artefact #{index} rendered differently");
+    for ((artefact, fresh), warm) in ARTEFACTS.iter().zip(&from_fresh).zip(&from_warm) {
+        assert_eq!(fresh, warm, "{} rendered differently", artefact.name);
     }
 
     let _ = std::fs::remove_dir_all(&dir);

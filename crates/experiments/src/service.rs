@@ -209,7 +209,8 @@ impl PointService {
         self.inner.executed.load(Ordering::Relaxed)
     }
 
-    /// Led flights served from the cache instead of simulating.
+    /// Points served from the cache instead of simulating, by a led
+    /// flight or by [`load_cached`](Self::load_cached).
     pub fn cache_hits(&self) -> u64 {
         self.inner.cache_hits.load(Ordering::Relaxed)
     }
@@ -296,9 +297,9 @@ impl PointService {
 
     /// Consults the attached cache for `point` without opening a flight.
     /// A hit counts toward [`cache_hits`](Self::cache_hits) — this is the
-    /// sweep handler's warm pre-pass, and a warm point served here is
-    /// indistinguishable (bytes and counters) from one served through a
-    /// led flight.
+    /// daemon's warm pre-pass for `simulate` and `sweep` requests, and a
+    /// warm point served here is indistinguishable (bytes and counters)
+    /// from one served through a led flight.
     pub fn load_cached(&self, point: &SimPoint) -> Option<SimResult> {
         let result = self.inner.cache.as_ref()?.load(point)?;
         self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);

@@ -135,14 +135,16 @@ impl CacheGeometry {
                 value: associativity,
             });
         }
-        let set_bytes = block_bytes * associativity;
-        if size_bytes % set_bytes != 0 {
-            return Err(GeometryError::SizeNotDivisible {
+        // A set too large for `usize` is larger than any cache, so it cannot
+        // divide one.
+        let set_bytes = block_bytes
+            .checked_mul(associativity)
+            .filter(|set_bytes| size_bytes % set_bytes == 0)
+            .ok_or(GeometryError::SizeNotDivisible {
                 size_bytes,
                 block_bytes,
                 associativity,
-            });
-        }
+            })?;
         let num_sets = size_bytes / set_bytes;
         if !num_sets.is_power_of_two() {
             return Err(GeometryError::NotPowerOfTwo {
@@ -330,6 +332,29 @@ mod tests {
     fn rejects_indivisible_size() {
         assert!(matches!(
             CacheGeometry::new(100, 32, 4),
+            Err(GeometryError::SizeNotDivisible { .. })
+        ));
+    }
+
+    #[test]
+    fn rejects_sets_whose_size_overflows() {
+        // 32-byte blocks times 2^59 ways is 2^64 bytes per set. The product
+        // wraps to zero in a `usize`, so an unchecked product would make
+        // the divisibility check divide by zero.
+        for shift in 59..usize::BITS {
+            let associativity = 1usize << shift;
+            assert_eq!(
+                CacheGeometry::new(16 * 1024, 32, associativity),
+                Err(GeometryError::SizeNotDivisible {
+                    size_bytes: 16 * 1024,
+                    block_bytes: 32,
+                    associativity,
+                }),
+                "associativity 2^{shift}"
+            );
+        }
+        assert!(matches!(
+            CacheGeometry::new(usize::MAX, 1 << 32, 1 << 32),
             Err(GeometryError::SizeNotDivisible { .. })
         ));
     }

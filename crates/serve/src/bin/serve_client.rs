@@ -18,14 +18,16 @@
 //! same point (or whole sweep plan) in-process and renders it through the
 //! same [`wp_serve::protocol`] functions — so
 //! `diff <(serve_client --batch ...) <(serve_client --connect ...)` is the
-//! byte-identity check CI runs, for single points and sweeps alike.
+//! byte-identity check CI runs, for single points and sweeps alike. A
+//! machine the daemon rejects (`--assoc 3`, say) prints the daemon's
+//! `bad_request` response in both modes.
 
 use std::time::Duration;
 
 use serde::Value;
 use wp_experiments::runner::parse_value;
 use wp_experiments::{simulate_workload, CliError, MachineConfig, RunOptions, SimPoint};
-use wp_serve::protocol::{self, SweepPlanSpec};
+use wp_serve::protocol::{self, ErrorCode, Request, SweepPlanSpec};
 use wp_serve::Client;
 use wp_workloads::{ProfileSpec, WorkloadSpec};
 
@@ -269,8 +271,20 @@ fn main() {
             Ok(point) => point,
             Err(error) => usage_fail(error),
         };
-        let result = simulate_workload(&point.workload, &point.machine, &point.options);
-        println!("{}", protocol::ok_response(1, &result));
+        // Through the daemon's own parser, so a machine the daemon rejects
+        // prints its `bad_request` bytes here instead of panicking.
+        let request = protocol::simulate_request(1, &point, None);
+        match protocol::parse_request(request.as_bytes()) {
+            Ok(Request::Simulate { point, .. }) => {
+                let result = simulate_workload(&point.workload, &point.machine, &point.options);
+                println!("{}", protocol::ok_response(1, &result));
+            }
+            Ok(_) => unreachable!("a simulate request parses as simulate"),
+            Err((v, id, message)) => println!(
+                "{}",
+                protocol::error_response(v, id, ErrorCode::BadRequest, &message)
+            ),
+        }
         return;
     }
 

@@ -15,18 +15,20 @@
 //! the stream mid-frame. Only a timeout before byte 0 of a frame means
 //! "idle connection".
 //!
-//! Response rendering is centralised here — the daemon's workers and the
+//! Response rendering is centralised here — the daemon and the
 //! `serve_client --batch` local path call the same [`ok_response`] (and the
 //! v2 sweep path the same [`stream_point_response`]), so "daemon bytes
 //! equal batch bytes for the same point" is a property of this module, not
 //! of two renderers kept manually in sync. Simulation results travel as the
 //! [`SimResult::fields`] name → IEEE-754-bit map, the crate's canonical
-//! exact-equality contract.
+//! exact-equality contract. Those two responses are the hot path and are
+//! written straight into one buffer; every rarer response is rendered
+//! through a [`Value`] tree.
 
 use std::io::{self, Read, Write};
 
 use serde::Value;
-use wp_cpu::{Processor, SimResult};
+use wp_cpu::SimResult;
 use wp_experiments::matrix_cache::CacheHealth;
 use wp_experiments::{MachineConfig, RunOptions, SimPlan, SimPoint};
 use wp_workloads::{ProfileSpec, WorkloadSpec};
@@ -57,8 +59,12 @@ pub const MAX_PRIORITY: u8 = 9;
 pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(payload)?;
+    // One buffer and one write per frame: the length prefix sent on its own
+    // would cost a second system call.
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -539,8 +545,10 @@ fn parse_sweep_point(
 
 /// Parses the optional `machine` object — policy labels plus a d-cache
 /// associativity override on the paper baseline — and validates the
-/// result by constructing the processor it describes, so an invalid
-/// configuration is a `bad_request` here and never a panic in a worker.
+/// result by the two cache geometries, the only steps of
+/// `Processor::with_l1` that can fail. An invalid configuration is a
+/// `bad_request` here and never a panic in a worker, and no processor is
+/// built to find out.
 fn parse_machine(value: &Value) -> Result<MachineConfig, String> {
     let Some(fields) = value.as_object() else {
         return Err("field `machine` must be an object".to_string());
@@ -575,14 +583,11 @@ fn parse_machine(value: &Value) -> Result<MachineConfig, String> {
         };
         machine = machine.with_l1d(machine.l1d.with_associativity(assoc as usize));
     }
-    Processor::with_l1(
-        machine.cpu,
-        machine.l1d,
-        machine.dpolicy,
-        machine.l1i,
-        machine.ipolicy,
-    )
-    .map_err(|e| format!("invalid machine configuration: {e}"))?;
+    machine
+        .l1d
+        .geometry()
+        .and_then(|_| machine.l1i.geometry())
+        .map_err(|e| format!("invalid machine configuration: {e}"))?;
     Ok(machine)
 }
 
@@ -607,16 +612,6 @@ fn envelope(v: u64, id: u64, ok: bool) -> Vec<(String, Value)> {
     ]
 }
 
-fn result_fields(result: &SimResult) -> Value {
-    Value::Object(
-        result
-            .fields()
-            .iter()
-            .map(|&(name, bits)| (name.to_string(), Value::UInt(bits)))
-            .collect(),
-    )
-}
-
 /// Renders a successful simulation response: the [`SimResult::fields`]
 /// name → u64-bits map, in the canonical field order. Deterministic down
 /// to the byte for equal results — the property the soak harness diffs.
@@ -628,9 +623,30 @@ pub fn ok_response(id: u64, result: &SimResult) -> String {
 
 /// [`ok_response`] with an explicit envelope version.
 pub fn ok_response_for(v: u64, id: u64, result: &SimResult) -> String {
-    let mut response = envelope(v, id, true);
-    response.push(("result".to_string(), result_fields(result)));
-    render(Value::Object(response))
+    render_result(format_args!("{{\"v\":{v},\"id\":{id},\"ok\":true,"), result)
+}
+
+/// Writes `head`, then `"result":` and the [`SimResult::fields`] map, then
+/// the closing braces, into one pre-sized buffer. The bytes are those the
+/// [`Value`] renderer gives the same object (field names need no escaping),
+/// without building the tree.
+fn render_result(head: std::fmt::Arguments<'_>, result: &SimResult) -> String {
+    use std::fmt::Write as _;
+    let fields = result.fields();
+    // Per field: the name, four bytes of quotes, colon and comma, and at
+    // most 20 digits.
+    let body: usize = fields.iter().map(|(name, _)| name.len() + 24).sum();
+    let mut out = String::with_capacity(96 + body);
+    let _ = out.write_fmt(head);
+    out.push_str("\"result\":{");
+    for (index, (name, bits)) in fields.iter().enumerate() {
+        if index > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{name}\":{bits}");
+    }
+    out.push_str("}}");
+    out
 }
 
 /// Renders a bare acknowledgement (the `shutdown` response) in envelope
@@ -700,16 +716,17 @@ pub fn deadline_response(v: u64, id: u64, ops_completed: u64, ops_requested: u64
 
 /// Renders one v2 sweep stream frame: the result for plan point `index`
 /// (a position in the sweep's deduplicated point list). The `result`
-/// object is rendered by the same field map as [`ok_response`],
+/// object is written by the same helper as [`ok_response`],
 /// so a streamed point's payload is byte-comparable with the batch
 /// rendering of the same result. Frames arrive in completion order; the
 /// `index` is authoritative, not the arrival position.
 pub fn stream_point_response(id: u64, index: usize, result: &SimResult) -> String {
-    let mut response = envelope(PROTOCOL_V2, id, true);
-    response.push(("stream".to_string(), Value::Str("point".to_string())));
-    response.push(("index".to_string(), Value::UInt(index as u64)));
-    response.push(("result".to_string(), result_fields(result)));
-    render(Value::Object(response))
+    render_result(
+        format_args!(
+            "{{\"v\":{PROTOCOL_V2},\"id\":{id},\"ok\":true,\"stream\":\"point\",\"index\":{index},"
+        ),
+        result,
+    )
 }
 
 /// Renders the v2 sweep terminator: every point frame has been sent.
@@ -781,7 +798,8 @@ pub struct MetricsSnapshot {
     pub uptime_ms: u64,
     /// Simulations executed (the singleflight counter).
     pub executed: u64,
-    /// Led flights and warm sweep points served from the matrix cache.
+    /// Led flights and warm points (of `simulate` and `sweep` requests)
+    /// served from the matrix cache.
     pub cache_hits: u64,
     /// Joins that coalesced onto an in-flight point.
     pub coalesced: u64,
@@ -1020,7 +1038,8 @@ pub fn metrics_request(id: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wp_cache::DCachePolicy;
+    use wp_cache::{DCachePolicy, ICachePolicy};
+    use wp_cpu::Processor;
     use wp_workloads::Benchmark;
 
     fn parse(json: &str) -> Result<Request, (u64, u64, String)> {
@@ -1407,6 +1426,49 @@ mod tests {
     }
 
     #[test]
+    fn machines_parse_exactly_when_their_processor_builds() {
+        // The geometry check stands in for building the processor, so it
+        // must accept and reject the same machines, with the same message.
+        let mut assocs: Vec<u64> = (0..=1_100).collect();
+        assocs.extend((11..u64::BITS).map(|shift| 1u64 << shift));
+        let mut dpolicies = DCachePolicy::all().to_vec();
+        dpolicies.push(DCachePolicy::PerfectWayPredict);
+        let mut valid = 0;
+        for dpolicy in dpolicies {
+            for ipolicy in ICachePolicy::all() {
+                for &assoc in &assocs {
+                    let baseline = MachineConfig::baseline()
+                        .with_dpolicy(dpolicy)
+                        .with_ipolicy(ipolicy);
+                    let machine =
+                        baseline.with_l1d(baseline.l1d.with_associativity(assoc as usize));
+                    let built = Processor::with_l1(
+                        machine.cpu,
+                        machine.l1d,
+                        machine.dpolicy,
+                        machine.l1i,
+                        machine.ipolicy,
+                    )
+                    .map(drop)
+                    .map_err(|e| format!("invalid machine configuration: {e}"));
+                    let json = format!(
+                        "{{\"v\":1,\"id\":1,\"type\":\"simulate\",\"workload\":\"gcc\",\
+                         \"ops\":10,\"machine\":{{\"dpolicy\":\"{}\",\"ipolicy\":\"{}\",\
+                         \"assoc\":{assoc}}}}}",
+                        dpolicy.label(),
+                        ipolicy.label()
+                    );
+                    let parsed = parse(&json).map(drop).map_err(|(_, _, message)| message);
+                    assert_eq!(parsed, built, "for request {json}");
+                    valid += usize::from(built.is_ok());
+                }
+            }
+        }
+        // 1, 2, 4, ..., 512 ways divide the 16 KB cache, under all 16 pairs.
+        assert_eq!(valid, 10 * 16);
+    }
+
+    #[test]
     fn responses_are_deterministic_and_tagged() {
         let point = SimPoint::new(
             Benchmark::Li,
@@ -1475,6 +1537,82 @@ mod tests {
         );
         assert!(cancelled.contains("\"points_streamed\":41"));
         assert!(cancelled.contains("\"points_total\":253"));
+    }
+
+    /// A result with a distinct value in every field, among them f64 bit
+    /// patterns that print as 16 to 20 digits. It is built from the public
+    /// fields, so no change to the simulator can move it.
+    fn frozen_result() -> SimResult {
+        let mut result = SimResult {
+            cycles: 1_234_567,
+            activity: Default::default(),
+            dcache: Default::default(),
+            icache: Default::default(),
+            memory_accesses: u64::MAX,
+            branch_accuracy: 0.937_5,
+        };
+        let a = &mut result.activity;
+        (a.cycles, a.instructions, a.int_ops, a.fp_ops) = (1_234_568, 2_000_003, 900_001, 77);
+        (a.loads, a.stores, a.branches, a.l2_accesses) = (300_007, 100_019, 150_011, 4_099);
+        let d = &mut result.dcache;
+        (d.loads, d.load_misses, d.stores, d.store_misses) = (300_008, 1_201, 100_020, 503);
+        (d.evictions, d.direct_mapped_accesses, d.parallel_accesses) = (1_499, 250_001, 3);
+        (d.way_predicted_accesses, d.sequential_accesses) = (140_000, 0);
+        (d.mispredicted_accesses, d.way_predictions) = (9_973, 140_001);
+        (d.way_predictions_correct, d.seldm_predicted_dm) = (130_028, 250_002);
+        (d.seldm_predicted_dm_correct, d.conflicting_blocks_flagged) = (249_000, 61);
+        (d.single_way_load_hits, d.seldm_predicted_sa) = (280_000, 50_024);
+        (d.victim_list_hits, d.dirty_evictions) = (17, 404);
+        (d.cache_energy, d.prediction_energy) = (12_345.678_9, -0.0);
+        let i = &mut result.icache;
+        (i.fetches, i.fetch_misses) = (700_001, 88);
+        (i.sawp_correct, i.btb_correct, i.ras_correct) = (500_003, 100_007, 20_011);
+        (i.no_prediction, i.mispredicted) = (79_980, 1);
+        (i.cache_energy, i.prediction_energy) = (0.1, f64::MIN_POSITIVE);
+        result
+    }
+
+    /// `frozen_result()` as the `Value`-tree renderer wrote it.
+    const FROZEN_RESULT: &str = "\
+        {\"cycles\":1234567,\"activity.cycles\":1234568,\"activity.instructions\":2000003,\
+        \"activity.int_ops\":900001,\"activity.fp_ops\":77,\"activity.loads\":300007,\
+        \"activity.stores\":100019,\"activity.branches\":150011,\"activity.l2_accesses\":4099,\
+        \"dcache.loads\":300008,\"dcache.load_misses\":1201,\"dcache.stores\":100020,\
+        \"dcache.store_misses\":503,\"dcache.evictions\":1499,\
+        \"dcache.direct_mapped_accesses\":250001,\"dcache.parallel_accesses\":3,\
+        \"dcache.way_predicted_accesses\":140000,\"dcache.sequential_accesses\":0,\
+        \"dcache.mispredicted_accesses\":9973,\"dcache.way_predictions\":140001,\
+        \"dcache.way_predictions_correct\":130028,\"dcache.seldm_predicted_dm\":250002,\
+        \"dcache.seldm_predicted_dm_correct\":249000,\
+        \"dcache.conflicting_blocks_flagged\":61,\"dcache.single_way_load_hits\":280000,\
+        \"dcache.seldm_predicted_sa\":50024,\"dcache.victim_list_hits\":17,\
+        \"dcache.dirty_evictions\":404,\"dcache.cache_energy\":4668012723080132769,\
+        \"dcache.prediction_energy\":9223372036854775808,\"icache.fetches\":700001,\
+        \"icache.fetch_misses\":88,\"icache.sawp_correct\":500003,\
+        \"icache.btb_correct\":100007,\"icache.ras_correct\":20011,\
+        \"icache.no_prediction\":79980,\"icache.mispredicted\":1,\
+        \"icache.cache_energy\":4591870180066957722,\
+        \"icache.prediction_energy\":4503599627370496,\
+        \"memory_accesses\":18446744073709551615,\"branch_accuracy\":4606619468846596096}";
+
+    #[test]
+    fn result_responses_keep_their_wire_bytes() {
+        let result = frozen_result();
+        assert_eq!(
+            ok_response(7, &result),
+            format!("{{\"v\":1,\"id\":7,\"ok\":true,\"result\":{FROZEN_RESULT}}}")
+        );
+        assert_eq!(
+            ok_response_for(PROTOCOL_V2, 8, &result),
+            format!("{{\"v\":2,\"id\":8,\"ok\":true,\"result\":{FROZEN_RESULT}}}")
+        );
+        assert_eq!(
+            stream_point_response(9, 41, &result),
+            format!(
+                "{{\"v\":2,\"id\":9,\"ok\":true,\"stream\":\"point\",\"index\":41,\
+                 \"result\":{FROZEN_RESULT}}}"
+            )
+        );
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!    [`protocol::FrameReader`], so a read timeout mid-frame pauses the
 //!    decode instead of discarding the bytes already received — only a
 //!    timeout *between* frames counts as idleness.
-//! 3. A `simulate` request joins the [`PointService`] flight table *before*
+//! 3. A `simulate` request whose point is in the matrix cache is answered
+//!    on the handler thread, before admission, like a sweep's warm points.
+//!    A cold one joins the [`PointService`] flight table *before*
 //!    touching the queue: followers of an in-flight point consume **no**
 //!    queue slot — a stampede of N identical requests occupies one slot and
 //!    executes one simulation. A follower whose flight is cancelled or shed
@@ -947,6 +949,13 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
                 );
             }
             let started = Instant::now();
+            // Warm pre-pass *before* admission, as for sweeps: a cached
+            // point is answered here, with no flight, queue slot or worker
+            // hand-off.
+            if let Some(result) = shared.service.load_cached(&point) {
+                shared.metrics.point_latency.record(started.elapsed());
+                return (protocol::ok_response_for(v, id, &result), false);
+            }
             let deadline_ms = deadline_ms.unwrap_or(shared.default_deadline_ms);
             let deadline = started + Duration::from_millis(deadline_ms);
             let ops_requested = point.options.ops as u64;

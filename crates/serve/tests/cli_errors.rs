@@ -175,6 +175,31 @@ fn serve_client_accepts_seed_zero_like_the_daemon() {
     );
 }
 
+#[test]
+fn serve_client_batch_prints_the_daemons_bad_request_for_a_rejected_machine() {
+    // `--connect` prints this response and exits 0; the batch reference
+    // must print the same bytes and exit 0 too.
+    let output = Command::new(env!("CARGO_BIN_EXE_serve_client"))
+        .args(["--batch", "--ops", "2000", "--assoc", "3"])
+        .output()
+        .expect("serve_client spawns");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    assert_eq!(
+        String::from_utf8_lossy(&output.stdout),
+        format!(
+            "{}\n",
+            protocol::error_response(
+                protocol::PROTOCOL_VERSION,
+                1,
+                protocol::ErrorCode::BadRequest,
+                "invalid machine configuration: invalid cache geometry: \
+                 associativity must be a power of two, got 3"
+            )
+        )
+    );
+}
+
 /// A scripted stand-in daemon: accepts one connection and plays back the
 /// given `(delay, response payload)` script after reading one request per
 /// entry.

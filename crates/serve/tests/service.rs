@@ -53,6 +53,19 @@ fn stop(server: RunningServer) {
     server.join();
 }
 
+/// Polls `done` until it holds, so a test waits on the daemon's state
+/// rather than on a guess at how long it takes to get there.
+fn wait_until(mut done: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while !done() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the daemon never got there"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn daemon_responses_are_byte_identical_to_the_batch_renderer() {
     let server = start(|_| {});
@@ -167,6 +180,107 @@ fn a_full_queue_sheds_with_overloaded_instead_of_stalling() {
         responses.push(response);
     }
     stop(server);
+}
+
+#[test]
+fn warm_points_are_answered_while_the_queue_is_full() {
+    let dir = temp_dir("warm-full-queue");
+    let server = start(|config| {
+        config.service = PointService::with_cache(MatrixCache::new(&dir));
+        config.workers = 1;
+        config.queue_depth = 1;
+    });
+    let warm = point(Benchmark::Swim, QUICK_OPS);
+    let request = protocol::simulate_request(3, &warm, None);
+    let mut warm_client = client(&server);
+    let primed = warm_client.request(&request).expect("cold simulate");
+    // Occupy the lone worker, then the lone queue slot, as in the shedding
+    // test above, and watch each one fill.
+    let mut watcher = client(&server);
+    let mut queued = || {
+        let metrics = watcher
+            .request(&protocol::metrics_request(2))
+            .expect("metrics respond");
+        let metrics: serde::Value = serde_json::from_str(&metrics).expect("metrics are JSON");
+        let lanes = metrics.get("metrics").and_then(|m| m.get("lanes"));
+        lanes
+            .and_then(|l| l.get("queued"))
+            .and_then(serde::Value::as_u64)
+            .expect("metrics report the queued jobs")
+    };
+    let blocker = |benchmark| {
+        let mut c = client(&server);
+        let request = protocol::simulate_request(1, &point(benchmark, ENDLESS_OPS), Some(2_000));
+        std::thread::spawn(move || c.request(&request).expect("blocker responds"))
+    };
+    let running = blocker(Benchmark::Gcc);
+    wait_until(|| server.service().executed() == 2);
+    let waiting = blocker(Benchmark::Li);
+    wait_until(|| queued() == 1);
+    let (shed, executed, hits) = (
+        server.shed(),
+        server.service().executed(),
+        server.service().cache_hits(),
+    );
+    let started = std::time::Instant::now();
+    let response = warm_client.request(&request).expect("warm simulate");
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "a warm point must not wait for capacity"
+    );
+    let local = simulate_workload(&warm.workload, &warm.machine, &warm.options);
+    assert_eq!(response, protocol::ok_response(3, &local));
+    assert_eq!(response, primed, "warm and cold bytes are the same");
+    assert_eq!(server.shed(), shed, "a warm point is never shed");
+    assert_eq!(server.service().executed(), executed);
+    assert_eq!(server.service().cache_hits(), hits + 1);
+    for handle in [running, waiting] {
+        let response = handle.join().expect("blocker thread panicked");
+        assert!(
+            response.contains("\"code\":\"deadline_exceeded\""),
+            "blockers die by their own deadline: {response}"
+        );
+    }
+    stop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_overflowing_associativity_is_bad_request_and_the_daemon_stays_up() {
+    let server = start(|_| {});
+    let mut client = client(&server);
+    // 2^59 ways of 32-byte blocks is a 2^64-byte set, which wraps to zero
+    // in a `usize`.
+    let response = client
+        .request(
+            "{\"v\":1,\"id\":6,\"type\":\"simulate\",\"workload\":\"gcc\",\"ops\":1000,\
+             \"machine\":{\"assoc\":576460752303423488}}",
+        )
+        .expect("the hostile frame gets a response");
+    assert_eq!(
+        response,
+        protocol::error_response(
+            protocol::PROTOCOL_VERSION,
+            6,
+            protocol::ErrorCode::BadRequest,
+            "invalid machine configuration: invalid cache geometry: cache size 16384 is not \
+             divisible into sets of 576460752303423488 ways of 32-byte blocks"
+        )
+    );
+    let health = client
+        .request("{\"v\":1,\"id\":7,\"type\":\"health\"}")
+        .expect("the same connection still answers");
+    assert!(health.contains("\"ok\":true"), "{health}");
+    drop(client);
+    // A handler that panicked would never release its connection count,
+    // and shutdown would wait out the whole drain timeout.
+    let started = std::time::Instant::now();
+    stop(server);
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
 }
 
 #[test]

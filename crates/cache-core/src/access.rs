@@ -133,10 +133,11 @@ pub struct Observation {
 /// A way-selection policy: the prediction stack consulted before the probe
 /// and trained after it.
 ///
-/// Implementations exist for the d-cache ([`crate::DWaySelect`]) and the
-/// fetch-engine i-cache ([`crate::IWaySelect`]); further policies from the
-/// literature can be added without touching the accounting in
-/// [`AccessCore`].
+/// Implementations exist for the fetch-engine i-cache
+/// ([`crate::IWaySelect`]) and for the d-cache, where a private view of
+/// [`crate::DWaySelect`] fixes the d-cache policy at compile time
+/// ([`crate::DPolicyKernel`]); further policies from the literature can be
+/// added without touching the accounting in [`AccessCore`].
 pub trait WaySelect {
     /// Per-access context (PC and approximate address for loads, the fetch
     /// kind for instruction fetches).
@@ -210,12 +211,8 @@ pub struct AccessCore {
 /// configuration so resolving a probe on the hot path is a pair of table
 /// lookups — no floating-point model evaluation (the analytic model takes
 /// square roots and logarithms) and no allocation per access.
-///
-/// The pricing rules themselves live here (not on [`AccessCore`]) so the
-/// lane-batched d-cache (`crate::lane`) can price per-lane probes against
-/// per-lane cost tables without owning a scalar core per lane.
 #[derive(Debug, Clone)]
-pub(crate) struct ProbeCosts {
+struct ProbeCosts {
     /// Energy of a conventional parallel read of all ways.
     parallel_read: Energy,
     /// Energy of a read probing exactly `i` data ways, indexed by `i`.
@@ -234,7 +231,7 @@ pub(crate) struct ProbeCosts {
 }
 
 impl ProbeCosts {
-    pub(crate) fn new(config: &L1Config, energy: &CacheEnergyModel) -> Self {
+    fn new(config: &L1Config, energy: &CacheEnergyModel) -> Self {
         Self {
             parallel_read: energy.parallel_read_energy(),
             n_way_read: [
@@ -256,7 +253,7 @@ impl ProbeCosts {
     /// two controllers. All costs come from the precomputed tables, so this
     /// is allocation-free and model-evaluation-free.
     #[inline(always)]
-    pub(crate) fn resolve(&self, choice: WaySelection, result: &AccessResult) -> Probe {
+    fn resolve(&self, choice: WaySelection, result: &AccessResult) -> Probe {
         let (outcome, ways_probed, latency) = match choice {
             WaySelection::Parallel => (
                 ProbeOutcome::Parallel,
@@ -306,7 +303,7 @@ impl ProbeCosts {
     /// Prices a store: a tag probe plus a single data-way write (plus the
     /// refill write on a miss), in every policy.
     #[inline(always)]
-    pub(crate) fn price_write(&self, result: &AccessResult) -> Probe {
+    fn price_write(&self, result: &AccessResult) -> Probe {
         let mut energy = self.write;
         if !result.hit {
             energy += self.refill_write;

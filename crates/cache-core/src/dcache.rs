@@ -2,10 +2,11 @@
 //!
 //! [`DCacheController`] specialises the shared [`AccessCore`] with the
 //! paper's d-side prediction stack — the selective-DM table, the victim
-//! list, and the PC/XOR way-prediction tables — exposed to the core as a
-//! [`WaySelect`] policy ([`DWaySelect`]). The probe, latency, and energy
-//! accounting all live in [`crate::access`]; this module only decides *how*
-//! to probe and keeps the Figure 6/7/8 statistics.
+//! list, and the PC/XOR way-prediction tables ([`DWaySelect`]) — exposed to
+//! the core as a [`WaySelect`] policy whose d-cache policy is a
+//! compile-time constant. The probe, latency, and energy accounting all
+//! live in [`crate::access`]; this module only decides *how* to probe and
+//! keeps the Figure 6/7/8 statistics.
 
 use wp_energy::{Energy, PredictionTableEnergy};
 use wp_mem::{Placement, SetAssocCache, WayIndex};
@@ -115,10 +116,10 @@ pub struct DWaySelect {
     table_energy: Energy,
     /// Energy of one victim-list access, precomputed likewise.
     victim_energy: Energy,
-    /// The selective-DM prediction made by the latest [`WaySelect::select`]
-    /// call, reused by [`WaySelect::train`] on the same access so the
-    /// counter table is read once per load (the counters are only mutated
-    /// by `train` itself, after this value is consumed).
+    /// The selective-DM prediction made by the latest way selection, reused
+    /// by the training step of the same access so the counter table is
+    /// read once per load (the counters are only mutated by training
+    /// itself, after this value is consumed).
     last_seldm: MappingPrediction,
     seldm: SelDmPredictor,
     victims: VictimList,
@@ -164,11 +165,7 @@ impl DWaySelect {
     /// the monomorphized kernels pass a compile-time constant here, so the
     /// selective-DM test folds away.
     #[inline(always)]
-    pub(crate) fn placement_policy(
-        &self,
-        policy: DCachePolicy,
-        block_addr: wp_mem::BlockAddr,
-    ) -> Placement {
+    fn placement_policy(&self, policy: DCachePolicy, block_addr: wp_mem::BlockAddr) -> Placement {
         if !policy.uses_selective_dm() || self.victims.is_conflicting(block_addr) {
             Placement::SetAssociative
         } else {
@@ -186,29 +183,12 @@ impl DWaySelect {
             (false, 0.0)
         }
     }
-}
 
-impl WaySelect for DWaySelect {
-    type Ctx = DLoadCtx;
-
-    #[inline]
-    fn select(&mut self, ctx: &DLoadCtx) -> Selection {
-        self.select_policy(self.policy, ctx)
-    }
-
-    #[inline]
-    fn train(&mut self, ctx: &DLoadCtx, observed: Observation, _cache: &SetAssocCache) -> Energy {
-        self.train_policy(self.policy, ctx, observed)
-    }
-}
-
-impl DWaySelect {
-    /// [`WaySelect::select`] with the policy supplied by the caller instead
-    /// of read from `self`: the monomorphized kernels pass
-    /// [`crate::DPolicyKernel::POLICY`], a compile-time constant, so the
-    /// policy `match` folds to the one live arm.
+    /// Chooses how to probe for a load under `policy`: the monomorphized
+    /// kernels pass [`crate::DPolicyKernel::POLICY`], a compile-time
+    /// constant, so the policy `match` folds to the one live arm.
     #[inline(always)]
-    pub(crate) fn select_policy(&mut self, policy: DCachePolicy, ctx: &DLoadCtx) -> Selection {
+    fn select_policy(&mut self, policy: DCachePolicy, ctx: &DLoadCtx) -> Selection {
         let table = self.table_energy;
         match policy {
             DCachePolicy::Parallel => Selection::parallel(),
@@ -259,13 +239,11 @@ impl DWaySelect {
         }
     }
 
-    /// [`WaySelect::train`] with the policy supplied by the caller; see
-    /// [`DWaySelect::select_policy`]. The d-side stack never needs the tag
-    /// store for training (unlike the i-side RAS), so no cache reference is
-    /// taken — which is what lets the lane-batched path train per-lane
-    /// policies against one shared [`wp_mem::LaneTagStore`].
+    /// Trains the prediction stack with the observed outcome under
+    /// `policy`; see [`DWaySelect::select_policy`]. The d-side stack never
+    /// needs the tag store for training (unlike the i-side RAS).
     #[inline(always)]
-    pub(crate) fn train_policy(
+    fn train_policy(
         &mut self,
         policy: DCachePolicy,
         ctx: &DLoadCtx,
@@ -293,9 +271,7 @@ impl DWaySelect {
         }
         0.0
     }
-}
 
-impl DWaySelect {
     /// A selection from a way-table lookup: probe the predicted way, or all
     /// ways when the entry is untrained.
     fn from_way_table(predicted: Option<WayIndex>, energy: Energy) -> Selection {
@@ -497,11 +473,9 @@ impl DCacheController {
     }
 }
 
-/// Records an eviction in the victim list and the statistics. Shared with
-/// the lane-batched path (`crate::lane`), which carries a [`DWaySelect`] and
-/// a [`DCacheStats`] per lane but no [`DCacheController`].
+/// Records an eviction in the victim list and the statistics.
 #[inline]
-pub(crate) fn account_eviction(
+fn account_eviction(
     stats: &mut DCacheStats,
     select: &mut DWaySelect,
     evicted: Option<wp_mem::CacheLine>,
@@ -521,22 +495,17 @@ pub(crate) fn account_eviction(
 
 /// Victim-list coverage accounting at fill-placement time: under a
 /// selective-DM policy, a set-associative placement means the victim list
-/// flagged the block as conflicting. Shared with the lane-batched path.
+/// flagged the block as conflicting.
 #[inline]
-pub(crate) fn account_placement(
-    stats: &mut DCacheStats,
-    policy: DCachePolicy,
-    placement: Placement,
-) {
+fn account_placement(stats: &mut DCacheStats, policy: DCachePolicy, placement: Placement) {
     if policy.uses_selective_dm() && placement == Placement::SetAssociative {
         stats.victim_list_hits += 1;
     }
 }
 
-/// Predictor bookkeeping derived from the selection and its outcome; shared
-/// with the lane-batched path like [`account_eviction`].
+/// Predictor bookkeeping derived from the selection and its outcome.
 #[inline]
-pub(crate) fn account_selection(
+fn account_selection(
     stats: &mut DCacheStats,
     policy: DCachePolicy,
     outcome: ProbeOutcome,
@@ -567,9 +536,9 @@ pub(crate) fn account_selection(
     }
 }
 
-/// Figure 6 breakdown accounting; shared with the lane-batched path.
+/// Figure 6 breakdown accounting.
 #[inline]
-pub(crate) fn account_load_class(stats: &mut DCacheStats, class: DAccessClass) {
+fn account_load_class(stats: &mut DCacheStats, class: DAccessClass) {
     match class {
         DAccessClass::DirectMapped => stats.direct_mapped_accesses += 1,
         DAccessClass::Parallel => stats.parallel_accesses += 1,
@@ -582,7 +551,7 @@ pub(crate) fn account_load_class(stats: &mut DCacheStats, class: DAccessClass) {
 
 /// Maps a resolved probe onto the Figure 6 breakdown classes.
 #[inline]
-pub(crate) fn classify(outcome: ProbeOutcome, choice: WaySelection) -> DAccessClass {
+fn classify(outcome: ProbeOutcome, choice: WaySelection) -> DAccessClass {
     match outcome {
         ProbeOutcome::Parallel => DAccessClass::Parallel,
         ProbeOutcome::Sequential => DAccessClass::Sequential,

@@ -1,36 +1,40 @@
-//! Config-parallel lane batching for the d-cache.
+//! Lane batching for the d-cache: one [`DCacheController`] per distinct
+//! d-cache state.
 //!
-//! [`LaneDCache`] runs up to [`wp_mem::MAX_LANES`] d-cache configurations
-//! that share a policy and a tag geometry through **one** access sequence:
-//! the address is decoded once, the tag probe runs across all lanes through
-//! the SoA [`wp_mem::LaneTagStore`], and only the per-configuration pieces —
-//! way selection, probe pricing, predictor training, statistics — iterate
-//! per lane. Configurations may differ in anything that does not change the
-//! tag-store shape: probe latencies, prediction-table and victim-list
-//! sizes.
-//!
-//! Every lane is bit-identical to a private [`crate::DCacheController`] fed
-//! the same access sequence. The per-lane operation order matches
-//! `DCacheController::load_kernel` exactly (placement → selection → tag
-//! probe → pricing → training → accounting); the only structural difference
-//! is the shared LRU clock inside the tag store, which is equivalence-proven
-//! in `wp_mem::lane` (one access per lane per call means every lane sees the
-//! same stamp *ordering* a private clock would produce).
+//! [`LaneDCache`] runs up to [`MAX_LANES`] d-cache configurations under one
+//! policy through **one** access sequence. A configuration's base latency
+//! prices a probe (`base` or `base + extra` cycles, see
+//! [`L1Config::extra_probe_latency`]) but never changes cache state, so
+//! lanes whose configurations differ only in [`L1Config::base_latency`]
+//! share one controller. Each lane's outcome is its controller's outcome
+//! with the latency moved by the lane's base-latency difference, and each
+//! lane's statistics are its controller's: every lane is bit-identical to a
+//! private [`DCacheController`] fed the same access sequence.
 
-use wp_energy::CacheEnergyModel;
-use wp_mem::{AccessKind, AccessResult, CacheGeometry, LaneTagStore, Placement, MAX_LANES};
-
-use crate::access::{Addr, Observation, ProbeCosts, Selection};
 use crate::config::{ConfigError, L1Config};
-use crate::dcache::{
-    account_eviction, account_load_class, account_placement, account_selection, classify,
-    DAccessClass, DAccessOutcome, DLoadCtx, DWaySelect,
-};
+use crate::dcache::{Addr, DAccessOutcome, DCacheController};
 use crate::policy::{DCachePolicy, DPolicyKernel};
 use crate::stats::DCacheStats;
 
-/// A batch of d-cache configurations simulated config-parallel over one
-/// shared access stream.
+/// Maximum number of configurations one lane batch carries. Eight bounds
+/// the scheduler state a batch touches per op.
+pub const MAX_LANES: usize = 8;
+
+/// Where one lane's outcome comes from.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    /// Index of the lane's controller.
+    controller: usize,
+    /// The first lane on the same controller (the lane itself if it is
+    /// first). The controller runs at this lane's base latency, so its
+    /// outcome is the leader's outcome unchanged.
+    leader: usize,
+    /// This lane's base latency.
+    base_latency: u64,
+}
+
+/// A batch of d-cache configurations simulated over one shared access
+/// stream.
 ///
 /// # Example
 ///
@@ -38,7 +42,7 @@ use crate::stats::DCacheStats;
 /// use wp_cache::{kernels, DCachePolicy, L1Config, LaneDCache};
 ///
 /// # fn main() -> Result<(), wp_cache::ConfigError> {
-/// // Two configs differing only in probe latency batch into one store.
+/// // Two configs differing only in probe latency share one controller.
 /// let configs = [
 ///     L1Config::paper_dcache(),
 ///     L1Config::paper_dcache().with_base_latency(2),
@@ -56,16 +60,17 @@ use crate::stats::DCacheStats;
 /// ```
 #[derive(Debug, Clone)]
 pub struct LaneDCache {
-    geometry: CacheGeometry,
-    policy: DCachePolicy,
-    tags: LaneTagStore,
-    selects: Vec<DWaySelect>,
-    costs: Vec<ProbeCosts>,
-    stats: Vec<DCacheStats>,
-    // Per-access scratch, sized once so the hot path never allocates.
-    placements: Vec<Placement>,
-    selections: Vec<Selection>,
-    results: Vec<AccessResult>,
+    controllers: Vec<DCacheController>,
+    lanes: Vec<Lane>,
+}
+
+/// The part of a configuration that decides cache state: everything but the
+/// base latency, which only prices a probe.
+fn state_key(config: &L1Config) -> L1Config {
+    L1Config {
+        base_latency: 0,
+        ..*config
+    }
 }
 
 impl LaneDCache {
@@ -78,7 +83,7 @@ impl LaneDCache {
     /// # Panics
     ///
     /// Panics if `configs` is empty, wider than [`MAX_LANES`], or the
-    /// configurations disagree on tag-store geometry (size, block size, or
+    /// configurations disagree on geometry (size, block size, or
     /// associativity) — the batcher in `wp-experiments` groups by geometry
     /// before building batches, so a mismatch here is a caller bug.
     pub fn new(configs: &[L1Config], policy: DCachePolicy) -> Result<Self, ConfigError> {
@@ -88,57 +93,40 @@ impl LaneDCache {
             configs.len()
         );
         let geometry = configs[0].geometry()?;
-        let mut selects = Vec::with_capacity(configs.len());
-        let mut costs = Vec::with_capacity(configs.len());
-        for config in configs {
-            let lane_geometry = config.geometry()?;
+        let mut controllers = Vec::new();
+        let mut lanes: Vec<Lane> = Vec::with_capacity(configs.len());
+        for (index, config) in configs.iter().enumerate() {
             assert!(
-                lane_geometry.num_sets() == geometry.num_sets()
-                    && lane_geometry.block_bytes() == geometry.block_bytes()
-                    && lane_geometry.associativity() == geometry.associativity(),
+                config.geometry()? == geometry,
                 "lane batch requires identical d-cache geometry"
             );
-            selects.push(DWaySelect::new(config, policy));
-            costs.push(ProbeCosts::new(
-                config,
-                &CacheEnergyModel::new(lane_geometry),
-            ));
+            let leader = configs
+                .iter()
+                .position(|other| state_key(other) == state_key(config))
+                .unwrap_or(index);
+            let controller = if leader == index {
+                controllers.push(DCacheController::new(*config, policy)?);
+                controllers.len() - 1
+            } else {
+                lanes[leader].controller
+            };
+            lanes.push(Lane {
+                controller,
+                leader,
+                base_latency: config.base_latency,
+            });
         }
-        let lanes = configs.len();
-        Ok(Self {
-            geometry,
-            policy,
-            tags: LaneTagStore::new(geometry, lanes),
-            selects,
-            costs,
-            stats: vec![DCacheStats::default(); lanes],
-            placements: vec![Placement::SetAssociative; lanes],
-            selections: vec![Selection::parallel(); lanes],
-            results: vec![AccessResult::default(); lanes],
-        })
-    }
-
-    /// Number of lanes in the batch.
-    pub fn lanes(&self) -> usize {
-        self.selects.len()
-    }
-
-    /// The shared access policy.
-    pub fn policy(&self) -> DCachePolicy {
-        self.policy
+        Ok(Self { controllers, lanes })
     }
 
     /// Accumulated statistics of one lane.
     pub fn stats(&self, lane: usize) -> &DCacheStats {
-        &self.stats[lane]
+        self.controllers[self.lanes[lane].controller].stats()
     }
 
     /// Services the same load in every lane, writing one
-    /// [`DAccessOutcome`] per lane into `out`.
-    ///
-    /// Mirrors [`crate::DCacheController::load_kernel`]: straight-line code
-    /// for exactly one compile-time policy `K`, with the address decoded
-    /// once and the tag probe vectorized across lanes.
+    /// [`DAccessOutcome`] per lane into `out`: one
+    /// [`DCacheController::load_kernel`] call per distinct d-cache state.
     ///
     /// # Panics
     ///
@@ -152,82 +140,38 @@ impl LaneDCache {
         approx_addr: Addr,
         out: &mut [DAccessOutcome],
     ) {
-        debug_assert_eq!(K::POLICY, self.policy);
-        debug_assert_eq!(out.len(), self.lanes());
-        let ctx = DLoadCtx {
-            pc,
-            approx_addr,
-            dm_way: self.geometry.direct_mapped_way(addr),
-        };
-        let block_addr = self.geometry.block_addr(addr);
-        for (lane, select) in self.selects.iter_mut().enumerate() {
-            self.stats[lane].loads += 1;
-            self.placements[lane] = select.placement_policy(K::POLICY, block_addr);
-            account_placement(&mut self.stats[lane], K::POLICY, self.placements[lane]);
-            self.selections[lane] = select.select_policy(K::POLICY, &ctx);
-        }
-        self.tags
-            .access(addr, AccessKind::Read, &self.placements, &mut self.results);
-        for (lane, slot) in out.iter_mut().enumerate() {
-            let result = self.results[lane];
-            let selection = self.selections[lane];
-            let probe = self.costs[lane].resolve(selection.choice, &result);
-            let observed = Observation {
-                way: result.way,
-                hit: result.hit,
-                in_direct_mapped_way: result.in_direct_mapped_way,
-            };
-            let train_energy = self.selects[lane].train_policy(K::POLICY, &ctx, observed);
-            let prediction_energy = selection.energy + train_energy;
-            let stats = &mut self.stats[lane];
-            if !result.hit {
-                stats.load_misses += 1;
-            }
-            account_eviction(stats, &mut self.selects[lane], result.evicted);
-            account_selection(stats, K::POLICY, probe.outcome, &selection, result.hit);
-            let class = classify(probe.outcome, selection.choice);
-            account_load_class(stats, class);
-            stats.cache_energy += probe.energy;
-            stats.prediction_energy += prediction_energy;
-            *slot = DAccessOutcome {
-                hit: result.hit,
-                latency: probe.latency,
-                energy: probe.energy + prediction_energy,
-                class,
-                ways_probed: probe.ways_probed,
-                way: result.way,
-            };
-        }
+        self.fan_out(out, |dcache| dcache.load_kernel::<K>(pc, addr, approx_addr));
     }
 
     /// Services the same store in every lane; see
-    /// [`crate::DCacheController::store`].
+    /// [`DCacheController::store`].
     #[inline]
-    pub fn store(&mut self, _pc: Addr, addr: Addr, out: &mut [DAccessOutcome]) {
-        debug_assert_eq!(out.len(), self.lanes());
-        let block_addr = self.geometry.block_addr(addr);
-        for (lane, select) in self.selects.iter().enumerate() {
-            self.stats[lane].stores += 1;
-            self.placements[lane] = select.placement(block_addr);
-        }
-        self.tags
-            .access(addr, AccessKind::Write, &self.placements, &mut self.results);
-        for (lane, slot) in out.iter_mut().enumerate() {
-            let result = self.results[lane];
-            let probe = self.costs[lane].price_write(&result);
-            let stats = &mut self.stats[lane];
-            if !result.hit {
-                stats.store_misses += 1;
-            }
-            account_eviction(stats, &mut self.selects[lane], result.evicted);
-            stats.cache_energy += probe.energy;
-            *slot = DAccessOutcome {
-                hit: result.hit,
-                latency: probe.latency,
-                energy: probe.energy,
-                class: DAccessClass::Write,
-                ways_probed: probe.ways_probed,
-                way: result.way,
+    pub fn store(&mut self, pc: Addr, addr: Addr, out: &mut [DAccessOutcome]) {
+        self.fan_out(out, |dcache| dcache.store(pc, addr));
+    }
+
+    /// Runs `access` once on every controller, in lane order, and fills
+    /// `out`: a leading lane takes its controller's outcome, every other
+    /// lane its leader's outcome with the latency shifted.
+    #[inline(always)]
+    fn fan_out(
+        &mut self,
+        out: &mut [DAccessOutcome],
+        mut access: impl FnMut(&mut DCacheController) -> DAccessOutcome,
+    ) {
+        debug_assert_eq!(out.len(), self.lanes.len());
+        for (index, lane) in self.lanes.iter().enumerate() {
+            out[index] = if lane.leader == index {
+                access(&mut self.controllers[lane.controller])
+            } else {
+                let shared = out[lane.leader];
+                // Never underflows: every probe costs at least the leader's
+                // base latency.
+                let extra = shared.latency - self.lanes[lane.leader].base_latency;
+                DAccessOutcome {
+                    latency: lane.base_latency + extra,
+                    ..shared
+                }
             };
         }
     }
@@ -236,19 +180,18 @@ impl LaneDCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dcache::DCacheController;
 
     /// A deterministic load/store script with enough set pressure to force
     /// evictions, mispredictions, and selective-DM conflicts.
-    fn script(len: usize, salt: u64) -> Vec<(bool, Addr, Addr)> {
-        let mut state = 0x2545_f491_4f6c_dd1d ^ salt;
+    fn script() -> Vec<(bool, Addr, Addr)> {
+        let mut state: u64 = 0x2545_f491_4f6c_dd1a;
         let mut next = move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
         };
-        (0..len)
+        (0..2000)
             .map(|_| {
                 let is_store = next() % 4 == 0;
                 let pc = 0x400 + (next() % 23) * 4;
@@ -259,25 +202,12 @@ mod tests {
             .collect()
     }
 
-    fn lane_configs() -> Vec<L1Config> {
-        vec![
-            L1Config::paper_dcache(),
-            L1Config::paper_dcache().with_base_latency(2),
-            L1Config::paper_dcache().with_prediction_table_entries(256),
-        ]
-    }
-
-    #[test]
-    fn every_lane_matches_a_private_controller_for_every_policy() {
-        for policy in DCachePolicy::all() {
-            let configs = lane_configs();
-            let mut lanes = LaneDCache::new(&configs, policy).expect("valid configs");
-            let mut scalars: Vec<_> = configs
-                .iter()
-                .map(|c| DCacheController::new(*c, policy).expect("valid config"))
-                .collect();
-            let mut out = vec![DAccessOutcome::default(); configs.len()];
-            for (i, (is_store, pc, addr)) in script(2000, 7).into_iter().enumerate() {
+    /// Drives `lanes` through the script, returning every lane's outcomes.
+    fn run_script(lanes: &mut LaneDCache, policy: DCachePolicy) -> Vec<Vec<DAccessOutcome>> {
+        script()
+            .into_iter()
+            .map(|(is_store, pc, addr)| {
+                let mut out = vec![DAccessOutcome::default(); lanes.lanes.len()];
                 if is_store {
                     lanes.store(pc, addr, &mut out);
                 } else {
@@ -285,22 +215,61 @@ mod tests {
                         lanes.load_kernel::<K>(pc, addr, addr, &mut out)
                     });
                 }
-                for (l, scalar) in scalars.iter_mut().enumerate() {
+                out
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_lane_matches_a_private_controller_for_every_policy() {
+        let configs = [
+            L1Config::paper_dcache().with_base_latency(2),
+            L1Config::paper_dcache(),
+            L1Config::paper_dcache().with_prediction_table_entries(256),
+            L1Config::paper_dcache().with_base_latency(3),
+            // A slower second probe is not a constant shift: its own state.
+            L1Config {
+                extra_probe_latency: 2,
+                ..L1Config::paper_dcache()
+            },
+        ];
+        for policy in DCachePolicy::all() {
+            let mut lanes = LaneDCache::new(&configs, policy).expect("valid configs");
+            let on: Vec<usize> = lanes.lanes.iter().map(|lane| lane.controller).collect();
+            assert_eq!(on, [0, 0, 1, 0, 2]);
+            let outcomes = run_script(&mut lanes, policy);
+            for (l, config) in configs.iter().enumerate() {
+                let mut scalar = DCacheController::new(*config, policy).expect("valid config");
+                for (i, (is_store, pc, addr)) in script().into_iter().enumerate() {
                     let expect = if is_store {
                         scalar.store(pc, addr)
                     } else {
                         scalar.load(pc, addr, addr)
                     };
-                    assert_eq!(out[l], expect, "{policy:?} lane {l} diverged at access {i}");
+                    assert_eq!(outcomes[i][l], expect, "{policy:?} lane {l} access {i}");
                 }
+                assert_eq!(lanes.stats(l), scalar.stats(), "{policy:?} lane {l} stats");
             }
-            for (l, scalar) in scalars.iter().enumerate() {
-                assert_eq!(
-                    lanes.stats(l),
-                    scalar.stats(),
-                    "{policy:?} lane {l} stats diverged"
-                );
+        }
+    }
+
+    #[test]
+    fn base_latencies_share_one_controller() {
+        let configs = [
+            L1Config::paper_dcache(),
+            L1Config::paper_dcache().with_base_latency(2),
+        ];
+        for policy in DCachePolicy::all() {
+            let mut lanes = LaneDCache::new(&configs, policy).expect("valid configs");
+            assert_eq!(lanes.controllers.len(), 1, "{policy:?}");
+            for (i, out) in run_script(&mut lanes, policy).iter().enumerate() {
+                let one_cycle_later = DAccessOutcome {
+                    latency: out[0].latency + 1,
+                    ..out[0]
+                };
+                assert_eq!(out[1], one_cycle_later, "{policy:?} access {i}");
             }
+            assert_eq!(lanes.stats(0), lanes.stats(1), "{policy:?}");
         }
     }
 
@@ -319,6 +288,12 @@ mod tests {
     #[test]
     fn invalid_config_is_an_error() {
         let configs = [L1Config::paper_dcache().with_base_latency(0)];
+        assert!(LaneDCache::new(&configs, DCachePolicy::Parallel).is_err());
+        // A lane that would share a controller is validated too.
+        let configs = [
+            L1Config::paper_dcache(),
+            L1Config::paper_dcache().with_base_latency(0),
+        ];
         assert!(LaneDCache::new(&configs, DCachePolicy::Parallel).is_err());
     }
 }

@@ -63,6 +63,6 @@ pub use icache::{
     FetchCtx, FetchKind, IAccessClass, IAccessOutcome, ICacheController, IWaySelect, BTB_ENTRIES,
     RAS_DEPTH,
 };
-pub use lane::LaneDCache;
+pub use lane::{LaneDCache, MAX_LANES};
 pub use policy::{kernels, DCachePolicy, DPolicyKernel, ICachePolicy};
 pub use stats::{DCacheStats, ICacheStats};

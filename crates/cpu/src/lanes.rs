@@ -4,14 +4,15 @@
 //! Gang scheduling (`wp-experiments`) already materializes each workload
 //! stream once and replays it to every configuration in the gang — but each
 //! replay still walks the stream separately. The lane runner goes one step
-//! further for configurations that share a d-cache policy and tag geometry:
-//! it drives up to [`wp_mem::MAX_LANES`] of them through **one** walk,
+//! further for configurations that share a d-cache policy and geometry: it
+//! drives up to [`wp_cache::MAX_LANES`] of them through **one** walk,
 //! splitting each op into
 //!
 //! 1. a *shared pass*: one branch-predictor update (the predictor's state
 //!    depends only on the op stream, so every lane sees the same direction
-//!    sequence) and one config-parallel d-cache access through the SoA
-//!    [`wp_cache::LaneDCache`], whose per-lane outcomes are buffered
+//!    sequence) and one d-cache access per distinct d-cache state through
+//!    [`wp_cache::LaneDCache`] (lanes that differ only in base latency
+//!    share one controller), whose per-lane outcomes are buffered
 //!    lane-major; then
 //! 2. a *per-lane pass*: each lane's [`crate::pipeline`] scheduling state
 //!    steps through the block with its precomputed d-outcomes handed back
@@ -33,9 +34,10 @@
 //! example, batch into a single lane group.
 
 use wp_cache::{
-    ConfigError, DAccessOutcome, DCachePolicy, ICacheController, ICachePolicy, L1Config, LaneDCache,
+    ConfigError, DAccessOutcome, DCachePolicy, ICacheController, ICachePolicy, L1Config,
+    LaneDCache, MAX_LANES,
 };
-use wp_mem::{HierarchyConfig, MemoryHierarchy, MAX_LANES};
+use wp_mem::{HierarchyConfig, MemoryHierarchy};
 use wp_predictors::{BranchOutcome, HybridBranchPredictor};
 use wp_workloads::{OpBlockSource, OpBuffer, OpKind};
 
@@ -43,7 +45,7 @@ use crate::pipeline::{CpuConfig, DServiced, ReadyDSide, SchedState};
 use crate::result::SimResult;
 
 /// One lane of a batch: everything that may vary per configuration when the
-/// d-cache policy and tag geometry are shared.
+/// d-cache policy and geometry are shared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LaneMember {
     /// Core parameters.
@@ -90,30 +92,8 @@ fn run_lane_batch_kernel<K: wp_cache::DPolicyKernel>(
     source: &mut impl OpBlockSource,
 ) -> Result<Vec<SimResult>, ConfigError> {
     let lanes = members.len();
-    assert!(
-        lanes > 0 && lanes <= MAX_LANES,
-        "lane batch width {lanes} out of range 1..={MAX_LANES}"
-    );
-    // Deduplicate identical d-configurations: the d-cache is driven by the
-    // shared `(address, kind)` program order alone, so lanes whose *full*
-    // l1d config matches (not just the geometry) see bit-identical outcome
-    // and statistics streams — one tag column serves them all. Sweeps that
-    // vary the i-side or the core (Figure 10, issue-width studies) collapse
-    // to a single d-row this way.
-    let mut d_rows: Vec<L1Config> = Vec::with_capacity(lanes);
-    let mut d_map: Vec<usize> = Vec::with_capacity(lanes);
-    for member in members {
-        let row = d_rows
-            .iter()
-            .position(|c| c == &member.l1d)
-            .unwrap_or_else(|| {
-                d_rows.push(member.l1d);
-                d_rows.len() - 1
-            });
-        d_map.push(row);
-    }
-    let rows = d_rows.len();
-    let mut dcache = LaneDCache::new(&d_rows, dpolicy)?;
+    let d_configs: Vec<L1Config> = members.iter().map(|m| m.l1d).collect();
+    let mut dcache = LaneDCache::new(&d_configs, dpolicy)?;
     let mut icaches = members
         .iter()
         .map(|m| ICacheController::new(m.l1i, m.ipolicy))
@@ -126,21 +106,23 @@ fn run_lane_batch_kernel<K: wp_cache::DPolicyKernel>(
         .collect();
     let mut predictor = HybridBranchPredictor::default();
     let mut scheds: Vec<SchedState> = members.iter().map(|m| SchedState::new(&m.cpu)).collect();
-    // Geometry is uniform across the batch (asserted by LaneDCache), so the
-    // fetch-block mask is shared.
-    let block_mask = !(members[0].l1d.block_bytes as u64 - 1);
+    // The fetch block is the i-cache block, which is free to vary per lane.
+    let block_masks: Vec<u64> = members
+        .iter()
+        .map(|m| !(m.l1i.block_bytes as u64 - 1))
+        .collect();
 
     let mut buf = OpBuffer::new();
     let mut predictions: Vec<bool> = Vec::new();
-    // Per-block d-outcomes, row-major and compacted to memory ops: distinct
-    // d-config `r`'s outcome for the block's `j`-th load/store sits at
-    // `r * stride + j`. Every lane sees the same op stream, so the memory
-    // ops land at the same ordinals in every row and the per-lane pass
-    // consumes its row (`d_map[l]`) with a plain cursor. The buffer is
-    // allocated once — a block only overwrites (and reads back) the slots
-    // its memory ops touch, so there is no per-block clear or default-fill.
+    // Per-block d-outcomes, lane-major and compacted to memory ops: lane
+    // `l`'s outcome for the block's `j`-th load/store sits at
+    // `l * stride + j`. Every lane sees the same op stream, so the memory
+    // ops land at the same ordinals in every lane and the per-lane pass
+    // consumes its row with a plain cursor. The buffer is allocated once — a
+    // block only overwrites (and reads back) the slots its memory ops touch,
+    // so there is no per-block clear or default-fill.
     let stride = buf.capacity();
-    let mut outcomes: Vec<DServiced> = vec![DServiced::default(); rows * stride];
+    let mut outcomes: Vec<DServiced> = vec![DServiced::default(); lanes * stride];
     let mut scratch = [DAccessOutcome::default(); MAX_LANES];
     while source.fill(&mut buf) > 0 {
         let ops = buf.ops();
@@ -158,29 +140,29 @@ fn run_lane_batch_kernel<K: wp_cache::DPolicyKernel>(
             });
             match op.kind {
                 OpKind::Load { addr, approx_addr } => {
-                    dcache.load_kernel::<K>(op.pc, addr, approx_addr, &mut scratch[..rows]);
+                    dcache.load_kernel::<K>(op.pc, addr, approx_addr, &mut scratch[..lanes]);
                 }
                 OpKind::Store { addr } => {
-                    dcache.store(op.pc, addr, &mut scratch[..rows]);
+                    dcache.store(op.pc, addr, &mut scratch[..lanes]);
                 }
                 _ => continue,
             }
-            for (r, &out) in scratch[..rows].iter().enumerate() {
-                outcomes[r * stride + mem_ops] = out.into();
+            for (l, &out) in scratch[..lanes].iter().enumerate() {
+                outcomes[l * stride + mem_ops] = out.into();
             }
             mem_ops += 1;
         }
 
         // ---- per-lane pass: scheduling with precomputed d-outcomes ----
         for (l, sched) in scheds.iter_mut().enumerate() {
-            let row = d_map[l];
             let mut dside = ReadyDSide {
-                outcomes: &outcomes[row * stride..row * stride + mem_ops],
+                outcomes: &outcomes[l * stride..l * stride + mem_ops],
                 cursor: 0,
             };
             let icache = &mut icaches[l];
             let hierarchy = &mut hierarchies[l];
             let cpu = &members[l].cpu;
+            let block_mask = block_masks[l];
             for (op, &predicted) in ops.iter().zip(&predictions) {
                 sched.step_op(
                     cpu, block_mask, op, predicted, &mut dside, icache, hierarchy,
@@ -197,7 +179,7 @@ fn run_lane_batch_kernel<K: wp_cache::DPolicyKernel>(
             SimResult {
                 cycles: activity.cycles,
                 activity,
-                dcache: *dcache.stats(d_map[l]),
+                dcache: *dcache.stats(l),
                 icache: *icaches[l].stats(),
                 memory_accesses: hierarchies[l].memory_accesses(),
                 branch_accuracy: predictor.accuracy(),

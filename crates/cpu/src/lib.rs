@@ -69,4 +69,4 @@ mod result;
 pub use lanes::{run_lane_batch, LaneMember};
 pub use pipeline::{CpuConfig, Processor};
 pub use result::SimResult;
-pub use wp_mem::MAX_LANES;
+pub use wp_cache::MAX_LANES;

@@ -26,7 +26,7 @@
 //! d-side access is abstracted behind the [`DSide`] trait so both paths run
 //! the *same* step code: the scalar side computes the outcome on demand
 //! through the monomorphized kernel, the lane side hands in the outcome the
-//! vectorized lane d-cache precomputed for the block.
+//! lane d-cache ([`wp_cache::LaneDCache`]) precomputed for the block.
 
 use std::marker::PhantomData;
 
@@ -283,7 +283,7 @@ impl OccupancyRing {
 /// [`DAccessOutcome`] — energy, access class, way accounting — is
 /// accumulated inside the d-cache itself, so the transit between the
 /// d-side and the scheduler stays 8 bytes (the lane path buffers one of
-/// these per memory op per distinct d-config).
+/// these per memory op per lane).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct DServiced {
     /// L1 latency in cycles (fits easily: probe latencies are small
@@ -309,10 +309,9 @@ impl From<DAccessOutcome> for DServiced {
 /// The d-side of one scheduling step: given a load or store, produce its
 /// L1 service terms (hit/miss, latency). [`SchedState::step_op`] is
 /// generic over this so the scalar path (compute through the monomorphized
-/// controller kernel) and the lane path (hand back the outcome the
-/// vectorized lane d-cache already computed for this op) share one step
-/// implementation — which is what keeps them bit-identical by
-/// construction.
+/// controller kernel) and the lane path (hand back the outcome the lane
+/// d-cache already computed for this op) share one step implementation —
+/// which is what keeps them bit-identical by construction.
 pub(crate) trait DSide {
     /// The outcome of this op's load.
     fn load(&mut self, pc: Addr, addr: Addr, approx_addr: Addr) -> DServiced;
@@ -340,8 +339,8 @@ impl<K: wp_cache::DPolicyKernel> DSide for KernelDSide<'_, K> {
 }
 
 /// Lane d-side: this lane's d-outcomes for the block were precomputed by
-/// the vectorized lane d-cache, compacted to memory ops in program order;
-/// each load/store hands back the next one. Driving consumption off the
+/// the lane d-cache, compacted to memory ops in program order; each
+/// load/store hands back the next one. Driving consumption off the
 /// scheduler's own load/store dispatch keeps the per-lane pass free of a
 /// second `op.kind` decode.
 pub(crate) struct ReadyDSide<'a> {
@@ -418,6 +417,9 @@ impl SchedState {
 
     /// Schedules one committed-path op: structural gating, fetch, issue,
     /// execute (d-side through `dside`), branch steering, commit.
+    ///
+    /// `block_mask` clears the i-cache block offset of a PC: fetch reads one
+    /// i-cache block per access.
     ///
     /// `predicted_taken` is the branch predictor's direction for this op
     /// (meaningful only for branches); the caller updates the predictor —
@@ -695,7 +697,7 @@ impl Processor {
         &mut self,
         source: &mut impl OpBlockSource,
     ) -> SimResult {
-        let block_mask = !(self.dcache.config().block_bytes as u64 - 1);
+        let block_mask = !(self.icache.config().block_bytes as u64 - 1);
         let mut sched = SchedState::new(&self.config);
         let mut dside = KernelDSide::<K> {
             dcache: &mut self.dcache,

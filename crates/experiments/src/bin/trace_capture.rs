@@ -20,7 +20,7 @@
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
-use wp_experiments::runner::{parse_value, RunOptions};
+use wp_experiments::runner::{parse_positive, parse_value, RunOptions};
 use wp_workloads::{capture_to_file, ProfileSpec, TextTraceWriter, WorkloadSpec};
 
 const USAGE: &str = "usage: trace_capture (--workload NAME | --profile FILE) --out PATH \
@@ -72,7 +72,9 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
                 ))
             }
             "--quick" => quick = true,
-            "--ops" => ops = Some(parse_value("--ops", args.next()).map_err(|e| e.to_string())?),
+            "--ops" => {
+                ops = Some(parse_positive("--ops", args.next()).map_err(|e| e.to_string())?);
+            }
             "--seed" => {
                 seed = Some(parse_value("--seed", args.next()).map_err(|e| e.to_string())?);
             }

@@ -21,7 +21,7 @@ use serde::Serialize;
 use wp_cache::DCachePolicy;
 use wp_experiments::engine::{SimPlan, SimPoint};
 use wp_experiments::report::{ratio, TextTable};
-use wp_experiments::runner::{parse_value, CliError, CliOptions, MachineConfig, RunOptions};
+use wp_experiments::runner::{parse_positive, CliOptions, MachineConfig, RunOptions};
 use wp_workloads::WorkloadSpec;
 
 const USAGE: &str = "usage: trace_replay --trace PATH [--ops N] [--threads N] [--json] \
@@ -63,27 +63,21 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
                 ))
             }
             "--matrix-cache-cap" => {
-                let cap =
-                    parse_value("--matrix-cache-cap", args.next()).map_err(|e| e.to_string())?;
-                if cap == 0 {
-                    return Err(
-                        CliError::InvalidValue("--matrix-cache-cap", "0".into()).to_string()
-                    );
-                }
-                matrix_cache_cap = Some(cap);
+                matrix_cache_cap = Some(
+                    parse_positive("--matrix-cache-cap", args.next()).map_err(|e| e.to_string())?,
+                );
             }
             "--trace" => {
                 trace = Some(PathBuf::from(
                     args.next().ok_or("flag `--trace` requires a value")?,
                 ))
             }
-            "--ops" => ops = Some(parse_value("--ops", args.next()).map_err(|e| e.to_string())?),
+            "--ops" => {
+                ops = Some(parse_positive("--ops", args.next()).map_err(|e| e.to_string())?);
+            }
             "--threads" => {
-                let count = parse_value("--threads", args.next()).map_err(|e| e.to_string())?;
-                if count == 0 {
-                    return Err(CliError::InvalidValue("--threads", "0".into()).to_string());
-                }
-                threads = Some(count);
+                threads =
+                    Some(parse_positive("--threads", args.next()).map_err(|e| e.to_string())?);
             }
             "--json" => json = true,
             other => return Err(format!("unknown flag `{other}`")),
@@ -143,6 +137,10 @@ fn main() {
         WorkloadSpec::Trace(handle) => (handle.records(), handle.source().to_string()),
         _ => unreachable!("from_trace_file returns a trace workload"),
     };
+    if records == 0 {
+        eprintln!("error: trace {} holds no ops", cli.trace.display());
+        std::process::exit(1);
+    }
     // The stream truncates at the recording's end, so never report more
     // ops than the trace holds.
     let replayed_ops = cli.ops.unwrap_or(usize::MAX).min(records as usize);

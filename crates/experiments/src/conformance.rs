@@ -6,8 +6,8 @@
 //! produce the *same* [`SimResult`] from two independent implementations:
 //!
 //! * the **optimized** stack ([`crate::runner::simulate_workload`] /
-//!   [`SimEngine`]): SoA tag stores, monomorphized policy kernels,
-//!   gang-scheduled shared streams, config-parallel lane batches;
+//!   [`SimEngine`]): a structure-of-arrays tag store, monomorphized policy
+//!   kernels, gang-scheduled shared streams, config-parallel lane batches;
 //! * the **oracle** ([`wp_oracle::OracleProcessor`]): nested-`Vec` LRU
 //!   sets, per-access policy `match`es, per-access energy-model
 //!   evaluation, one micro-op at a time.

@@ -755,9 +755,11 @@ enum WorkUnit {
 }
 
 /// What gang members must agree on to share a lane batch: the d-cache
-/// policy (the kernels are monomorphized per policy) and the d-cache tag
-/// geometry (the SoA tag store lays lanes out across one shared set/way
-/// grid). See [`wp_cpu::LaneMember`] for what is free to vary.
+/// policy (the kernels are monomorphized per policy) and the d-cache
+/// geometry. The lane d-cache keeps plain per-state controllers, which do
+/// not need a shared geometry; geometry stays in the key because the
+/// benchmark ledger copies this rule to check the engine's lane counters.
+/// See [`wp_cpu::LaneMember`] for what is free to vary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct LaneBatchKey {
     dpolicy: wp_cache::DCachePolicy,

@@ -77,8 +77,10 @@ use crate::storage::{CacheIo, DirEntry, FsIo};
 /// the point, so a filename-digest collision can no longer serve one
 /// point's result for another. 3: results grew the outcome-class coverage
 /// counters — `single_way_load_hits`, `seldm_predicted_sa`,
-/// `victim_list_hits`, `dirty_evictions`, `ras_correct`.)
-pub const CACHE_FORMAT_VERSION: u32 = 3;
+/// `victim_list_hits`, `dirty_evictions`, `ras_correct`. 4: fetch reads
+/// one i-cache block per access; it used the d-cache block size, which
+/// changes results whenever the two block sizes differ.)
+pub const CACHE_FORMAT_VERSION: u32 = 4;
 
 /// Consecutive I/O failures that trip the circuit breaker and degrade the
 /// cache to pass-through for the rest of the process ([`MatrixCache`] docs;

@@ -568,7 +568,8 @@ impl std::error::Error for CliError {}
 /// and trace_replay use `--no-matrix-cache` to force every point to
 /// simulate).
 /// Unknown flags are reported as errors rather than silently
-/// ignored, and explicit `--ops`/`--seed` always override `--quick`
+/// ignored, a zero `--ops`, `--threads` or `--matrix-cache-cap` is an
+/// invalid value, and explicit `--ops`/`--seed` always override `--quick`
 /// regardless of flag order.
 pub fn options_from_args(args: impl Iterator<Item = String>) -> Result<CliOptions, CliError> {
     let mut options = CliOptions::default();
@@ -580,15 +581,9 @@ pub fn options_from_args(args: impl Iterator<Item = String>) -> Result<CliOption
         match arg.as_str() {
             "--json" => options.json = true,
             "--quick" => quick = true,
-            "--ops" => ops = Some(parse_value("--ops", args.next())?),
+            "--ops" => ops = Some(parse_positive("--ops", args.next())?),
             "--seed" => seed = Some(parse_value("--seed", args.next())?),
-            "--threads" => {
-                let threads: usize = parse_value("--threads", args.next())?;
-                if threads == 0 {
-                    return Err(CliError::InvalidValue("--threads", "0".to_string()));
-                }
-                options.threads = Some(threads);
-            }
+            "--threads" => options.threads = Some(parse_positive("--threads", args.next())?),
             "--stream-cap" => {
                 options.stream_cap = Some(parse_value("--stream-cap", args.next())?);
             }
@@ -608,14 +603,7 @@ pub fn options_from_args(args: impl Iterator<Item = String>) -> Result<CliOption
                 options.health_json = Some(path.into());
             }
             "--matrix-cache-cap" => {
-                let cap: u64 = parse_value("--matrix-cache-cap", args.next())?;
-                if cap == 0 {
-                    return Err(CliError::InvalidValue(
-                        "--matrix-cache-cap",
-                        "0".to_string(),
-                    ));
-                }
-                options.matrix_cache_cap = Some(cap);
+                options.matrix_cache_cap = Some(parse_positive("--matrix-cache-cap", args.next())?);
             }
             other => return Err(CliError::UnknownFlag(other.to_string())),
         }
@@ -647,6 +635,23 @@ pub fn parse_value<T: std::str::FromStr>(
     value
         .parse()
         .map_err(|_| CliError::InvalidValue(flag, value))
+}
+
+/// [`parse_value`] for a count that must be positive: a zero value is a
+/// [`CliError::InvalidValue`] too.
+///
+/// # Errors
+///
+/// Returns the [`CliError`] for a missing, unparsable, or zero value.
+pub fn parse_positive<T: std::str::FromStr + PartialEq + From<u8>>(
+    flag: &'static str,
+    value: Option<String>,
+) -> Result<T, CliError> {
+    let value = value.ok_or(CliError::MissingValue(flag))?;
+    match value.parse::<T>() {
+        Ok(parsed) if parsed != T::from(0) => Ok(parsed),
+        _ => Err(CliError::InvalidValue(flag, value)),
+    }
 }
 
 #[cfg(test)]

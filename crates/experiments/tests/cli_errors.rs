@@ -1,9 +1,10 @@
 //! Command-line error paths of the experiment binaries, asserted against
 //! the *exact* messages: an unknown flag, a flag missing its value, a
-//! bad integer, and a broken `--profile` file must each print
+//! bad or zero count, and a broken `--profile` file must each print
 //! `error: <specific message>` plus the usage line to stderr and exit
 //! with status 2 — across the binaries (`run_all`, `trace_capture`,
-//! `trace_replay`, `conformance`, `coverage_report`).
+//! `trace_replay`, `conformance`, `coverage_report`). A trace with no ops
+//! is a runtime error of `trace_replay` (exit 1).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -52,6 +53,15 @@ fn run_all_rejects_bad_command_lines_with_exact_messages() {
         &["--ops", "abc"],
         "invalid value `abc` for flag `--ops`",
     );
+    // A zero-op run has no baseline to normalize against: every binary on
+    // the shared parser rejects it before simulating anything.
+    for binary in [bin, env!("CARGO_BIN_EXE_fig4")] {
+        assert_cli_error(
+            binary,
+            &["--ops", "0"],
+            "invalid value `0` for flag `--ops`",
+        );
+    }
     assert_cli_error(
         bin,
         &["--threads", "0"],
@@ -104,6 +114,11 @@ fn trace_capture_rejects_bad_command_lines_with_exact_messages() {
     );
     assert_cli_error(
         bin,
+        &["--workload", "gcc", "--out", "/tmp/x.wptr", "--ops", "0"],
+        "invalid value `0` for flag `--ops`",
+    );
+    assert_cli_error(
+        bin,
         &["--workload", "gcc", "--out", "/tmp/x.wptr", "--seed", "1.5"],
         "invalid value `1.5` for flag `--seed`",
     );
@@ -144,6 +159,11 @@ fn trace_replay_rejects_bad_command_lines_with_exact_messages() {
     );
     assert_cli_error(
         bin,
+        &["--trace", "/tmp/x.wptr", "--ops", "0"],
+        "invalid value `0` for flag `--ops`",
+    );
+    assert_cli_error(
+        bin,
         &["--trace", "/tmp/x.wptr", "--threads", "0"],
         "invalid value `0` for flag `--threads`",
     );
@@ -158,13 +178,32 @@ fn trace_replay_rejects_bad_command_lines_with_exact_messages() {
         "invalid value `0` for flag `--matrix-cache-cap`",
     );
     assert_cli_error(bin, &[], "missing required flag `--trace`");
+
+    // A trace with no ops has nothing to replay: an error, like a trace
+    // that cannot be opened, not a usage error.
+    let empty = temp_file("empty.wptr");
+    wp_workloads::capture_to_file(std::iter::empty(), &empty, "empty").expect("write trace");
+    let (code, stderr) = run(
+        bin,
+        &["--trace", empty.to_str().unwrap(), "--no-matrix-cache"],
+    );
+    assert_eq!(code, 1, "an empty trace must exit 1; stderr: {stderr}");
+    assert_eq!(
+        stderr.lines().next().unwrap_or_default(),
+        format!("error: trace {} holds no ops", empty.display())
+    );
+}
+
+/// A path called `name` in a fresh per-process temp directory.
+fn temp_file(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("wpsdm-cli-errors-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir.join(name)
 }
 
 /// Writes `text` to a fresh temp file and returns its path.
 fn temp_profile(name: &str, text: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wpsdm-cli-errors-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(name);
+    let path = temp_file(name);
     std::fs::write(&path, text).expect("temp profile");
     path
 }
@@ -226,6 +265,7 @@ fn conformance_rejects_bad_command_lines_with_exact_messages() {
     assert_cli_error(bin, &["--frobnicate"], "unknown flag `--frobnicate`");
     assert_cli_error(bin, &["--no-lanes"], "unknown flag `--no-lanes`");
     assert_cli_error(bin, &["--ops"], "flag `--ops` requires a value");
+    assert_cli_error(bin, &["--ops", "0"], "invalid value `0` for flag `--ops`");
     assert_cli_error(
         bin,
         &["--seed", "abc"],

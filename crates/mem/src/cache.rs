@@ -104,19 +104,13 @@ struct SetScan {
     victim_way: WayIndex,
 }
 
-/// The block was written since it was filled. Shared with the lane-strided
-/// tag store ([`crate::lane::LaneTagStore`]), which uses the same flag-byte
-/// encoding per (block, lane).
-pub(crate) const FLAG_DIRTY: u8 = 1;
+/// The block was written since it was filled.
+const FLAG_DIRTY: u8 = 1;
 /// The block sits in its direct-mapping way.
-pub(crate) const FLAG_DM: u8 = 2;
+const FLAG_DM: u8 = 2;
 
 /// Result of a cache access or fill.
-///
-/// The `Default` value (a miss of way 0 with nothing evicted) exists so
-/// lane-batched callers can size their per-lane result buffers without an
-/// `Option` per slot; every slot is overwritten before it is read.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessResult {
     /// True if the block was resident.
     pub hit: bool,
@@ -207,12 +201,10 @@ impl SetAssocCache {
     /// valid-bitset word. At L1 associativities (2–8 ways) the early exit
     /// wins: most probes hit, usually in a hot way, while a branch-free
     /// whole-lane compare always pays for every way — measured at 0.797×
-    /// the scalar scan, so the lane-compare idea is spent on the config
-    /// axis instead (see [`crate::lane::LaneTagStore`]). On a miss —
-    /// where the whole set was necessarily visited — the scan also reports
-    /// the victim a set-associative fill would choose (first invalid way,
-    /// else the first way with the minimum LRU stamp), so the fill path
-    /// never re-scans the tags.
+    /// the scalar scan. On a miss — where the whole set was necessarily
+    /// visited — the scan also reports the victim a set-associative fill
+    /// would choose (first invalid way, else the first way with the minimum
+    /// LRU stamp), so the fill path never re-scans the tags.
     #[inline(always)]
     fn scan(&self, base: usize, tag: u64) -> SetScan {
         if self.assoc > 64 {

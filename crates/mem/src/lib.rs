@@ -36,13 +36,11 @@
 mod cache;
 mod geometry;
 mod hierarchy;
-pub mod lane;
 mod stats;
 
 pub use cache::{AccessKind, AccessResult, CacheLine, Placement, SetAssocCache};
 pub use geometry::{CacheGeometry, GeometryError};
 pub use hierarchy::{HierarchyConfig, HierarchyOutcome, MemoryHierarchy};
-pub use lane::{LaneTagStore, MAX_LANES};
 pub use stats::CacheStats;
 
 /// A byte address as seen by the processor.

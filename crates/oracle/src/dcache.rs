@@ -87,11 +87,6 @@ impl OracleDCache {
         })
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &L1Config {
-        &self.config
-    }
-
     /// Accumulated statistics (the same [`DCacheStats`] the optimized
     /// controller fills, accumulated in the same per-access order).
     pub fn stats(&self) -> &DCacheStats {

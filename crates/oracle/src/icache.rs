@@ -69,6 +69,11 @@ impl OracleICache {
         })
     }
 
+    /// The configuration in use.
+    pub fn config(&self) -> &L1Config {
+        &self.config
+    }
+
     /// Accumulated statistics.
     pub fn stats(&self) -> &ICacheStats {
         &self.stats

@@ -70,7 +70,7 @@ impl OracleProcessor {
     /// Runs the trace to completion, op by op, and returns the same
     /// [`SimResult`] the optimized processor produces for the same stream.
     pub fn run(&mut self, trace: impl IntoIterator<Item = MicroOp>) -> SimResult {
-        let block_bytes = self.dcache.config().block_bytes as u64;
+        let block_bytes = self.icache.config().block_bytes as u64;
 
         let mut activity = ActivityCounts::default();
         let mut issue_used: HashMap<u64, u32> = HashMap::new();
@@ -105,8 +105,7 @@ impl OracleProcessor {
                 }
             }
 
-            // ---- fetch (the fetch block is the d-cache's block size, as
-            // in the optimized loop) ----
+            // ---- fetch: one i-cache block per access ----
             let block = op.pc - op.pc % block_bytes;
             if cur_block != Some(block) {
                 fetch_cycle += 1;

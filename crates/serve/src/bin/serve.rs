@@ -14,6 +14,7 @@
 use std::io::Write;
 use std::time::Duration;
 
+use wp_experiments::runner::parse_positive;
 use wp_experiments::storage::FaultyIo;
 use wp_experiments::{CliError, MatrixCache, PointService};
 use wp_serve::server::{self, Listen, ServerConfig};
@@ -56,20 +57,6 @@ impl Default for ServeOptions {
     }
 }
 
-fn positive<T: std::str::FromStr + PartialEq + From<u8>>(
-    flag: &'static str,
-    value: Option<String>,
-) -> Result<T, CliError> {
-    let value = value.ok_or(CliError::MissingValue(flag))?;
-    let parsed: T = value
-        .parse()
-        .map_err(|_| CliError::InvalidValue(flag, value.clone()))?;
-    if parsed == T::from(0u8) {
-        return Err(CliError::InvalidValue(flag, value));
-    }
-    Ok(parsed)
-}
-
 fn parse_args(args: impl Iterator<Item = String>) -> Result<ServeOptions, CliError> {
     let mut options = ServeOptions::default();
     let mut args = args.peekable();
@@ -78,17 +65,17 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<ServeOptions, CliErr
             "--listen" => {
                 options.listen = args.next().ok_or(CliError::MissingValue("--listen"))?;
             }
-            "--workers" => options.workers = Some(positive("--workers", args.next())?),
-            "--queue-depth" => options.queue_depth = positive("--queue-depth", args.next())?,
-            "--lane-depth" => options.lane_depth = positive("--lane-depth", args.next())?,
+            "--workers" => options.workers = Some(parse_positive("--workers", args.next())?),
+            "--queue-depth" => options.queue_depth = parse_positive("--queue-depth", args.next())?,
+            "--lane-depth" => options.lane_depth = parse_positive("--lane-depth", args.next())?,
             "--sweep-threads" => {
-                options.sweep_threads = Some(positive("--sweep-threads", args.next())?);
+                options.sweep_threads = Some(parse_positive("--sweep-threads", args.next())?);
             }
             "--default-deadline-ms" => {
-                options.default_deadline_ms = positive("--default-deadline-ms", args.next())?;
+                options.default_deadline_ms = parse_positive("--default-deadline-ms", args.next())?;
             }
             "--max-conn-requests" => {
-                options.max_conn_requests = positive("--max-conn-requests", args.next())?;
+                options.max_conn_requests = parse_positive("--max-conn-requests", args.next())?;
             }
             "--no-matrix-cache" => options.no_matrix_cache = true,
             "--matrix-cache-dir" => {
@@ -98,7 +85,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<ServeOptions, CliErr
                 options.matrix_cache_dir = Some(std::path::PathBuf::from(dir));
             }
             "--matrix-cache-cap" => {
-                options.matrix_cache_cap = Some(positive("--matrix-cache-cap", args.next())?);
+                options.matrix_cache_cap = Some(parse_positive("--matrix-cache-cap", args.next())?);
             }
             other => return Err(CliError::UnknownFlag(other.to_string())),
         }

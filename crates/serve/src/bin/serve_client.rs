@@ -25,7 +25,7 @@
 use std::time::Duration;
 
 use serde::Value;
-use wp_experiments::runner::parse_value;
+use wp_experiments::runner::{parse_positive, parse_value};
 use wp_experiments::{simulate_workload, CliError, MachineConfig, RunOptions, SimPoint};
 use wp_serve::protocol::{self, ErrorCode, Request, SweepPlanSpec};
 use wp_serve::Client;
@@ -79,14 +79,6 @@ impl Default for ClientOptions {
     }
 }
 
-fn positive(flag: &'static str, value: Option<String>) -> Result<u64, CliError> {
-    let value = value.ok_or(CliError::MissingValue(flag))?;
-    match value.parse::<u64>() {
-        Ok(0) | Err(_) => Err(CliError::InvalidValue(flag, value)),
-        Ok(parsed) => Ok(parsed),
-    }
-}
-
 fn parse_args(args: impl Iterator<Item = String>) -> Result<ClientOptions, CliError> {
     let mut options = ClientOptions::default();
     let mut args = args.peekable();
@@ -99,7 +91,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<ClientOptions, CliEr
             "--workload" => {
                 options.workload = args.next().ok_or(CliError::MissingValue("--workload"))?;
             }
-            "--ops" => options.ops = positive("--ops", args.next())?,
+            "--ops" => options.ops = parse_positive("--ops", args.next())?,
             "--seed" => options.seed = parse_value("--seed", args.next())?,
             "--dpolicy" => {
                 options.dpolicy = Some(args.next().ok_or(CliError::MissingValue("--dpolicy"))?);
@@ -107,8 +99,10 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<ClientOptions, CliEr
             "--ipolicy" => {
                 options.ipolicy = Some(args.next().ok_or(CliError::MissingValue("--ipolicy"))?);
             }
-            "--assoc" => options.assoc = Some(positive("--assoc", args.next())?),
-            "--deadline-ms" => options.deadline_ms = Some(positive("--deadline-ms", args.next())?),
+            "--assoc" => options.assoc = Some(parse_positive("--assoc", args.next())?),
+            "--deadline-ms" => {
+                options.deadline_ms = Some(parse_positive("--deadline-ms", args.next())?)
+            }
             "--priority" => {
                 // Unlike the other numeric flags, 0 is meaningful here: it
                 // is the most urgent fairness-lane priority.
@@ -120,7 +114,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<ClientOptions, CliEr
                     _ => return Err(CliError::InvalidValue("--priority", value)),
                 }
             }
-            "--repeat" => options.repeat = positive("--repeat", args.next())?,
+            "--repeat" => options.repeat = parse_positive("--repeat", args.next())?,
             "--sweep" => {
                 options.sweep = Some(args.next().ok_or(CliError::MissingValue("--sweep"))?);
             }

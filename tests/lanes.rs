@@ -15,29 +15,34 @@ use wpsdm::experiments::{
 use wpsdm::workloads::{Benchmark, IterBlockSource, TraceConfig, TraceGenerator, WorkloadSpec};
 
 /// The lane-free parameters of one member, drawn as indices into small
-/// palettes: (d base latency, prediction-table size, i-assoc, i-policy,
-/// issue width). The shared d-cache tag geometry — the batch key — is
-/// applied when the member is built, so every member of a batch agrees.
-type MemberDraw = ((u64, usize), (usize, usize, usize));
+/// palettes: (d base latency, d extra probe latency, prediction-table size,
+/// i-assoc, i-policy, issue width). The shared d-cache tag geometry — the
+/// batch key — is applied when the member is built, so every member of a
+/// batch agrees. Members that differ only in base latency share one d-cache
+/// controller; a different extra probe latency must not.
+type MemberDraw = ((u64, u64, usize), (usize, usize, usize));
 
 fn arb_member() -> impl Strategy<Value = MemberDraw> {
     (
-        (1u64..=3, 0usize..3),
+        (1u64..=3, 1u64..=2, 0usize..3),
         (0usize..4, 0usize..ICachePolicy::all().len(), 0usize..2),
     )
 }
 
 fn build_member(d_assoc: usize, draw: MemberDraw) -> LaneMember {
-    let ((d_latency, pt), (i_assoc, ipolicy, wide)) = draw;
+    let ((d_latency, d_extra, pt), (i_assoc, ipolicy, wide)) = draw;
     LaneMember {
         cpu: CpuConfig {
             issue_width: [4, 8][wide],
             ..CpuConfig::default()
         },
-        l1d: L1Config::paper_dcache()
-            .with_associativity(d_assoc)
-            .with_base_latency(d_latency)
-            .with_prediction_table_entries([64, 256, 1024][pt]),
+        l1d: L1Config {
+            extra_probe_latency: d_extra,
+            ..L1Config::paper_dcache()
+                .with_associativity(d_assoc)
+                .with_base_latency(d_latency)
+                .with_prediction_table_entries([64, 256, 1024][pt])
+        },
         l1i: L1Config::paper_icache().with_associativity([1, 2, 4, 8][i_assoc]),
         ipolicy: ICachePolicy::all()[ipolicy],
     }

@@ -23,6 +23,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use wp_cpu::{SimResult, MAX_LANES};
 use wp_workloads::{Benchmark, SharedStream, StreamKey, WorkloadSpec};
@@ -488,9 +489,13 @@ impl SimEngine {
     /// each completed point as its result lands — cache hits immediately,
     /// simulated points from whichever worker thread finishes them — and
     /// the run stops claiming new work once `token` fires. Cancellation
-    /// granularity is one work unit (a lane batch or a scalar point); a
-    /// unit in flight when the token fires completes and is still
-    /// observed, stored, and counted. Returns true if every point of the
+    /// granularity is one work unit (a lane batch or a scalar point) or one
+    /// op block of a stream build: a unit in flight when the token fires
+    /// completes and is still observed, stored, and counted, while a build
+    /// in flight stops, deletes any partial spill file, and skips its
+    /// gang's units. Each simulated result is stored in the attached
+    /// [`MatrixCache`] while the run goes on, and the call returns only
+    /// after the last store has landed. Returns true if every point of the
     /// plan completed. [`run_into`](Self::run_into) is this call with a
     /// token that never fires and no observer.
     pub fn run_streaming(
@@ -530,9 +535,6 @@ impl SimEngine {
         for (point, result) in to_simulate.into_iter().zip(results) {
             match result {
                 Some(result) => {
-                    if let Some(cache) = &self.cache {
-                        cache.store(&point, &result);
-                    }
                     matrix.executed += 1;
                     matrix.results.insert(point, result);
                 }
@@ -545,13 +547,17 @@ impl SimEngine {
         complete
     }
 
-    /// Gang-scheduled execution of `points`: group by [`StreamKey`],
-    /// materialize each distinct stream exactly once (in parallel), then
-    /// broadcast each stream to every machine configuration in its gang.
+    /// Gang-scheduled execution of `points`: group by [`StreamKey`], then
+    /// run one claim queue in which each gang's stream build is queued one
+    /// gang ahead of the gang's work units. A unit starts as soon as its
+    /// own stream exists, and the stream (with any spill file) is released
+    /// when the gang's last unit finishes. Every completed unit goes to one
+    /// writer thread, which stores its results in the attached cache while
+    /// simulation goes on; this returns after the writer has drained.
     /// Returns the results in `points` order; a `None` slot is a point
-    /// whose work unit was never claimed because `token` fired. `observer`
-    /// hears each completed point from its worker thread as its unit
-    /// finishes.
+    /// whose unit was never claimed, or whose stream build stopped, because
+    /// `token` fired. `observer` hears each completed point from its worker
+    /// thread as its unit finishes.
     fn run_gangs(
         &self,
         matrix: &mut SimMatrix,
@@ -590,12 +596,6 @@ impl SimEngine {
             })
             .collect();
 
-        let cap = self.stream_memory_cap;
-        let streams: Vec<SharedStream> = parallel_map(self.threads, &keys, |key| {
-            SharedStream::materialize_capped(key, cap)
-                .unwrap_or_else(|e| panic!("workload stream {key} failed to materialize: {e}"))
-        });
-
         // Split each gang into work units: lane batches of up to MAX_LANES
         // points sharing a (d-policy, d-geometry) batch key, and scalar
         // fallbacks for the rest. The partition is computed
@@ -605,63 +605,91 @@ impl SimEngine {
         // identical totals when nothing cancels, and only work actually
         // done when the token fires.
         let units = Self::lane_partition(points, &jobs, keys.len());
-        let run_unit = |unit: &WorkUnit| -> Vec<(usize, SimResult)> {
-            let unit_results: Vec<(usize, SimResult)> = match unit {
-                WorkUnit::Scalar(point_index, stream_index) => vec![(
+        let mut units_per_gang = vec![0; keys.len()];
+        for unit in &units {
+            units_per_gang[unit.gang()] += 1;
+        }
+        let gangs: Vec<GangStream> = keys
+            .iter()
+            .zip(units_per_gang)
+            .map(|(key, units)| GangStream::new(key, units))
+            .collect();
+        let tasks = claim_queue(&units, gangs.len());
+        let cap = self.stream_memory_cap;
+        let run_unit = |unit: &WorkUnit, stream: &SharedStream| -> Vec<(usize, SimResult)> {
+            match unit {
+                WorkUnit::Scalar(point_index, _) => vec![(
                     *point_index,
-                    simulate_workload_shared(
-                        &streams[*stream_index],
-                        &points[*point_index].machine,
-                    ),
+                    simulate_workload_shared(stream, &points[*point_index].machine),
                 )],
-                WorkUnit::Lane(batch, stream_index) => {
+                WorkUnit::Lane(batch, _) => {
                     let machines: Vec<MachineConfig> =
                         batch.iter().map(|&pi| points[pi].machine).collect();
-                    simulate_workload_shared_lanes(&streams[*stream_index], &machines)
+                    simulate_workload_shared_lanes(stream, &machines)
                         .into_iter()
                         .zip(batch.iter().copied())
                         .map(|(result, point_index)| (point_index, result))
                         .collect()
                 }
-            };
-            for (point_index, result) in &unit_results {
-                observer(&points[*point_index], result);
             }
-            unit_results
         };
         // An atomic-cursor claim loop (the shape of [`parallel_map`], with
         // a cancellation check before every claim): workers stop claiming
-        // units once the token fires, but a claimed unit always completes —
-        // cancellation granularity is one work unit.
-        let threads = self.threads.max(1).min(units.len().max(1));
+        // tasks once the token fires, but a claimed unit always completes.
+        let threads = self.threads.min(units.len());
         let cursor = AtomicUsize::new(0);
-        // One worker's output: (unit index, that unit's (point, result) list).
-        type WorkerResults = Vec<(usize, Vec<(usize, SimResult)>)>;
-        let per_worker: Vec<WorkerResults> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut produced = Vec::new();
-                        loop {
-                            if token.is_cancelled() {
-                                return produced;
-                            }
-                            let index = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(unit) = units.get(index) else {
-                                return produced;
-                            };
-                            produced.push((index, run_unit(unit)));
+        // One completed unit: (unit index, that unit's (point, result) list).
+        type Completed = (usize, Vec<(usize, SimResult)>);
+        let (sender, receiver) = mpsc::channel::<Completed>();
+        let completed: Vec<Completed> = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                let mut completed = Vec::new();
+                for (unit_index, unit_results) in receiver {
+                    if let Some(cache) = &self.cache {
+                        for (point_index, result) in &unit_results {
+                            cache.store(&points[*point_index], result);
                         }
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|worker| worker.join().expect("gang worker panicked"))
-                .collect()
+                    }
+                    completed.push((unit_index, unit_results));
+                }
+                completed
+            });
+            let (tasks, units, gangs, cursor, run_unit) =
+                (&tasks, &units, &gangs, &cursor, &run_unit);
+            for _ in 0..threads {
+                let sender = sender.clone();
+                scope.spawn(move || loop {
+                    if token.is_cancelled() {
+                        return;
+                    }
+                    let index = cursor.fetch_add(1, Ordering::Relaxed);
+                    match tasks.get(index) {
+                        None => return,
+                        Some(Task::Build(gang)) => gangs[*gang].build(cap, token),
+                        Some(Task::Unit(unit_index)) => {
+                            let unit = &units[*unit_index];
+                            let gang = &gangs[unit.gang()];
+                            let Some(stream) = gang.acquire(cap, token) else {
+                                continue;
+                            };
+                            let unit_results = run_unit(unit, &stream);
+                            drop(stream);
+                            gang.release();
+                            for (point_index, result) in &unit_results {
+                                observer(&points[*point_index], result);
+                            }
+                            sender
+                                .send((*unit_index, unit_results))
+                                .expect("the store writer outlives every worker");
+                        }
+                    }
+                });
+            }
+            drop(sender);
+            writer.join().expect("store writer panicked")
         });
         let mut slots: Vec<Option<SimResult>> = vec![None; points.len()];
-        for (unit_index, unit_results) in per_worker.into_iter().flatten() {
+        for (unit_index, unit_results) in completed {
             match &units[unit_index] {
                 WorkUnit::Lane(batch, _) => {
                     matrix.lane_batches += 1;
@@ -674,9 +702,10 @@ impl SimEngine {
             }
         }
 
+        let generated: Vec<usize> = gangs.iter().filter_map(GangStream::generated).collect();
         matrix.gangs += keys.len();
-        matrix.streams_materialized += streams.len();
-        matrix.ops_generated += streams.iter().map(|s| s.ops() as u64).sum::<u64>();
+        matrix.streams_materialized += generated.len();
+        matrix.ops_generated += generated.iter().map(|&ops| ops as u64).sum::<u64>();
         matrix.ops_consumed += slots
             .iter()
             .flatten()
@@ -752,6 +781,175 @@ enum WorkUnit {
     Scalar(usize, usize),
     /// `(point indices in batch order, stream index)`.
     Lane(Vec<usize>, usize),
+}
+
+impl WorkUnit {
+    /// The gang (stream index) the unit belongs to.
+    fn gang(&self) -> usize {
+        match self {
+            WorkUnit::Scalar(_, gang) | WorkUnit::Lane(_, gang) => *gang,
+        }
+    }
+}
+
+/// One entry of the engine's claim queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Task {
+    /// Build gang `n`'s stream, unless one of its units already has.
+    Build(usize),
+    /// Run work unit `n`.
+    Unit(usize),
+}
+
+/// The claim queue: each gang's build task goes one gang ahead of the
+/// gang's units (`units` are in gang order), so while one gang's units
+/// run, a worker is already building the next gang's stream.
+fn claim_queue(units: &[WorkUnit], gangs: usize) -> Vec<Task> {
+    let mut tasks = Vec::with_capacity(gangs + units.len());
+    let mut next_build = 0;
+    for (index, unit) in units.iter().enumerate() {
+        while next_build < gangs && next_build <= unit.gang() + 1 {
+            tasks.push(Task::Build(next_build));
+            next_build += 1;
+        }
+        tasks.push(Task::Unit(index));
+    }
+    tasks
+}
+
+/// One gang's stream as the claim queue shares it: built at most once, by
+/// the gang's build task or by the first unit that needs it, and dropped
+/// when the gang's last unit has finished.
+struct GangStream<'k> {
+    key: &'k StreamKey,
+    state: Mutex<GangState>,
+    built: Condvar,
+}
+
+struct GangState {
+    stream: StreamSlot,
+    /// Units of the gang that have not finished yet.
+    units_left: usize,
+    /// Ops the finished build produced; `None` until a build finishes.
+    generated: Option<usize>,
+}
+
+enum StreamSlot {
+    /// No worker has started the build.
+    Unbuilt,
+    /// A worker is building the stream; the gang's units wait for it.
+    Building,
+    /// Built, and shared by the gang's units.
+    Ready(Arc<SharedStream>),
+    /// The build stopped because the token fired: the units are skipped.
+    Stopped,
+    /// The gang's last unit finished and the stream is dropped.
+    Released,
+}
+
+impl<'k> GangStream<'k> {
+    fn new(key: &'k StreamKey, units: usize) -> Self {
+        Self {
+            key,
+            state: Mutex::new(GangState {
+                stream: StreamSlot::Unbuilt,
+                units_left: units,
+                generated: None,
+            }),
+            built: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, GangState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The build task: builds the stream unless a unit has already started
+    /// it, in which case it does nothing. A build task claimed late, after
+    /// the gang's units built, ran and released the stream, is a no-op.
+    fn build(&self, cap: usize, token: &CancelToken) {
+        let state = self.lock();
+        if matches!(state.stream, StreamSlot::Unbuilt) {
+            drop(self.build_locked(state, cap, token));
+        }
+    }
+
+    /// The stream for one of the gang's units: built here if nobody has
+    /// started it, waited for if another worker is building it. `None` if
+    /// the build stopped because the token fired.
+    fn acquire(&self, cap: usize, token: &CancelToken) -> Option<Arc<SharedStream>> {
+        let mut state = self.lock();
+        loop {
+            match &state.stream {
+                StreamSlot::Unbuilt => state = self.build_locked(state, cap, token),
+                StreamSlot::Building => {
+                    state = self
+                        .built
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                StreamSlot::Ready(stream) => return Some(Arc::clone(stream)),
+                StreamSlot::Stopped | StreamSlot::Released => return None,
+            }
+        }
+    }
+
+    /// One of the gang's units finished: the last one drops the stream,
+    /// which deletes any spill file once no reader holds it.
+    fn release(&self) {
+        let mut state = self.lock();
+        state.units_left -= 1;
+        if state.units_left == 0 {
+            state.stream = StreamSlot::Released;
+        }
+    }
+
+    /// Ops the gang's stream build produced, if a build finished.
+    fn generated(&self) -> Option<usize> {
+        self.lock().generated
+    }
+
+    /// Builds the stream with the lock released, checking `token` once per
+    /// op block, and returns the re-taken lock.
+    fn build_locked<'a>(
+        &'a self,
+        mut state: MutexGuard<'a, GangState>,
+        cap: usize,
+        token: &CancelToken,
+    ) -> MutexGuard<'a, GangState> {
+        state.stream = StreamSlot::Building;
+        drop(state);
+        let mut outcome = BuildOutcome {
+            gang: self,
+            stream: None,
+        };
+        outcome.stream = SharedStream::materialize_until(self.key, cap, &|| token.is_cancelled())
+            .unwrap_or_else(|e| panic!("workload stream {} failed to materialize: {e}", self.key))
+            .map(Arc::new);
+        drop(outcome);
+        self.lock()
+    }
+}
+
+/// Publishes a stream build's outcome when dropped, so the units waiting
+/// on the build wake up even if it panics.
+struct BuildOutcome<'a, 'k> {
+    gang: &'a GangStream<'k>,
+    stream: Option<Arc<SharedStream>>,
+}
+
+impl Drop for BuildOutcome<'_, '_> {
+    fn drop(&mut self) {
+        let mut state = self.gang.lock();
+        state.stream = match self.stream.take() {
+            Some(stream) => {
+                state.generated = Some(stream.ops());
+                StreamSlot::Ready(stream)
+            }
+            None => StreamSlot::Stopped,
+        };
+        self.gang.built.notify_all();
+    }
 }
 
 /// What gang members must agree on to share a lane batch: the d-cache
@@ -927,6 +1125,58 @@ mod tests {
         assert!(matrix
             .get_workload(&scenario, &baseline, &options)
             .is_some());
+    }
+
+    #[test]
+    fn each_build_is_queued_one_gang_ahead_of_its_units() {
+        let units = [
+            WorkUnit::Scalar(0, 0),
+            WorkUnit::Lane(vec![1, 2], 0),
+            WorkUnit::Scalar(3, 1),
+            WorkUnit::Scalar(4, 2),
+        ];
+        use Task::{Build, Unit};
+        assert_eq!(
+            claim_queue(&units, 3),
+            [
+                Build(0),
+                Build(1),
+                Unit(0),
+                Unit(1),
+                Build(2),
+                Unit(2),
+                Unit(3)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_build_task_claimed_after_its_gang_finished_is_a_no_op() {
+        // The race: a worker claims a gang's build task but runs it late.
+        // Meanwhile the gang's only unit builds the stream itself, runs,
+        // and releases it. The late build must not panic or build again.
+        let key = StreamKey::new(WorkloadSpec::Benchmark(Benchmark::Gcc), 4_000, 1);
+        let token = CancelToken::never();
+        for cap in [usize::MAX, 1] {
+            let gang = GangStream::new(&key, 1);
+            let stream = gang.acquire(cap, &token).expect("the unit builds");
+            assert_eq!(stream.is_spilled(), cap == 1);
+            drop(stream);
+            gang.release();
+            gang.build(cap, &token);
+            assert!(matches!(gang.lock().stream, StreamSlot::Released));
+            assert_eq!(gang.generated(), Some(4_000), "one build, counted once");
+        }
+    }
+
+    #[test]
+    fn a_stopped_build_skips_the_gang_and_counts_nothing() {
+        let key = StreamKey::new(WorkloadSpec::Benchmark(Benchmark::Li), 4_000, 1);
+        let fired = CancelToken::never().with_deadline(std::time::Instant::now());
+        let gang = GangStream::new(&key, 2);
+        gang.build(1, &fired);
+        assert!(gang.acquire(1, &fired).is_none(), "the units are skipped");
+        assert_eq!(gang.generated(), None);
     }
 
     #[test]

@@ -70,8 +70,10 @@ impl Btb {
         ((pc >> 2) as usize) & (self.entries.len() - 1)
     }
 
+    /// The index bits dropped: `(pc >> 2) / entries`, as a shift because
+    /// the size is a power of two.
     fn tag(&self, pc: Addr) -> u64 {
-        (pc >> 2) / self.entries.len() as u64
+        (pc >> 2) >> self.entries.len().trailing_zeros()
     }
 
     /// Looks up the branch at `pc`, returning its target and way prediction
@@ -124,6 +126,29 @@ impl Btb {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tag_shift_equals_the_division_by_the_table_size() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut pcs = vec![0, 3, 4, u64::MAX, u64::MAX - 3, 1 << 63];
+        for _ in 0..256 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            pcs.push(state);
+            pcs.push(state & 0xff_ffff);
+        }
+        for bits in 0..=16 {
+            let btb = Btb::new(1 << bits);
+            for &pc in &pcs {
+                assert_eq!(
+                    btb.tag(pc),
+                    (pc >> 2) / (1u64 << bits),
+                    "size 2^{bits}, pc {pc:#x}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn miss_then_hit_after_update() {

@@ -3,8 +3,8 @@
 //!
 //! Request flow (`docs/SERVICE.md` has the operator's view):
 //!
-//! 1. The accept loop (non-blocking, shutdown-aware) hands each connection
-//!    to its own handler thread. Every connection owns a **fairness lane**;
+//! 1. The accept loop blocks in `accept()` and hands each connection to
+//!    its own handler thread. Every connection owns a **fairness lane**;
 //!    admission round-robins across lanes so one chatty connection (or one
 //!    streaming sweep) cannot starve the rest.
 //! 2. A handler parses one frame at a time through a persistent
@@ -28,13 +28,16 @@
 //!    plan through one gang-scheduled [`SimEngine`] pass, streaming each
 //!    completed point back to the handler's inbox; the scheduler reserves
 //!    at least one worker for point requests while sweeps run.
-//! 6. Shutdown (SIGTERM/SIGINT, or a `shutdown` request) stops the accept
-//!    loop, closes the queue, drains the workers, and lets in-flight
-//!    responses finish; new requests get `shutting_down`.
+//! 6. Shutdown (SIGTERM/SIGINT, or a `shutdown` request) sets the shutdown
+//!    flag and dials the listener once, so the accept loop's blocked
+//!    `accept()` returns and sees the flag; an idle daemon makes no
+//!    periodic wake-ups. The loop then closes the queue, drains the
+//!    workers, and lets in-flight responses finish; new requests get
+//!    `shutting_down`.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -47,8 +50,17 @@ use wp_experiments::{CancelToken, LeaderTicket, SimEngine, SimPoint};
 
 use crate::protocol::{self, ErrorCode, HistogramSnapshot, MetricsSnapshot, Request};
 
-/// How often blocking loops re-check the shutdown flag.
+/// An idle connection handler blocks in a read for ten of these, then
+/// re-checks the shutdown flag. (The accept loop does not poll: shutdown
+/// wakes it by dialing the listener.)
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// How long the accept loop backs off after a failed `accept()` (such as
+/// running out of file descriptors) before it tries again.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How long a shutdown's wake-up dial may take to connect.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// How long past a request's own deadline a handler keeps waiting for the
 /// flight (or sweep) to publish its terminal outcome, so the response can
@@ -492,6 +504,8 @@ struct Shared {
     scheduler: LaneScheduler,
     /// `Arc` so sweep cancel tokens can watch it directly.
     shutdown: Arc<AtomicBool>,
+    /// The listener, as shutdown dials it to wake the accept loop.
+    wake: Wake,
     active_connections: AtomicUsize,
     default_deadline_ms: u64,
     max_conn_requests: u64,
@@ -501,6 +515,16 @@ struct Shared {
     metrics: Metrics,
     /// Fairness-lane allocator: one id per accepted connection.
     next_lane: AtomicU64,
+}
+
+impl Shared {
+    /// Sets the shutdown flag and, the first time, dials the listener so
+    /// the accept loop's blocked `accept()` returns and sees the flag.
+    fn request_shutdown(&self) {
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            self.wake.dial();
+        }
+    }
 }
 
 fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
@@ -534,7 +558,7 @@ fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
     }
 }
 
-/// The listener half of [`Listen`], in non-blocking accept mode.
+/// The listener half of [`Listen`]; `accept` blocks.
 enum Listener {
     Tcp(TcpListener),
     #[cfg(unix)]
@@ -544,18 +568,13 @@ enum Listener {
 impl Listener {
     fn bind(listen: &Listen) -> io::Result<Listener> {
         match listen {
-            Listen::Tcp(addr) => {
-                let listener = TcpListener::bind(addr)?;
-                listener.set_nonblocking(true)?;
-                Ok(Listener::Tcp(listener))
-            }
+            Listen::Tcp(addr) => Ok(Listener::Tcp(TcpListener::bind(addr)?)),
             #[cfg(unix)]
             Listen::Unix(path) => {
                 // A stale socket file from a killed daemon would fail the
                 // bind; crash idempotence includes re-binding after kill -9.
                 let _ = std::fs::remove_file(path);
                 let listener = std::os::unix::net::UnixListener::bind(path)?;
-                listener.set_nonblocking(true)?;
                 Ok(Listener::Unix(listener, path.clone()))
             }
             #[cfg(not(unix))]
@@ -578,21 +597,57 @@ impl Listener {
         }
     }
 
-    /// One non-blocking accept attempt; `None` when nobody is dialing.
-    fn accept(&self) -> io::Result<Option<Conn>> {
+    /// Where shutdown dials to wake a blocked [`Listener::accept`]: the
+    /// bound address, with a wildcard IP replaced by loopback.
+    fn wake(&self) -> io::Result<Wake> {
         match self {
-            Listener::Tcp(listener) => match listener.accept() {
-                Ok((stream, _)) => Ok(Some(Conn::Tcp(stream))),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
+            Listener::Tcp(listener) => {
+                let mut addr = listener.local_addr()?;
+                match addr.ip() {
+                    IpAddr::V4(ip) if ip.is_unspecified() => {
+                        addr.set_ip(IpAddr::V4(Ipv4Addr::LOCALHOST));
+                    }
+                    IpAddr::V6(ip) if ip.is_unspecified() => {
+                        addr.set_ip(IpAddr::V6(Ipv6Addr::LOCALHOST));
+                    }
+                    _ => {}
+                }
+                Ok(Wake::Tcp(addr))
+            }
             #[cfg(unix)]
-            Listener::Unix(listener, _) => match listener.accept() {
-                Ok((stream, _)) => Ok(Some(Conn::Unix(stream))),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
+            Listener::Unix(_, path) => Ok(Wake::Unix(path.clone())),
         }
+    }
+
+    /// Blocks until a client connects.
+    fn accept(&self) -> io::Result<Conn> {
+        match self {
+            Listener::Tcp(listener) => listener.accept().map(|(stream, _)| Conn::Tcp(stream)),
+            #[cfg(unix)]
+            Listener::Unix(listener, _) => listener.accept().map(|(stream, _)| Conn::Unix(stream)),
+        }
+    }
+}
+
+/// The listener's address, as shutdown dials it.
+enum Wake {
+    Tcp(SocketAddr),
+    #[cfg(unix)]
+    Unix(PathBuf),
+}
+
+impl Wake {
+    /// Connects once and hangs up: the accept loop's blocked `accept()`
+    /// returns with this connection, and the loop sees the shutdown flag.
+    /// A failed dial is ignored: with a full backlog the loop is busy
+    /// accepting and reaches the flag anyway, and once the listener is
+    /// gone there is no loop left to wake.
+    fn dial(&self) {
+        let _ = match self {
+            Wake::Tcp(addr) => TcpStream::connect_timeout(addr, WAKE_TIMEOUT).map(drop),
+            #[cfg(unix)]
+            Wake::Unix(path) => std::os::unix::net::UnixStream::connect(path).map(drop),
+        };
     }
 }
 
@@ -683,7 +738,7 @@ impl RunningServer {
     /// Requests the daemon drain and stop. Idempotent; also triggered by a
     /// protocol `shutdown` request.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.request_shutdown();
     }
 
     /// True once shutdown was requested (by any path).
@@ -702,6 +757,7 @@ impl RunningServer {
 pub fn start(config: ServerConfig) -> io::Result<RunningServer> {
     let listener = Listener::bind(&config.listen)?;
     let addr = listener.addr();
+    let wake = listener.wake()?;
     let workers = config.workers.max(1);
     let mut engine = SimEngine::new(config.sweep_threads.max(1));
     if let Some(cache) = config.service.cache() {
@@ -712,6 +768,7 @@ pub fn start(config: ServerConfig) -> io::Result<RunningServer> {
         engine,
         scheduler: LaneScheduler::new(config.queue_depth.max(1), config.lane_depth.max(1), workers),
         shutdown: Arc::new(AtomicBool::new(false)),
+        wake,
         active_connections: AtomicUsize::new(0),
         default_deadline_ms: config.default_deadline_ms.max(1),
         max_conn_requests: config.max_conn_requests.max(1),
@@ -774,10 +831,16 @@ fn worker_loop(shared: &Shared) {
 
 fn accept_loop(listener: Listener, shared: Arc<Shared>, workers: Vec<JoinHandle<()>>) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    loop {
+        let accepted = listener.accept();
+        // Shutdown's wake-up dial lands here (so may a client dialing at
+        // the same moment); either connection is dropped unanswered.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
         handlers.retain(|h| !h.is_finished());
-        match listener.accept() {
-            Ok(Some(conn)) => {
+        match accepted {
+            Ok(conn) => {
                 let conn_shared = Arc::clone(&shared);
                 shared.active_connections.fetch_add(1, Ordering::SeqCst);
                 let handle = std::thread::Builder::new()
@@ -797,8 +860,7 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>, workers: Vec<JoinHandle<
                     }
                 }
             }
-            Ok(None) => std::thread::sleep(POLL_INTERVAL),
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
     drop(listener); // stop accepting (and unlink a unix socket) first
@@ -904,7 +966,7 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
             false,
         ),
         Request::Shutdown { v, id } => {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.request_shutdown();
             (protocol::ack_response(v, id), true)
         }
         // Sweeps stream; they never come through this path.

@@ -2,9 +2,10 @@
 //! an ephemeral port (or a Unix socket), driven through the real protocol
 //! client. These pin the four robustness layers — byte-identity with the
 //! batch path, cross-request singleflight, admission-control shedding,
-//! deadline cancellation — plus the health and shutdown surfaces.
+//! deadline cancellation — plus the health and shutdown surfaces, and an
+//! accept loop that neither delays fresh connections nor misses a shutdown.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wp_experiments::{
     simulate_workload, MachineConfig, MatrixCache, PointService, RunOptions, SimPoint,
@@ -505,4 +506,57 @@ fn workload_specs_beyond_benchmarks_are_served() {
     let local = simulate_workload(&point.workload, &point.machine, &point.options);
     assert_eq!(response, protocol::ok_response(4, &local));
     stop(server);
+}
+
+#[test]
+fn fresh_connections_are_accepted_without_a_poll_wait() {
+    let server = start(|_| {});
+    let started = Instant::now();
+    for id in 0..20 {
+        let mut client = client(&server);
+        let health = client
+            .request(&format!("{{\"v\":1,\"id\":{id},\"type\":\"health\"}}"))
+            .expect("health responds");
+        assert!(health.contains("\"ok\":true"), "{health}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "20 connect-health-close cycles took {elapsed:?}"
+    );
+    stop(server);
+}
+
+/// Joins `server` on another thread, so that a daemon whose accept loop
+/// never wakes fails the test instead of hanging it.
+fn assert_stops_within(server: RunningServer, limit: Duration, how: &str) {
+    let (stopped, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        let _ = stopped.send(());
+    });
+    assert!(
+        joined.recv_timeout(limit).is_ok(),
+        "an idle daemon did not stop within {limit:?} after {how}"
+    );
+}
+
+#[test]
+fn an_idle_daemon_stops_at_once_on_either_shutdown_path() {
+    // Long enough for the accept loop to be blocked in `accept()`.
+    let settle = Duration::from_millis(50);
+
+    let server = start(|_| {});
+    std::thread::sleep(settle);
+    server.shutdown();
+    assert_stops_within(server, Duration::from_secs(1), "RunningServer::shutdown");
+
+    let server = start(|_| {});
+    let mut shutter = client(&server);
+    let ack = shutter
+        .request("{\"v\":1,\"id\":1,\"type\":\"shutdown\"}")
+        .expect("shutdown acks");
+    assert_eq!(ack, protocol::ack_response(protocol::PROTOCOL_VERSION, 1));
+    drop(shutter);
+    assert_stops_within(server, Duration::from_secs(1), "a shutdown request");
 }

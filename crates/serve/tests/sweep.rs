@@ -3,8 +3,11 @@
 //! renderer, executes through one gang-scheduled engine pass when cold,
 //! replays warm from the cache without re-executing, and coexists with
 //! interactive v1 point requests on other connections (fairness lanes plus
-//! the sweep worker reservation).
+//! the sweep worker reservation). A sweep's deadline also stops a stream
+//! build in flight, spill file and all.
 
+use std::io::{BufRead, BufReader};
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use serde::Value;
@@ -278,4 +281,94 @@ fn sweep_points_coalesce_with_concurrent_point_requests() {
     );
     stop(server);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Ops of the one-point sweep whose stream build outlives its deadline: at
+/// tens of nanoseconds an op, seconds of building.
+const SPILL_OPS: usize = 40_000_000;
+
+/// A `serve` process, killed when dropped.
+struct DaemonProcess(Child);
+
+impl Drop for DaemonProcess {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The spill files under `dir`.
+fn spill_files(dir: &std::path::Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .filter_map(|entry| entry.ok())
+                .map(|entry| entry.file_name().to_string_lossy().into_owned())
+                .filter(|name| name.starts_with("wpsdm-stream-spill-"))
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+#[test]
+fn a_sweep_deadline_stops_the_stream_build_and_deletes_its_spill_file() {
+    // The daemon runs as its own process with its own temp directory, so
+    // every spill file in that directory is this sweep's. A 4 KiB stream
+    // cap spills the stream almost at once.
+    let tmp = temp_dir("spill-deadline");
+    std::fs::create_dir_all(&tmp).expect("a private temp directory");
+    let mut daemon = DaemonProcess(
+        Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(["--listen", "127.0.0.1:0", "--no-matrix-cache"])
+            .env("TMPDIR", &tmp)
+            .env("WPSDM_STREAM_MEMORY_CAP", "4096")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("serve spawns"),
+    );
+    let mut line = String::new();
+    BufReader::new(daemon.0.stdout.take().expect("stdout is piped"))
+        .read_line(&mut line)
+        .expect("serve announces its address");
+    let addr = line
+        .trim()
+        .strip_prefix("wp-serve: listening on tcp://")
+        .unwrap_or_else(|| panic!("unexpected announcement: {line}"))
+        .to_string();
+    let point = SimPoint::new(
+        Benchmark::Gcc,
+        MachineConfig::baseline(),
+        RunOptions::default().with_ops(SPILL_OPS),
+    );
+    let request = protocol::sweep_request(
+        1,
+        &SweepPlanSpec::Points(vec![point]),
+        SPILL_OPS as u64,
+        42,
+        Some(100),
+        None,
+    );
+    let mut client = Client::connect(&addr).expect("client connects");
+    client
+        .set_timeout(Duration::from_secs(60))
+        .expect("timeout set");
+    let terminal = client
+        .sweep(&request, |frame| panic!("no point can finish: {frame}"))
+        .expect("the deadline frame arrives");
+    let framed = Instant::now();
+    assert!(
+        terminal.contains("\"code\":\"deadline_exceeded\""),
+        "{terminal}"
+    );
+    while !spill_files(&tmp).is_empty() && framed.elapsed() < Duration::from_secs(1) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let left = spill_files(&tmp);
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&tmp);
+    assert!(
+        left.is_empty(),
+        "a second after its deadline frame the sweep still has spill files: {left:?}"
+    );
 }

@@ -42,7 +42,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::batch::{fill_from_iter, OpBlockSource, OpBuffer};
+use crate::batch::{fill_from_iter, OpBlockSource, OpBuffer, DEFAULT_OP_BLOCK};
 use crate::op::MicroOp;
 use crate::trace::{TraceError, TraceReplay, TraceWriter};
 use crate::workload::WorkloadSpec;
@@ -146,6 +146,23 @@ impl SharedStream {
     ///
     /// See [`SharedStream::materialize`].
     pub fn materialize_capped(key: &StreamKey, cap_bytes: usize) -> Result<Self, TraceError> {
+        Ok(Self::materialize_until(key, cap_bytes, &|| false)?
+            .expect("a build that is never stopped completes"))
+    }
+
+    /// [`SharedStream::materialize_capped`], asking `stop` once per op
+    /// block ([`DEFAULT_OP_BLOCK`] ops, the first block included). When it
+    /// answers true the build ends early with `Ok(None)`, and any partial
+    /// spill file is deleted before returning.
+    ///
+    /// # Errors
+    ///
+    /// See [`SharedStream::materialize`].
+    pub fn materialize_until(
+        key: &StreamKey,
+        cap_bytes: usize,
+        stop: &dyn Fn() -> bool,
+    ) -> Result<Option<Self>, TraceError> {
         let cap_ops = (cap_bytes / std::mem::size_of::<MicroOp>()).max(1);
         // A trace-file workload that will not fit in memory already *is* a
         // `WPTR` file on disk: borrow it in place (the reader truncates at
@@ -154,48 +171,60 @@ impl SharedStream {
         if let WorkloadSpec::Trace(handle) = &key.spec {
             let ops = key.ops.min(handle.records() as usize);
             if ops > cap_ops {
-                return Ok(Self {
+                return Ok(Some(Self {
                     ops,
                     storage: Storage::Spilled {
                         path: handle.path().to_path_buf(),
                         owned: false,
                     },
-                });
+                }));
             }
         }
         let mut stream = key.spec.stream(key.ops, key.seed)?;
         let mut resident: Vec<MicroOp> = Vec::with_capacity(key.ops.min(cap_ops));
         let overflow = loop {
+            if resident.len() % DEFAULT_OP_BLOCK == 0 && stop() {
+                return Ok(None);
+            }
             match stream.next() {
                 Some(op) if resident.len() == cap_ops => break Some(op),
                 Some(op) => resident.push(op),
                 // The stream ended within the cap (exactly-at-cap included):
                 // it stays resident.
                 None => {
-                    return Ok(Self {
+                    return Ok(Some(Self {
                         ops: resident.len(),
                         storage: Storage::Memory(resident),
-                    })
+                    }))
                 }
             }
         };
         // Over the cap: spill everything — the already-collected prefix,
         // the op that overflowed, and the live rest — through the codec.
+        // The owned stream exists before its file does, so that dropping it
+        // on an early return (a stop or an error) deletes the partial file.
         let path = std::env::temp_dir().join(format!(
             "wpsdm-stream-spill-{}-{}.wptr",
             std::process::id(),
             SPILL_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
+        let mut spilled = Self {
+            ops: 0,
+            storage: Storage::Spilled {
+                path: path.clone(),
+                owned: true,
+            },
+        };
         let mut writer = TraceWriter::create(&path, &key.spec.label())?;
-        for op in resident.drain(..).chain(overflow).chain(stream) {
+        for (written, op) in resident.drain(..).chain(overflow).chain(stream).enumerate() {
+            if written % DEFAULT_OP_BLOCK == 0 && stop() {
+                return Ok(None);
+            }
             writer.write_op(&op)?;
         }
-        let ops = writer.records() as usize;
+        spilled.ops = writer.records() as usize;
         writer.finish()?;
-        Ok(Self {
-            ops,
-            storage: Storage::Spilled { path, owned: true },
-        })
+        Ok(Some(spilled))
     }
 
     /// Number of ops the stream holds (may be below the requested `ops` for
@@ -282,6 +311,15 @@ mod tests {
     use super::*;
     use crate::profile::Benchmark;
     use crate::scenario::Scenario;
+    use std::cell::Cell;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serializes the tests that spill, so one of them can name the spill
+    /// file the next build will create.
+    fn spilling() -> MutexGuard<'static, ()> {
+        static SPILLS: Mutex<()> = Mutex::new(());
+        SPILLS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn drain(stream: &SharedStream) -> Vec<MicroOp> {
         let mut reader = stream.reader().expect("reader opens");
@@ -307,6 +345,7 @@ mod tests {
 
     #[test]
     fn spilled_stream_reproduces_the_live_sequence() {
+        let _spills = spilling();
         let key = StreamKey::new(WorkloadSpec::Scenario(Scenario::pointer_chase()), 4_000, 3);
         // A 1-byte cap forces the spill path immediately.
         let shared = SharedStream::materialize_capped(&key, 1).expect("spills");
@@ -319,6 +358,7 @@ mod tests {
 
     #[test]
     fn spill_files_are_deleted_on_drop() {
+        let _spills = spilling();
         let key = StreamKey::new(WorkloadSpec::Benchmark(Benchmark::Gcc), 500, 1);
         let shared = SharedStream::materialize_capped(&key, 1).expect("spills");
         let path = match &shared.storage {
@@ -335,6 +375,7 @@ mod tests {
 
     #[test]
     fn stream_exactly_at_the_cap_stays_resident() {
+        let _spills = spilling();
         let ops = 64usize;
         let key = StreamKey::new(WorkloadSpec::Benchmark(Benchmark::Li), ops, 5);
         let cap = ops * std::mem::size_of::<MicroOp>();
@@ -386,6 +427,7 @@ mod tests {
 
     #[test]
     fn byte_cap_boundaries_are_exact() {
+        let _spills = spilling();
         // A stream of exactly `cap` bytes stays resident; one byte less
         // spills; one byte more than the stream needs changes nothing.
         let ops = 48usize;
@@ -404,6 +446,62 @@ mod tests {
         let above_cap = SharedStream::materialize_capped(&key, stream_bytes + 1).expect("fits");
         assert!(!above_cap.is_spilled(), "cap plus one byte must not spill");
         assert_eq!(drain(&above_cap), direct);
+    }
+
+    #[test]
+    fn a_build_asks_to_stop_once_per_op_block() {
+        let key = StreamKey::new(
+            WorkloadSpec::Benchmark(Benchmark::Li),
+            10 * DEFAULT_OP_BLOCK,
+            4,
+        );
+        let asked = Cell::new(0);
+        let resident = SharedStream::materialize_until(&key, usize::MAX, &|| {
+            asked.set(asked.get() + 1);
+            false
+        })
+        .expect("generated")
+        .expect("never stopped");
+        assert_eq!(resident.ops(), 10 * DEFAULT_OP_BLOCK);
+        // Before each of the ten blocks, and once more at the end.
+        assert_eq!(asked.get(), 11);
+
+        asked.set(0);
+        let stopped = SharedStream::materialize_until(&key, usize::MAX, &|| {
+            asked.set(asked.get() + 1);
+            asked.get() == 3
+        })
+        .expect("generated");
+        assert!(stopped.is_none(), "the build stops when asked");
+        assert_eq!(asked.get(), 3);
+    }
+
+    #[test]
+    fn a_stopped_spill_deletes_its_partial_file() {
+        let _spills = spilling();
+        let key = StreamKey::new(
+            WorkloadSpec::Benchmark(Benchmark::Gcc),
+            10 * DEFAULT_OP_BLOCK,
+            2,
+        );
+        let path = std::env::temp_dir().join(format!(
+            "wpsdm-stream-spill-{}-{}.wptr",
+            std::process::id(),
+            SPILL_COUNTER.load(Ordering::Relaxed)
+        ));
+        let asked = Cell::new(0);
+        let file_seen = Cell::new(false);
+        // A 1-byte cap spills at the second op; the third question comes
+        // one block into the spill.
+        let stopped = SharedStream::materialize_until(&key, 1, &|| {
+            asked.set(asked.get() + 1);
+            file_seen.set(file_seen.get() || path.exists());
+            asked.get() == 3
+        })
+        .expect("no I/O error");
+        assert!(stopped.is_none());
+        assert!(file_seen.get(), "the build had reached its spill file");
+        assert!(!path.exists(), "a stopped build deletes its partial file");
     }
 
     #[test]

@@ -1,32 +1,28 @@
-//! Config-parallel lane simulation: N machine configurations, one pass over
+//! Config-parallel lane simulation: N machine configurations, one walk of
 //! the op stream.
 //!
 //! Gang scheduling (`wp-experiments`) already materializes each workload
-//! stream once and replays it to every configuration in the gang — but each
-//! replay still walks the stream separately. The lane runner goes one step
-//! further for configurations that share a d-cache policy and geometry: it
-//! drives up to [`wp_cache::MAX_LANES`] of them through **one** walk,
-//! splitting each op into
-//!
-//! 1. a *shared pass*: one branch-predictor update (the predictor's state
-//!    depends only on the op stream, so every lane sees the same direction
-//!    sequence) and one d-cache access per distinct d-cache state through
-//!    [`wp_cache::LaneDCache`] (lanes that differ only in base latency
-//!    share one controller), whose per-lane outcomes are buffered
-//!    lane-major; then
-//! 2. a *per-lane pass*: each lane's [`crate::pipeline`] scheduling state
-//!    steps through the block with its precomputed d-outcomes handed back
-//!    via `ReadyDSide`.
+//! stream once and replays it to every configuration in the gang. The lane
+//! runner goes one step further for configurations that share a d-cache
+//! policy and geometry: it drives up to [`wp_cache::MAX_LANES`] of them
+//! through **one** walk of the stream — the same walker
+//! ([`crate::pipeline`]) that [`crate::Processor::run_blocks`] runs over a
+//! single lane. Per op, the walk makes one branch-predictor update (the
+//! predictor's state depends only on the op stream, so every lane sees the
+//! same direction sequence) and one d-cache access per distinct d-cache
+//! state through [`wp_cache::LaneDCache`] (lanes that differ only in base
+//! latency share one controller), then steps each lane's scheduler with
+//! its own outcome.
 //!
 //! Everything timing-dependent stays per lane: the i-cache (its fetch
 //! sequence depends on the lane's scheduling), the memory hierarchy, and
 //! the scheduler itself. Because the d-cache state depends only on the
-//! `(address, kind)` program order — never on timing — and the precomputed
-//! outcomes do not touch the hierarchy (the miss's L2 access happens inside
-//! `step_op`, in per-lane program order, exactly as on the scalar path),
-//! every lane's result is bit-identical to a scalar [`crate::Processor`]
-//! run of the same configuration. `tests/lanes.rs` and the conformance
-//! harness hold the engine to that.
+//! `(address, kind)` program order — never on timing — and the d-access
+//! does not touch the hierarchy (the miss's L2 access happens inside the
+//! lane's step, in per-lane program order), every lane's result is
+//! bit-identical to a [`crate::Processor`] run of the same configuration.
+//! `tests/lanes.rs` holds both to the `wp-oracle` reference simulator, and
+//! the conformance harness holds the engine to it.
 //!
 //! Lanes may differ in anything outside the batch key (d-policy plus
 //! d-geometry): probe latencies, prediction-table sizes, the entire i-side,
@@ -38,10 +34,10 @@ use wp_cache::{
     LaneDCache, MAX_LANES,
 };
 use wp_mem::{HierarchyConfig, MemoryHierarchy};
-use wp_predictors::{BranchOutcome, HybridBranchPredictor};
-use wp_workloads::{OpBlockSource, OpBuffer, OpKind};
+use wp_predictors::HybridBranchPredictor;
+use wp_workloads::{OpBlockSource, OpKind};
 
-use crate::pipeline::{CpuConfig, DServiced, ReadyDSide, SchedState};
+use crate::pipeline::{walk, CpuConfig, Lane};
 use crate::result::SimResult;
 
 /// One lane of a batch: everything that may vary per configuration when the
@@ -62,8 +58,8 @@ pub struct LaneMember {
 
 /// Runs every member of the batch over one shared walk of `source`,
 /// returning one [`SimResult`] per member, in member order — each
-/// bit-identical to a scalar [`crate::Processor`] run of that
-/// configuration over the same op sequence.
+/// bit-identical to a [`crate::Processor`] run of that configuration over
+/// the same op sequence.
 ///
 /// # Errors
 ///
@@ -91,100 +87,40 @@ fn run_lane_batch_kernel<K: wp_cache::DPolicyKernel>(
     members: &[LaneMember],
     source: &mut impl OpBlockSource,
 ) -> Result<Vec<SimResult>, ConfigError> {
-    let lanes = members.len();
     let d_configs: Vec<L1Config> = members.iter().map(|m| m.l1d).collect();
     let mut dcache = LaneDCache::new(&d_configs, dpolicy)?;
-    let mut icaches = members
+    let mut lanes = members
         .iter()
-        .map(|m| ICacheController::new(m.l1i, m.ipolicy))
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut hierarchies: Vec<MemoryHierarchy> = (0..lanes)
-        .map(|_| {
-            MemoryHierarchy::new(HierarchyConfig::default())
-                .expect("the Table 1 hierarchy configuration is valid")
+        .map(|m| {
+            Ok(Lane::new(
+                m.cpu,
+                ICacheController::new(m.l1i, m.ipolicy)?,
+                MemoryHierarchy::new(HierarchyConfig::default())
+                    .expect("the Table 1 hierarchy configuration is valid"),
+            ))
         })
-        .collect();
+        .collect::<Result<Vec<_>, ConfigError>>()?;
     let mut predictor = HybridBranchPredictor::default();
-    let mut scheds: Vec<SchedState> = members.iter().map(|m| SchedState::new(&m.cpu)).collect();
-    // The fetch block is the i-cache block, which is free to vary per lane.
-    let block_masks: Vec<u64> = members
-        .iter()
-        .map(|m| !(m.l1i.block_bytes as u64 - 1))
-        .collect();
 
-    let mut buf = OpBuffer::new();
-    let mut predictions: Vec<bool> = Vec::new();
-    // Per-block d-outcomes, lane-major and compacted to memory ops: lane
-    // `l`'s outcome for the block's `j`-th load/store sits at
-    // `l * stride + j`. Every lane sees the same op stream, so the memory
-    // ops land at the same ordinals in every lane and the per-lane pass
-    // consumes its row with a plain cursor. The buffer is allocated once — a
-    // block only overwrites (and reads back) the slots its memory ops touch,
-    // so there is no per-block clear or default-fill.
-    let stride = buf.capacity();
-    let mut outcomes: Vec<DServiced> = vec![DServiced::default(); lanes * stride];
-    let mut scratch = [DAccessOutcome::default(); MAX_LANES];
-    while source.fill(&mut buf) > 0 {
-        let ops = buf.ops();
-        predictions.clear();
-
-        // ---- shared pass: predictor directions and d-cache outcomes ----
-        let mut mem_ops = 0usize;
-        for op in ops {
-            predictions.push(if let OpKind::Branch { taken, .. } = op.kind {
-                predictor
-                    .update(op.pc, BranchOutcome::from_taken(taken))
-                    .is_taken()
-            } else {
-                false
-            });
-            match op.kind {
-                OpKind::Load { addr, approx_addr } => {
-                    dcache.load_kernel::<K>(op.pc, addr, approx_addr, &mut scratch[..lanes]);
-                }
-                OpKind::Store { addr } => {
-                    dcache.store(op.pc, addr, &mut scratch[..lanes]);
-                }
-                _ => continue,
+    let mut full = [DAccessOutcome::default(); MAX_LANES];
+    let full = &mut full[..members.len()];
+    walk(source, &mut predictor, &mut lanes, |op, out| {
+        match op.kind {
+            OpKind::Load { addr, approx_addr } => {
+                dcache.load_kernel::<K>(op.pc, addr, approx_addr, full);
             }
-            for (l, &out) in scratch[..lanes].iter().enumerate() {
-                outcomes[l * stride + mem_ops] = out.into();
-            }
-            mem_ops += 1;
+            OpKind::Store { addr } => dcache.store(op.pc, addr, full),
+            _ => return,
         }
-
-        // ---- per-lane pass: scheduling with precomputed d-outcomes ----
-        for (l, sched) in scheds.iter_mut().enumerate() {
-            let mut dside = ReadyDSide {
-                outcomes: &outcomes[l * stride..l * stride + mem_ops],
-                cursor: 0,
-            };
-            let icache = &mut icaches[l];
-            let hierarchy = &mut hierarchies[l];
-            let cpu = &members[l].cpu;
-            let block_mask = block_masks[l];
-            for (op, &predicted) in ops.iter().zip(&predictions) {
-                sched.step_op(
-                    cpu, block_mask, op, predicted, &mut dside, icache, hierarchy,
-                );
-            }
+        for (out, &outcome) in out.iter_mut().zip(full.iter()) {
+            *out = outcome.into();
         }
-    }
+    });
 
-    Ok(scheds
-        .into_iter()
+    Ok(lanes
+        .iter_mut()
         .enumerate()
-        .map(|(l, sched)| {
-            let activity = sched.finish();
-            SimResult {
-                cycles: activity.cycles,
-                activity,
-                dcache: *dcache.stats(l),
-                icache: *icaches[l].stats(),
-                memory_accesses: hierarchies[l].memory_accesses(),
-                branch_accuracy: predictor.accuracy(),
-            }
-        })
+        .map(|(l, lane)| lane.finish(*dcache.stats(l), predictor.accuracy()))
         .collect())
 }
 
@@ -229,7 +165,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_batch_matches_scalar_runs_bit_for_bit() {
+    fn lane_batch_matches_processor_runs_bit_for_bit() {
         let config = TraceConfig::new(Benchmark::Gcc).with_ops(20_000);
         for dpolicy in [
             DCachePolicy::Parallel,
@@ -245,14 +181,14 @@ mod tests {
             .expect("valid batch");
             assert_eq!(batched.len(), members.len());
             for (l, member) in members.iter().enumerate() {
-                let scalar =
+                let single =
                     Processor::with_l1(member.cpu, member.l1d, dpolicy, member.l1i, member.ipolicy)
                         .expect("valid config")
                         .run(TraceGenerator::new(config));
                 assert!(
-                    batched[l].exact_eq(&scalar),
+                    batched[l].exact_eq(&single),
                     "{dpolicy:?} lane {l} diverged: {:?}",
-                    batched[l].diff(&scalar)
+                    batched[l].diff(&single)
                 );
             }
         }
@@ -268,7 +204,7 @@ mod tests {
             &mut IterBlockSource(TraceGenerator::new(config)),
         )
         .expect("valid batch");
-        let scalar = Processor::with_l1(
+        let single = Processor::with_l1(
             member.cpu,
             member.l1d,
             DCachePolicy::Sequential,
@@ -277,7 +213,7 @@ mod tests {
         )
         .expect("valid config")
         .run(TraceGenerator::new(config));
-        assert!(batched[0].exact_eq(&scalar));
+        assert!(batched[0].exact_eq(&single));
     }
 
     #[test]

@@ -16,6 +16,13 @@
 //! The model also counts per-unit activity for the Wattch-style
 //! [`wp_energy::ProcessorEnergyModel`].
 //!
+//! One scheduling loop runs every simulation: a walker that, per op,
+//! updates the branch predictor once, services a load or store once for
+//! every lane, then steps each lane's scheduler. [`Processor`] walks one
+//! lane over its own bare d-cache controller; [`run_lane_batch`] walks up
+//! to [`MAX_LANES`] configurations that share a d-cache policy and geometry
+//! through one stream, each lane bit-identical to a [`Processor`] run.
+//!
 //! [`Processor::run`] consumes any `IntoIterator<Item = MicroOp>`, so a
 //! live [`wp_workloads::TraceGenerator`], a [`wp_workloads::Scenario`]
 //! stream, and a recorded [`wp_workloads::TraceReplay`] streaming off disk

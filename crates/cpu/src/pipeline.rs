@@ -20,23 +20,26 @@
 //! out-of-order window absorbs an occasional extra cycle on a load, but not
 //! an extra cycle on every load.
 //!
-//! The per-op scheduling step lives in [`SchedState::step_op`], shared
-//! between the scalar path (one config per pass over the stream) and the
-//! config-parallel lane path ([`crate::lanes`], N configs per pass). The
-//! d-side access is abstracted behind the [`DSide`] trait so both paths run
-//! the *same* step code: the scalar side computes the outcome on demand
-//! through the monomorphized kernel, the lane side hands in the outcome the
-//! lane d-cache ([`wp_cache::LaneDCache`]) precomputed for the block.
-
-use std::marker::PhantomData;
+//! One scheduling loop runs every simulation. The per-op step lives in
+//! [`SchedState::step_op`], and the walker [`walk`] is its only caller: per
+//! op, one branch-predictor update for a branch or one d-access for a load
+//! or store, which yields every lane's L1 outcome, then each lane's step.
+//! [`Processor::run_blocks`] walks one lane over its own bare
+//! [`DCacheController`]; the config-parallel lane runner ([`crate::lanes`])
+//! walks up to [`wp_cache::MAX_LANES`] lanes through the lane d-cache
+//! ([`wp_cache::LaneDCache`]). Both hand the walker a d-access
+//! monomorphized per d-policy. A lane's result depends only on its
+//! configuration, never on how many lanes share the walk: everything
+//! timing-dependent is per lane, and the shared predictor and d-cache
+//! states depend only on the op stream.
 
 use serde::{Deserialize, Serialize};
 use wp_cache::{
-    ConfigError, DAccessOutcome, DCacheController, DCachePolicy, FetchKind, ICacheController,
-    ICachePolicy, L1Config,
+    ConfigError, DAccessOutcome, DCacheController, DCachePolicy, DCacheStats, FetchKind,
+    ICacheController, ICachePolicy, L1Config, MAX_LANES,
 };
 use wp_energy::ActivityCounts;
-use wp_mem::{AccessKind, Addr, MemoryHierarchy};
+use wp_mem::{AccessKind, MemoryHierarchy};
 use wp_predictors::{BranchOutcome, HybridBranchPredictor};
 use wp_workloads::{BranchClass, IterBlockSource, MicroOp, OpBlockSource, OpBuffer, OpKind};
 
@@ -119,11 +122,10 @@ impl Default for CpuConfig {
 /// ```
 #[derive(Debug)]
 pub struct Processor {
-    config: CpuConfig,
     dcache: DCacheController,
-    icache: ICacheController,
-    hierarchy: MemoryHierarchy,
     branch_predictor: HybridBranchPredictor,
+    /// The core and its timing-dependent parts, walked as one lane.
+    lane: Lane,
 }
 
 /// Maximum register-dependence distance honoured by the scheduler (matches
@@ -282,17 +284,17 @@ impl OccupancyRing {
 /// and whether the hierarchy must service a miss. Everything else in a
 /// [`DAccessOutcome`] — energy, access class, way accounting — is
 /// accumulated inside the d-cache itself, so the transit between the
-/// d-side and the scheduler stays 8 bytes (the lane path buffers one of
-/// these per memory op per lane).
+/// d-side and the scheduler stays 8 bytes (the walker hands each lane one
+/// of these per memory op, by value).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct DServiced {
     /// L1 latency in cycles (fits easily: probe latencies are small
     /// configuration constants; miss penalties are added by the caller
     /// from the hierarchy).
-    pub(crate) latency: u32,
+    latency: u32,
     /// True if the access missed in the L1 and the hierarchy must be
     /// consulted.
-    pub(crate) miss: bool,
+    miss: bool,
 }
 
 impl From<DAccessOutcome> for DServiced {
@@ -306,72 +308,11 @@ impl From<DAccessOutcome> for DServiced {
     }
 }
 
-/// The d-side of one scheduling step: given a load or store, produce its
-/// L1 service terms (hit/miss, latency). [`SchedState::step_op`] is
-/// generic over this so the scalar path (compute through the monomorphized
-/// controller kernel) and the lane path (hand back the outcome the lane
-/// d-cache already computed for this op) share one step implementation —
-/// which is what keeps them bit-identical by construction.
-pub(crate) trait DSide {
-    /// The outcome of this op's load.
-    fn load(&mut self, pc: Addr, addr: Addr, approx_addr: Addr) -> DServiced;
-    /// The outcome of this op's store.
-    fn store(&mut self, pc: Addr, addr: Addr) -> DServiced;
-}
-
-/// Scalar d-side: every access goes through the controller with the policy
-/// monomorphized in.
-struct KernelDSide<'a, K> {
-    dcache: &'a mut DCacheController,
-    _kernel: PhantomData<K>,
-}
-
-impl<K: wp_cache::DPolicyKernel> DSide for KernelDSide<'_, K> {
-    #[inline(always)]
-    fn load(&mut self, pc: Addr, addr: Addr, approx_addr: Addr) -> DServiced {
-        self.dcache.load_kernel::<K>(pc, addr, approx_addr).into()
-    }
-
-    #[inline(always)]
-    fn store(&mut self, pc: Addr, addr: Addr) -> DServiced {
-        self.dcache.store(pc, addr).into()
-    }
-}
-
-/// Lane d-side: this lane's d-outcomes for the block were precomputed by
-/// the lane d-cache, compacted to memory ops in program order; each
-/// load/store hands back the next one. Driving consumption off the
-/// scheduler's own load/store dispatch keeps the per-lane pass free of a
-/// second `op.kind` decode.
-pub(crate) struct ReadyDSide<'a> {
-    /// The lane's outcome row, one entry per load/store in the block.
-    pub(crate) outcomes: &'a [DServiced],
-    /// Index of the next unconsumed outcome.
-    pub(crate) cursor: usize,
-}
-
-impl DSide for ReadyDSide<'_> {
-    #[inline(always)]
-    fn load(&mut self, _pc: Addr, _addr: Addr, _approx_addr: Addr) -> DServiced {
-        let out = self.outcomes[self.cursor];
-        self.cursor += 1;
-        out
-    }
-
-    #[inline(always)]
-    fn store(&mut self, _pc: Addr, _addr: Addr) -> DServiced {
-        let out = self.outcomes[self.cursor];
-        self.cursor += 1;
-        out
-    }
-}
-
 /// The mutable scheduling state of one simulated core: fetch steering,
 /// bandwidth reservations, the dependence/completion ring, and ROB/LSQ
-/// occupancy. One instance per config; the lane runner keeps an array of
-/// these and steps each through the same op.
+/// occupancy. One instance per lane of a [`walk`].
 #[derive(Debug)]
-pub(crate) struct SchedState {
+struct SchedState {
     fetch_cycle: u64,
     slots_left: usize,
     cur_block: Option<u64>,
@@ -392,11 +333,11 @@ pub(crate) struct SchedState {
     pushed: usize,
     rob: OccupancyRing,
     lsq: OccupancyRing,
-    pub(crate) activity: ActivityCounts,
+    activity: ActivityCounts,
 }
 
 impl SchedState {
-    pub(crate) fn new(config: &CpuConfig) -> Self {
+    fn new(config: &CpuConfig) -> Self {
         Self {
             fetch_cycle: 0,
             slots_left: 0,
@@ -416,24 +357,24 @@ impl SchedState {
     }
 
     /// Schedules one committed-path op: structural gating, fetch, issue,
-    /// execute (d-side through `dside`), branch steering, commit.
+    /// execute, branch steering, commit.
     ///
     /// `block_mask` clears the i-cache block offset of a PC: fetch reads one
     /// i-cache block per access.
     ///
     /// `predicted_taken` is the branch predictor's direction for this op
-    /// (meaningful only for branches); the caller updates the predictor —
-    /// the update sequence depends only on the op stream, so lane batches
-    /// share one predictor across configs and update it once per op.
+    /// (meaningful only for branches), and `dout` its L1 d-outcome
+    /// (meaningful only for loads and stores): the walker computes both
+    /// once per op for every lane, because neither depends on timing.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn step_op<D: DSide>(
+    fn step_op(
         &mut self,
         config: &CpuConfig,
         block_mask: u64,
         op: &MicroOp,
         predicted_taken: bool,
-        dside: &mut D,
+        dout: DServiced,
         icache: &mut ICacheController,
         hierarchy: &mut MemoryHierarchy,
     ) {
@@ -504,11 +445,10 @@ impl SchedState {
                 self.activity.fp_ops += 1;
                 config.fp_latency
             }
-            OpKind::Load { addr, approx_addr } => {
+            OpKind::Load { addr, .. } => {
                 self.activity.loads += 1;
-                let out = dside.load(op.pc, addr, approx_addr);
-                let mut lat = u64::from(out.latency);
-                if out.miss {
+                let mut lat = u64::from(dout.latency);
+                if dout.miss {
                     let (below, _) = hierarchy.access(addr, AccessKind::Read);
                     lat += below;
                     self.activity.l2_accesses += 1;
@@ -517,14 +457,13 @@ impl SchedState {
             }
             OpKind::Store { addr } => {
                 self.activity.stores += 1;
-                let out = dside.store(op.pc, addr);
-                if out.miss {
+                if dout.miss {
                     // The store's refill proceeds off the critical path,
                     // but it still consumes L2 bandwidth/energy.
                     let _ = hierarchy.access(addr, AccessKind::Write);
                     self.activity.l2_accesses += 1;
                 }
-                u64::from(out.latency)
+                u64::from(dout.latency)
             }
             OpKind::Branch { .. } => {
                 self.activity.branches += 1;
@@ -596,9 +535,103 @@ impl SchedState {
 
     /// Finalizes the run: total cycles is the last commit (1 for an empty
     /// trace) and the accumulated activity is handed out.
-    pub(crate) fn finish(mut self) -> ActivityCounts {
+    fn finish(mut self) -> ActivityCounts {
         self.activity.cycles = self.last_commit.max(1);
         self.activity
+    }
+}
+
+/// One lane of a [`walk`]: a core's configuration and scheduling state,
+/// and the parts whose behaviour depends on that core's timing — the
+/// i-cache (its fetch sequence follows the lane's scheduling) and the
+/// memory hierarchy (its accesses happen in the lane's own program order).
+#[derive(Debug)]
+pub(crate) struct Lane {
+    config: CpuConfig,
+    /// Clears the i-cache block offset of a PC: fetch reads one i-cache
+    /// block per access.
+    block_mask: u64,
+    sched: SchedState,
+    icache: ICacheController,
+    hierarchy: MemoryHierarchy,
+}
+
+impl Lane {
+    pub(crate) fn new(
+        config: CpuConfig,
+        icache: ICacheController,
+        hierarchy: MemoryHierarchy,
+    ) -> Self {
+        Self {
+            config,
+            block_mask: !(icache.config().block_bytes as u64 - 1),
+            sched: SchedState::new(&config),
+            icache,
+            hierarchy,
+        }
+    }
+
+    /// Ends the lane's run and assembles its result from the lane's own
+    /// parts plus what the walk shared: the lane's d-cache statistics and
+    /// the branch predictor's accuracy. Leaves a fresh scheduler for the
+    /// next run; the caches keep their contents.
+    pub(crate) fn finish(&mut self, dcache: DCacheStats, branch_accuracy: f64) -> SimResult {
+        let activity = std::mem::replace(&mut self.sched, SchedState::new(&self.config)).finish();
+        SimResult {
+            cycles: activity.cycles,
+            activity,
+            dcache,
+            icache: *self.icache.stats(),
+            memory_accesses: self.hierarchy.memory_accesses(),
+            branch_accuracy,
+        }
+    }
+}
+
+/// The scheduling loop: walks `source` op by op. Per op, one
+/// branch-predictor update for a branch (its state depends only on the op
+/// stream, so every lane sees the same directions) or one call of
+/// `daccess` for a load or store, which services the access once and
+/// writes every lane's L1 outcome in lane order; then each lane's
+/// [`SchedState::step_op`]. Callers pass a `daccess` monomorphized for one
+/// d-policy.
+///
+/// # Panics
+///
+/// Panics if there are more than [`MAX_LANES`] lanes.
+pub(crate) fn walk(
+    source: &mut impl OpBlockSource,
+    predictor: &mut HybridBranchPredictor,
+    lanes: &mut [Lane],
+    mut daccess: impl FnMut(&MicroOp, &mut [DServiced]),
+) {
+    let mut outcomes = [DServiced::default(); MAX_LANES];
+    let outcomes = &mut outcomes[..lanes.len()];
+    let mut buf = OpBuffer::new();
+    while source.fill(&mut buf) > 0 {
+        for op in buf.ops() {
+            let predicted_taken = match op.kind {
+                OpKind::Branch { taken, .. } => predictor
+                    .update(op.pc, BranchOutcome::from_taken(taken))
+                    .is_taken(),
+                OpKind::Load { .. } | OpKind::Store { .. } => {
+                    daccess(op, outcomes);
+                    false
+                }
+                OpKind::IntAlu | OpKind::FpAlu => false,
+            };
+            for (lane, &dout) in lanes.iter_mut().zip(outcomes.iter()) {
+                lane.sched.step_op(
+                    &lane.config,
+                    lane.block_mask,
+                    op,
+                    predicted_taken,
+                    dout,
+                    &mut lane.icache,
+                    &mut lane.hierarchy,
+                );
+            }
+        }
     }
 }
 
@@ -612,11 +645,9 @@ impl Processor {
         branch_predictor: HybridBranchPredictor,
     ) -> Self {
         Self {
-            config,
             dcache,
-            icache,
-            hierarchy,
             branch_predictor,
+            lane: Lane::new(config, icache, hierarchy),
         }
     }
 
@@ -648,7 +679,7 @@ impl Processor {
 
     /// The core configuration.
     pub fn config(&self) -> &CpuConfig {
-        &self.config
+        &self.lane.config
     }
 
     /// The d-cache controller (for inspecting statistics after a run).
@@ -658,7 +689,7 @@ impl Processor {
 
     /// The i-cache controller.
     pub fn icache(&self) -> &ICacheController {
-        &self.icache
+        &self.lane.icache
     }
 
     /// The branch predictor.
@@ -683,56 +714,28 @@ impl Processor {
     ///
     /// The d-cache policy is resolved *once per run*, not once per access:
     /// this dispatches to a monomorphized instantiation of the scheduling
-    /// loop per [`DCachePolicy`], inside which every load goes through
+    /// loop per [`DCachePolicy`], walking one lane whose loads go through
     /// [`DCacheController::load_kernel`] with the policy as a compile-time
     /// constant.
     pub fn run_blocks(&mut self, source: &mut impl OpBlockSource) -> SimResult {
-        wp_cache::with_dpolicy_kernel!(self.dcache.policy(), K => {
-            self.run_blocks_kernel::<K>(source)
-        })
-    }
-
-    /// The scheduling loop, monomorphized for one d-cache policy.
-    fn run_blocks_kernel<K: wp_cache::DPolicyKernel>(
-        &mut self,
-        source: &mut impl OpBlockSource,
-    ) -> SimResult {
-        let block_mask = !(self.icache.config().block_bytes as u64 - 1);
-        let mut sched = SchedState::new(&self.config);
-        let mut dside = KernelDSide::<K> {
-            dcache: &mut self.dcache,
-            _kernel: PhantomData,
-        };
-
-        let mut buf = OpBuffer::new();
-        while source.fill(&mut buf) > 0 {
-            for op in buf.ops() {
-                let predicted_taken = if let OpKind::Branch { taken, .. } = op.kind {
-                    self.branch_predictor
-                        .update(op.pc, BranchOutcome::from_taken(taken))
-                        .is_taken()
-                } else {
-                    false
-                };
-                sched.step_op(
-                    &self.config,
-                    block_mask,
-                    op,
-                    predicted_taken,
-                    &mut dside,
-                    &mut self.icache,
-                    &mut self.hierarchy,
-                );
-            }
-        }
-
-        SimResult::collect(
-            sched.finish(),
-            &self.dcache,
-            &self.icache,
-            &self.hierarchy,
-            &self.branch_predictor,
-        )
+        let dcache = &mut self.dcache;
+        wp_cache::with_dpolicy_kernel!(dcache.policy(), K => walk(
+            source,
+            &mut self.branch_predictor,
+            std::slice::from_mut(&mut self.lane),
+            |op, out| {
+                out[0] = match op.kind {
+                    OpKind::Load { addr, approx_addr } => {
+                        dcache.load_kernel::<K>(op.pc, addr, approx_addr)
+                    }
+                    OpKind::Store { addr } => dcache.store(op.pc, addr),
+                    _ => return,
+                }
+                .into();
+            },
+        ));
+        self.lane
+            .finish(*self.dcache.stats(), self.branch_predictor.accuracy())
     }
 }
 

@@ -1,10 +1,8 @@
 //! The output of one processor run: cycles, activity counts, cache
 //! statistics, and helpers for computing the paper's relative metrics.
 
-use wp_cache::{DCacheController, DCacheStats, ICacheController, ICacheStats};
+use wp_cache::{DCacheStats, ICacheStats};
 use wp_energy::{ActivityCounts, Energy, EnergyDelay, ProcessorEnergyModel, RelativeMetrics};
-use wp_mem::MemoryHierarchy;
-use wp_predictors::HybridBranchPredictor;
 
 /// Everything measured by one simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,24 +22,6 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// Assembles the result from the processor's components after a run.
-    pub(crate) fn collect(
-        activity: ActivityCounts,
-        dcache: &DCacheController,
-        icache: &ICacheController,
-        hierarchy: &MemoryHierarchy,
-        branch_predictor: &HybridBranchPredictor,
-    ) -> Self {
-        Self {
-            cycles: activity.cycles,
-            activity,
-            dcache: *dcache.stats(),
-            icache: *icache.stats(),
-            memory_accesses: hierarchy.memory_accesses(),
-            branch_accuracy: branch_predictor.accuracy(),
-        }
-    }
-
     /// Total L1 d-cache energy (arrays plus prediction structures).
     pub fn dcache_energy(&self) -> Energy {
         self.dcache.total_energy()

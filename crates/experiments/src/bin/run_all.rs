@@ -62,7 +62,7 @@ fn main() {
     );
     eprintln!(
         "run_all: {} lane batches covering {} points (width histogram {:?}), \
-         {} scalar fallbacks",
+         {} width-1 units",
         matrix.lane_batches(),
         matrix.lane_points(),
         &matrix.lane_width_histogram()[2..],

@@ -174,7 +174,7 @@ fn main() {
     eprintln!(
         "trace_replay: {} gangs, {} streams materialized, \
          {} ops generated for {} ops consumed ({:.2}x stream dedup); \
-         {} lane batches covering {} points, {} scalar fallbacks",
+         {} lane batches covering {} points, {} width-1 units",
         matrix.gangs(),
         matrix.streams_materialized(),
         matrix.ops_generated(),

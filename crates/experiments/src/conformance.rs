@@ -66,7 +66,7 @@ pub fn oracle_simulate_workload(
 
 /// Simulates one machine on the oracle backend over an already-materialized
 /// shared stream — the reference twin of
-/// [`crate::runner::simulate_workload_shared`]. The stream fans out: any
+/// [`crate::runner::simulate_workload_shared_lanes`]. The stream fans out: any
 /// number of optimized and oracle consumers replay the one
 /// materialization through independent readers.
 ///

@@ -14,8 +14,8 @@
 //! Execution has one path: points are gang-scheduled by workload stream
 //! (each stream is materialized once and replayed by every configuration
 //! that needs it), and within a gang, members sharing a d-cache policy and
-//! geometry run as lane batches of up to [`MAX_LANES`] through one walk of
-//! the stream. A gang of one is point-at-a-time execution.
+//! geometry run as work units of up to [`MAX_LANES`] points through one
+//! walk of the stream. A gang of one is point-at-a-time execution.
 //!
 //! Simulations are deterministic in their key — the trace seed is part of
 //! [`RunOptions`] — so a matrix produced serially and one produced in
@@ -30,8 +30,7 @@ use wp_workloads::{Benchmark, SharedStream, StreamKey, WorkloadSpec};
 
 use crate::matrix_cache::{CacheHealth, MatrixCache};
 use crate::runner::{
-    simulate_workload_shared, simulate_workload_shared_lanes, CancelToken, MachineConfig,
-    RunOptions,
+    simulate_workload_shared_lanes_cancellable, CancelToken, MachineConfig, RunOptions,
 };
 
 /// A streaming-run callback: invoked with each completed point and its
@@ -307,25 +306,25 @@ impl SimMatrix {
         self.ops_consumed
     }
 
-    /// How many config-parallel lane batches (width ≥ 2) the engine ran
-    /// into this matrix.
+    /// How many config-parallel lane batches (work units of width ≥ 2) the
+    /// engine ran into this matrix.
     pub fn lane_batches(&self) -> usize {
         self.lane_batches
     }
 
-    /// How many executed points fell back to the scalar executor — points
+    /// How many width-1 work units the engine ran into this matrix — points
     /// whose `(d-policy, d-geometry)` batch key matched no other gang
-    /// member, plus width-1 chunk remainders. Together with the
-    /// lane-batched points this partitions the executed set:
-    /// `lane_points() + lane_scalar_fallback()` equals the number of
+    /// member, plus width-1 chunk remainders. They run the same walker as
+    /// a lane batch, over one lane that probes a bare d-cache controller.
+    /// Together with the lane-batched points this partitions the executed
+    /// set: `lane_points() + lane_scalar_fallback()` equals the number of
     /// executed points (asserted by `tests/lanes.rs`).
     pub fn lane_scalar_fallback(&self) -> usize {
         self.lane_scalar_fallback
     }
 
     /// Lane-batch width histogram: entry `w` counts the batches that ran at
-    /// width `w` (entries 0 and 1 are always zero — width-1 groups fall
-    /// back to the scalar executor and count in
+    /// width `w` (entries 0 and 1 are always zero — width-1 units count in
     /// [`SimMatrix::lane_scalar_fallback`]).
     pub fn lane_width_histogram(&self) -> &[usize; MAX_LANES + 1] {
         &self.lane_width_histogram
@@ -489,11 +488,11 @@ impl SimEngine {
     /// each completed point as its result lands — cache hits immediately,
     /// simulated points from whichever worker thread finishes them — and
     /// the run stops claiming new work once `token` fires. Cancellation
-    /// granularity is one work unit (a lane batch or a scalar point) or one
-    /// op block of a stream build: a unit in flight when the token fires
-    /// completes and is still observed, stored, and counted, while a build
-    /// in flight stops, deletes any partial spill file, and skips its
-    /// gang's units. Each simulated result is stored in the attached
+    /// granularity is one op block: a work unit in flight when the token
+    /// fires stops within one op block of its stream, and its partial
+    /// results are not observed, stored, or counted; a build in flight
+    /// stops, deletes any partial spill file, and skips its gang's units.
+    /// Each simulated result is stored in the attached
     /// [`MatrixCache`] while the run goes on, and the call returns only
     /// after the last store has landed. Returns true if every point of the
     /// plan completed. [`run_into`](Self::run_into) is this call with a
@@ -555,9 +554,9 @@ impl SimEngine {
     /// writer thread, which stores its results in the attached cache while
     /// simulation goes on; this returns after the writer has drained.
     /// Returns the results in `points` order; a `None` slot is a point
-    /// whose unit was never claimed, or whose stream build stopped, because
-    /// `token` fired. `observer` hears each completed point from its worker
-    /// thread as its unit finishes.
+    /// whose unit was never claimed or stopped mid-stream, or whose stream
+    /// build stopped, because `token` fired. `observer` hears each
+    /// completed point from its worker thread as its unit finishes.
     fn run_gangs(
         &self,
         matrix: &mut SimMatrix,
@@ -596,9 +595,8 @@ impl SimEngine {
             })
             .collect();
 
-        // Split each gang into work units: lane batches of up to MAX_LANES
-        // points sharing a (d-policy, d-geometry) batch key, and scalar
-        // fallbacks for the rest. The partition is computed
+        // Split each gang into work units of up to MAX_LANES points sharing
+        // a (d-policy, d-geometry) batch key. The partition is computed
         // deterministically here (first-seen order) before any parallel
         // execution, so the results are independent of worker scheduling;
         // the lane counters are accumulated per *completed* unit below —
@@ -607,7 +605,7 @@ impl SimEngine {
         let units = Self::lane_partition(points, &jobs, keys.len());
         let mut units_per_gang = vec![0; keys.len()];
         for unit in &units {
-            units_per_gang[unit.gang()] += 1;
+            units_per_gang[unit.gang] += 1;
         }
         let gangs: Vec<GangStream> = keys
             .iter()
@@ -616,26 +614,19 @@ impl SimEngine {
             .collect();
         let tasks = claim_queue(&units, gangs.len());
         let cap = self.stream_memory_cap;
-        let run_unit = |unit: &WorkUnit, stream: &SharedStream| -> Vec<(usize, SimResult)> {
-            match unit {
-                WorkUnit::Scalar(point_index, _) => vec![(
-                    *point_index,
-                    simulate_workload_shared(stream, &points[*point_index].machine),
-                )],
-                WorkUnit::Lane(batch, _) => {
-                    let machines: Vec<MachineConfig> =
-                        batch.iter().map(|&pi| points[pi].machine).collect();
-                    simulate_workload_shared_lanes(stream, &machines)
-                        .into_iter()
-                        .zip(batch.iter().copied())
-                        .map(|(result, point_index)| (point_index, result))
-                        .collect()
-                }
-            }
-        };
+        // A unit's (point, result) list, or `None` if `token` fired before
+        // the unit's walk reached the end of the stream.
+        let run_unit =
+            |unit: &WorkUnit, stream: &SharedStream| -> Option<Vec<(usize, SimResult)>> {
+                let machines: Vec<MachineConfig> =
+                    unit.points.iter().map(|&pi| points[pi].machine).collect();
+                let results = simulate_workload_shared_lanes_cancellable(stream, &machines, token);
+                Some(unit.points.iter().copied().zip(results.ok()?).collect())
+            };
         // An atomic-cursor claim loop (the shape of [`parallel_map`], with
         // a cancellation check before every claim): workers stop claiming
-        // tasks once the token fires, but a claimed unit always completes.
+        // tasks once the token fires, and a claimed unit stops within one
+        // op block.
         let threads = self.threads.min(units.len());
         let cursor = AtomicUsize::new(0);
         // One completed unit: (unit index, that unit's (point, result) list).
@@ -668,13 +659,16 @@ impl SimEngine {
                         Some(Task::Build(gang)) => gangs[*gang].build(cap, token),
                         Some(Task::Unit(unit_index)) => {
                             let unit = &units[*unit_index];
-                            let gang = &gangs[unit.gang()];
+                            let gang = &gangs[unit.gang];
                             let Some(stream) = gang.acquire(cap, token) else {
                                 continue;
                             };
                             let unit_results = run_unit(unit, &stream);
                             drop(stream);
                             gang.release();
+                            let Some(unit_results) = unit_results else {
+                                continue;
+                            };
                             for (point_index, result) in &unit_results {
                                 observer(&points[*point_index], result);
                             }
@@ -690,12 +684,12 @@ impl SimEngine {
         });
         let mut slots: Vec<Option<SimResult>> = vec![None; points.len()];
         for (unit_index, unit_results) in completed {
-            match &units[unit_index] {
-                WorkUnit::Lane(batch, _) => {
+            match units[unit_index].points.len() {
+                1 => matrix.lane_scalar_fallback += 1,
+                width => {
                     matrix.lane_batches += 1;
-                    matrix.lane_width_histogram[batch.len()] += 1;
+                    matrix.lane_width_histogram[width] += 1;
                 }
-                WorkUnit::Scalar(..) => matrix.lane_scalar_fallback += 1,
             }
             for (point_index, result) in unit_results {
                 slots[point_index] = Some(result);
@@ -716,9 +710,8 @@ impl SimEngine {
 
     /// Partitions gang-scheduled points into [`WorkUnit`]s: within each
     /// gang, points sharing a `(d-policy, d-geometry)` batch key are
-    /// chunked into lane batches of up to [`MAX_LANES`]; width-1 groups and
-    /// chunk remainders fall back to scalar units. Every point lands in
-    /// exactly one unit.
+    /// chunked into units of up to [`MAX_LANES`] points. Every point lands
+    /// in exactly one unit.
     fn lane_partition(
         points: &[SimPoint],
         jobs: &[(usize, usize)],
@@ -752,11 +745,10 @@ impl SimEngine {
             }
             for group in groups {
                 for chunk in group.chunks(MAX_LANES) {
-                    if chunk.len() >= 2 {
-                        units.push(WorkUnit::Lane(chunk.to_vec(), stream_index));
-                    } else {
-                        units.push(WorkUnit::Scalar(chunk[0], stream_index));
-                    }
+                    units.push(WorkUnit {
+                        points: chunk.to_vec(),
+                        gang: stream_index,
+                    });
                 }
             }
         }
@@ -771,25 +763,15 @@ impl Default for SimEngine {
     }
 }
 
-/// One schedulable unit of gang-scheduled work: either a single point
-/// through the scalar executor, or a lane batch of 2..=[`MAX_LANES`] points
-/// through one shared stream walk. Both carry the stream index of the gang
-/// they belong to.
+/// One schedulable unit of gang-scheduled work: 1..=[`MAX_LANES`] points of
+/// one gang that share a [`LaneBatchKey`], run through one walk of the
+/// gang's stream by [`simulate_workload_shared_lanes_cancellable`].
 #[derive(Debug)]
-enum WorkUnit {
-    /// `(point index, stream index)`.
-    Scalar(usize, usize),
-    /// `(point indices in batch order, stream index)`.
-    Lane(Vec<usize>, usize),
-}
-
-impl WorkUnit {
+struct WorkUnit {
+    /// Point indices, in lane order.
+    points: Vec<usize>,
     /// The gang (stream index) the unit belongs to.
-    fn gang(&self) -> usize {
-        match self {
-            WorkUnit::Scalar(_, gang) | WorkUnit::Lane(_, gang) => *gang,
-        }
-    }
+    gang: usize,
 }
 
 /// One entry of the engine's claim queue.
@@ -808,7 +790,7 @@ fn claim_queue(units: &[WorkUnit], gangs: usize) -> Vec<Task> {
     let mut tasks = Vec::with_capacity(gangs + units.len());
     let mut next_build = 0;
     for (index, unit) in units.iter().enumerate() {
-        while next_build < gangs && next_build <= unit.gang() + 1 {
+        while next_build < gangs && next_build <= unit.gang + 1 {
             tasks.push(Task::Build(next_build));
             next_build += 1;
         }
@@ -952,12 +934,13 @@ impl Drop for BuildOutcome<'_, '_> {
     }
 }
 
-/// What gang members must agree on to share a lane batch: the d-cache
-/// policy (the kernels are monomorphized per policy) and the d-cache
-/// geometry. The lane d-cache keeps plain per-state controllers, which do
-/// not need a shared geometry; geometry stays in the key because the
-/// benchmark ledger copies this rule to check the engine's lane counters.
-/// See [`wp_cpu::LaneMember`] for what is free to vary.
+/// What gang members must agree on to share a work unit: the d-cache
+/// policy (the walk is monomorphized per policy) and the d-cache geometry.
+/// The lane d-cache keeps plain per-state controllers, which do not need a
+/// shared geometry; geometry stays in the key because the benchmark ledger
+/// copies this rule to check the engine's lane counters. A key that no
+/// other gang member shares, and a chunk remainder of one, make a width-1
+/// unit. See [`wp_cpu::LaneMember`] for what is free to vary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct LaneBatchKey {
     dpolicy: wp_cache::DCachePolicy,
@@ -1129,11 +1112,15 @@ mod tests {
 
     #[test]
     fn each_build_is_queued_one_gang_ahead_of_its_units() {
+        let unit = |points: &[usize], gang| WorkUnit {
+            points: points.to_vec(),
+            gang,
+        };
         let units = [
-            WorkUnit::Scalar(0, 0),
-            WorkUnit::Lane(vec![1, 2], 0),
-            WorkUnit::Scalar(3, 1),
-            WorkUnit::Scalar(4, 2),
+            unit(&[0], 0),
+            unit(&[1, 2], 0),
+            unit(&[3], 1),
+            unit(&[4], 2),
         ];
         use Task::{Build, Unit};
         assert_eq!(

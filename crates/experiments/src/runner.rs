@@ -243,6 +243,30 @@ struct CancelSource<'a, S> {
     cancelled: bool,
 }
 
+impl<'a, S> CancelSource<'a, S> {
+    fn new(inner: S, token: &'a CancelToken) -> Self {
+        Self {
+            inner,
+            token,
+            ops_completed: 0,
+            cancelled: false,
+        }
+    }
+
+    /// `result` if the run consumed the whole source, else [`Cancelled`]
+    /// with the progress made before the token fired.
+    fn outcome<T>(&self, result: T, ops_requested: usize) -> Result<T, Cancelled> {
+        if self.cancelled {
+            Err(Cancelled {
+                ops_completed: self.ops_completed,
+                ops_requested: ops_requested as u64,
+            })
+        } else {
+            Ok(result)
+        }
+    }
+}
+
 impl<S: wp_workloads::OpBlockSource> wp_workloads::OpBlockSource for CancelSource<'_, S> {
     fn fill(&mut self, buf: &mut wp_workloads::OpBuffer) -> usize {
         let produced = self.inner.fill(buf);
@@ -287,81 +311,84 @@ pub fn simulate_workload_cancellable(
     let stream = workload
         .stream(options.ops, options.seed)
         .unwrap_or_else(|e| panic!("workload {workload} failed to open: {e}"));
-    let mut source = CancelSource {
-        inner: wp_workloads::IterBlockSource(stream),
-        token,
-        ops_completed: 0,
-        cancelled: false,
-    };
+    let mut source = CancelSource::new(wp_workloads::IterBlockSource(stream), token);
     let result = cpu.run_blocks(&mut source);
-    if source.cancelled {
-        Err(Cancelled {
-            ops_completed: source.ops_completed,
-            ops_requested: options.ops as u64,
-        })
-    } else {
-        Ok(result)
-    }
+    source.outcome(result, options.ops)
 }
 
-/// Builds and runs one simulation over an already-materialized shared
-/// workload stream — the gang-scheduled executor: the stream was produced
-/// once by [`wp_workloads::SharedStream::materialize`] and any number of
-/// machine configurations replay it through independent readers, so the
-/// op-generation cost is paid once per gang instead of once per point.
-/// Results are bit-identical to [`simulate_workload`] over the same
-/// `(workload, ops, seed)` triple.
+/// Runs 1..=[`wp_cpu::MAX_LANES`] machine configurations sharing a d-cache
+/// policy and geometry over **one** walk of an already-materialized shared
+/// stream, returning one result per machine in input order — the engine's
+/// executor. The stream was produced once by
+/// [`wp_workloads::SharedStream::materialize`], and any number of walks
+/// replay it through independent readers, so the op-generation cost is paid
+/// once per gang instead of once per point. A single machine walks one lane
+/// over a bare d-cache controller ([`Processor::run_blocks`]); a batch walks
+/// its lanes through [`run_lane_batch`]. Each result is bit-identical to
+/// [`simulate_workload`] of the same machine over the same
+/// `(workload, ops, seed)` triple (the conformance harness and
+/// `tests/lanes.rs` hold the engine to this).
 ///
 /// # Panics
 ///
-/// Panics if `machine` contains an invalid cache configuration or a spilled
-/// stream's temp file cannot be re-opened.
-pub fn simulate_workload_shared(stream: &SharedStream, machine: &MachineConfig) -> SimResult {
-    let mut cpu = processor(machine);
-    let mut reader = stream
-        .reader()
-        .unwrap_or_else(|e| panic!("shared workload stream failed to re-open: {e}"));
-    cpu.run_blocks(&mut reader)
-}
-
-/// Runs a whole lane batch — up to [`wp_cpu::MAX_LANES`] machine
-/// configurations sharing a d-cache policy and tag geometry — over **one**
-/// walk of an already-materialized shared stream, returning one result per
-/// machine in input order. Each result is bit-identical to
-/// [`simulate_workload_shared`] of the same machine (the conformance
-/// harness and `tests/lanes.rs` hold the engine to this); the engine's gang
-/// scheduler calls this for the batchable subsets of a gang and falls back
-/// to the scalar executor for the rest.
-///
-/// # Panics
-///
-/// Panics if `machines` is empty, disagrees on d-cache policy or geometry
-/// (the engine groups by the batch key before calling), contains an invalid
-/// cache configuration, or a spilled stream's temp file cannot be
-/// re-opened.
+/// Panics if `machines` is empty, wider than [`wp_cpu::MAX_LANES`], or
+/// disagrees on d-cache policy or geometry (the engine groups by the batch
+/// key before calling), contains an invalid cache configuration, or a
+/// spilled stream's temp file cannot be re-opened.
 pub fn simulate_workload_shared_lanes(
     stream: &SharedStream,
     machines: &[MachineConfig],
 ) -> Vec<SimResult> {
+    simulate_workload_shared_lanes_cancellable(stream, machines, &CancelToken::never())
+        .expect("a token that never fires cancels nothing")
+}
+
+/// [`simulate_workload_shared_lanes`] with cooperative cancellation, like
+/// [`simulate_workload_cancellable`]: the walk checks `token` once per op
+/// block and stops once it fires, discarding every lane's partial result.
+///
+/// # Errors
+///
+/// Returns [`Cancelled`] if the token fired before the stream was fully
+/// consumed.
+///
+/// # Panics
+///
+/// Panics like [`simulate_workload_shared_lanes`].
+pub(crate) fn simulate_workload_shared_lanes_cancellable(
+    stream: &SharedStream,
+    machines: &[MachineConfig],
+    token: &CancelToken,
+) -> Result<Vec<SimResult>, Cancelled> {
     let dpolicy = machines
         .first()
         .expect("lane batches are never empty")
         .dpolicy;
-    debug_assert!(machines.iter().all(|m| m.dpolicy == dpolicy));
-    let members: Vec<LaneMember> = machines
-        .iter()
-        .map(|m| LaneMember {
-            cpu: m.cpu,
-            l1d: m.l1d,
-            l1i: m.l1i,
-            ipolicy: m.ipolicy,
-        })
-        .collect();
-    let mut reader = stream
+    assert!(
+        machines.iter().all(|m| m.dpolicy == dpolicy),
+        "a lane batch requires one d-cache policy"
+    );
+    let reader = stream
         .reader()
         .unwrap_or_else(|e| panic!("shared workload stream failed to re-open: {e}"));
-    run_lane_batch(dpolicy, &members, &mut reader)
-        .expect("experiment cache configurations must be valid")
+    let mut source = CancelSource::new(reader, token);
+    let results = match machines {
+        [machine] => vec![processor(machine).run_blocks(&mut source)],
+        _ => {
+            let members: Vec<LaneMember> = machines
+                .iter()
+                .map(|m| LaneMember {
+                    cpu: m.cpu,
+                    l1d: m.l1d,
+                    l1i: m.l1i,
+                    ipolicy: m.ipolicy,
+                })
+                .collect();
+            run_lane_batch(dpolicy, &members, &mut source)
+                .expect("experiment cache configurations must be valid")
+        }
+    };
+    source.outcome(results, stream.ops())
 }
 
 /// Command-line options shared by every experiment binary.

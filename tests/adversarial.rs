@@ -133,7 +133,9 @@ fn adversarial_streams_survive_the_spill_path() {
 
     let live = simulate_workload(&spec, &machine, &options);
     for stream in [&resident, &spilled] {
-        let optimized = wpsdm::experiments::runner::simulate_workload_shared(stream, &machine);
+        let optimized =
+            wpsdm::experiments::runner::simulate_workload_shared_lanes(stream, &[machine])
+                .remove(0);
         let oracle = wpsdm::experiments::conformance::oracle_simulate_shared(stream, &machine);
         assert!(optimized.exact_eq(&live), "shared optimized != live");
         assert!(oracle.exact_eq(&live), "oracle over shared stream != live");

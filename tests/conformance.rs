@@ -214,7 +214,9 @@ fn shared_stream_fan_out_conforms_resident_and_spilled() {
 
     let live = simulate_workload(&key.spec, &machine, &options);
     for stream in [&resident, &spilled] {
-        let optimized = wpsdm::experiments::runner::simulate_workload_shared(stream, &machine);
+        let optimized =
+            wpsdm::experiments::runner::simulate_workload_shared_lanes(stream, &[machine])
+                .remove(0);
         let oracle = oracle_simulate_shared(stream, &machine);
         assert!(optimized.exact_eq(&live), "shared optimized != live");
         assert!(oracle.exact_eq(&live), "oracle over shared stream != live");

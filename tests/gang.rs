@@ -3,8 +3,8 @@
 //! generator and never materializes a stream) and to a single-threaded
 //! engine; the materialize-each-stream-exactly-once invariant over the full
 //! `run_all` plan; spill-path equivalence under a tiny stream memory cap;
-//! and the pipelined claim queue's counters and cache stores, whole and
-//! cancelled.
+//! the pipelined claim queue's counters and cache stores, whole and
+//! cancelled; and a claimed unit that stops when its token fires.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -13,7 +13,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use wpsdm::cache::{DCachePolicy, ICachePolicy};
+use wpsdm::cache::{DCachePolicy, ICachePolicy, L1Config};
+use wpsdm::cpu::CpuConfig;
 use wpsdm::cpu::MAX_LANES;
 use wpsdm::experiments::engine::{SimEngine, SimPlan};
 use wpsdm::experiments::matrix_cache::MatrixCache;
@@ -210,7 +211,7 @@ type BatchKey = (usize, DCachePolicy, usize, usize, usize);
 /// The counters a whole (uncancelled) cold pass over `plan` must report:
 /// one gang and one build per stream identity, each stream's ops generated
 /// once, and each gang's points split by `(d-policy, d-geometry)` into
-/// lane batches of up to `MAX_LANES`, with width-1 remainders scalar.
+/// work units of up to `MAX_LANES`; a width-1 unit is no lane batch.
 fn expected_counters(plan: &SimPlan) -> Counters {
     let points = plan.unique_points();
     let mut gangs: Vec<(WorkloadSpec, usize, u64)> = Vec::new();
@@ -334,6 +335,68 @@ fn a_cancelled_pass_stores_exactly_the_points_its_observer_saw() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A unit stops within one op block once the token fires, even after it
+/// was claimed. The gang's width-8 batch is claimed first, and while it
+/// runs on one thread, a width-1 unit finishes on the other and its
+/// observer fires the token: the batch must stop, and none of its points
+/// may be observed, stored or counted.
+#[test]
+fn a_claimed_unit_stops_when_the_token_fires() {
+    let options = RunOptions::quick().with_ops(200_000);
+    let baseline = MachineConfig::baseline();
+    let mut plan = SimPlan::new();
+    // Eight machines that differ only outside the lane batch key.
+    for issue_width in [4, 8] {
+        for base_latency in [1, 2] {
+            for ipolicy in [ICachePolicy::Parallel, ICachePolicy::WayPredict] {
+                let machine = MachineConfig {
+                    cpu: CpuConfig {
+                        issue_width,
+                        ..CpuConfig::default()
+                    },
+                    ..baseline
+                        .with_l1d(L1Config::paper_dcache().with_base_latency(base_latency))
+                        .with_ipolicy(ipolicy)
+                };
+                plan.add(SimPoint::new(Benchmark::Gcc, machine, options));
+            }
+        }
+    }
+    let single = SimPoint::new(
+        Benchmark::Gcc,
+        baseline.with_dpolicy(DCachePolicy::Sequential),
+        options,
+    );
+    plan.add(single.clone());
+
+    let (cache, io, dir) = counting_cache("claimed-unit");
+    let engine = SimEngine::new(2).with_matrix_cache(cache);
+    let flag = Arc::new(AtomicBool::new(false));
+    let token = CancelToken::never().with_flag(Arc::clone(&flag));
+    let observed = Mutex::new(HashSet::new());
+    let mut matrix = SimMatrix::new();
+    let complete = engine.run_streaming(&mut matrix, &plan, &token, &|point, _| {
+        observed
+            .lock()
+            .expect("observed")
+            .insert(record_name(point));
+        if *point == single {
+            flag.store(true, Ordering::SeqCst);
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(!complete, "the batch stopped, so the pass is incomplete");
+    let only_single = HashSet::from([record_name(&single)]);
+    assert_eq!(observed.into_inner().expect("observed"), only_single);
+    assert_eq!(io.stored().into_keys().collect::<HashSet<_>>(), only_single);
+    assert_eq!(matrix.len(), 1);
+    assert_eq!(matrix.executed_points(), 1);
+    assert_eq!(matrix.lane_scalar_fallback(), 1);
+    assert_eq!(matrix.lane_batches(), 0);
+    assert_eq!(matrix.ops_consumed(), options.ops as u64);
 }
 
 proptest! {

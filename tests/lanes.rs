@@ -1,18 +1,23 @@
-//! Integration tests for config-parallel lane batching: lane-batched
-//! simulation is bit-identical to scalar monomorphized runs over arbitrary
-//! gangs (every d-cache policy, partial widths 1..MAX_LANES, heterogeneous
-//! free parameters), the engine's lane partition is exhaustive and
-//! exclusive (every gang-executed point lands in exactly one of
-//! {lane batch, scalar fallback}), and lane batching changes no engine
+//! Integration tests for config-parallel lane batching: every lane of a
+//! batch is bit-identical to a one-lane `Processor` run and to the
+//! `wp-oracle` reference simulator over arbitrary batches (every d-cache
+//! policy, partial widths 1..MAX_LANES, heterogeneous free parameters), a
+//! batch that mixes d-policies is refused, the engine's lane partition is
+//! exhaustive and exclusive (every gang-executed point lands in exactly one
+//! of {lane batch, width-1 unit}), and lane batching changes no engine
 //! result against per-point [`simulate_workload`].
 
 use proptest::prelude::*;
 use wpsdm::cache::{DCachePolicy, ICachePolicy, L1Config};
 use wpsdm::cpu::{run_lane_batch, CpuConfig, LaneMember, Processor, MAX_LANES};
+use wpsdm::experiments::runner::simulate_workload_shared_lanes;
 use wpsdm::experiments::{
     run_all_plan, simulate_workload, MachineConfig, RunOptions, SimEngine, SimPlan, SimPoint,
 };
-use wpsdm::workloads::{Benchmark, IterBlockSource, TraceConfig, TraceGenerator, WorkloadSpec};
+use wpsdm::oracle::OracleProcessor;
+use wpsdm::workloads::{
+    Benchmark, IterBlockSource, SharedStream, StreamKey, TraceConfig, TraceGenerator, WorkloadSpec,
+};
 
 /// The lane-free parameters of one member, drawn as indices into small
 /// palettes: (d base latency, d extra probe latency, prediction-table size,
@@ -72,9 +77,11 @@ fn arb_batch() -> impl Strategy<Value = (DCachePolicy, Vec<LaneMember>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The tentpole safety property: a lane batch of any shape produces,
-    /// lane for lane, exactly the result a scalar run of that
-    /// configuration produces over the same op stream.
+    /// The lane safety property: a lane batch of any shape produces, lane
+    /// for lane, exactly the result a one-lane `Processor` run of that
+    /// configuration produces over the same op stream. Both run the same
+    /// walker, so every lane is also held to the oracle, which shares no
+    /// code with it.
     #[test]
     fn lane_batches_match_scalar_runs(batch in arb_batch(), seed in 0u64..4) {
         let (policy, members) = batch;
@@ -89,7 +96,7 @@ proptest! {
         .expect("members share a valid geometry");
         prop_assert_eq!(batched.len(), members.len());
         for (lane, member) in members.iter().enumerate() {
-            let scalar = Processor::with_l1(
+            let single = Processor::with_l1(
                 member.cpu,
                 member.l1d,
                 policy,
@@ -99,21 +106,53 @@ proptest! {
             .expect("valid configuration")
             .run(TraceGenerator::new(config));
             prop_assert!(
-                batched[lane].exact_eq(&scalar),
-                "{:?} lane {} of {} diverged: {:?}",
+                batched[lane].exact_eq(&single),
+                "{:?} lane {} of {} diverged from its one-lane run: {:?}",
                 policy,
                 lane,
                 members.len(),
-                batched[lane].diff(&scalar)
+                batched[lane].diff(&single)
+            );
+            let oracle = OracleProcessor::with_l1(
+                member.cpu,
+                member.l1d,
+                policy,
+                member.l1i,
+                member.ipolicy,
+            )
+            .expect("valid configuration")
+            .run(TraceGenerator::new(config));
+            prop_assert!(
+                batched[lane].exact_eq(&oracle),
+                "{:?} lane {} of {} diverged from the oracle: {:?}",
+                policy,
+                lane,
+                members.len(),
+                batched[lane].diff(&oracle)
             );
         }
     }
 }
 
+/// The engine's executor checks the batch key's policy half in every build:
+/// a batch that mixes d-policies would otherwise run every machine under
+/// the first one's policy.
+#[test]
+#[should_panic(expected = "one d-cache policy")]
+fn a_mixed_policy_batch_is_refused() {
+    let key = StreamKey::new(WorkloadSpec::Benchmark(Benchmark::Gcc), 2_000, 1);
+    let stream = SharedStream::materialize_capped(&key, usize::MAX).expect("fits");
+    let machine = MachineConfig::baseline();
+    simulate_workload_shared_lanes(
+        &stream,
+        &[machine, machine.with_dpolicy(DCachePolicy::Sequential)],
+    );
+}
+
 /// A plan whose gangs contain both lane-batchable groups (three members
 /// sharing the baseline d-geometry) and structurally divergent members
-/// that must fall back to the scalar path (a different associativity and a
-/// different policy-singleton).
+/// that run as width-1 units (a different associativity and a different
+/// policy-singleton).
 fn mixed_shape_plan(options: RunOptions) -> SimPlan {
     let baseline = MachineConfig::baseline();
     let mut plan = SimPlan::new();
@@ -158,14 +197,14 @@ fn lane_partition_is_exhaustive_and_exclusive() {
     let matrix = SimEngine::new(2).run(&plan);
 
     // Every gang-executed point lands in exactly one of {lane batch,
-    // scalar fallback}: the two counters partition the executed points.
+    // width-1 unit}: the two counters partition the executed points.
     assert_eq!(matrix.executed_points(), unique);
     assert_eq!(
         matrix.lane_points() + matrix.lane_scalar_fallback(),
         unique,
         "lane partition must cover every executed point exactly once"
     );
-    // Two workloads, each with one width-3 batch and two fallbacks.
+    // Two workloads, each with one width-3 batch and two width-1 units.
     assert_eq!(matrix.lane_batches(), 2);
     assert_eq!(matrix.lane_points(), 6);
     assert_eq!(matrix.lane_scalar_fallback(), 4);

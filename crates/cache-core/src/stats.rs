@@ -87,11 +87,6 @@ impl DCacheStats {
         percent(self.misses(), self.accesses())
     }
 
-    /// Load miss rate as a percentage.
-    pub fn load_miss_rate_percent(&self) -> f64 {
-        percent(self.load_misses, self.loads)
-    }
-
     /// Way-prediction accuracy in `[0, 1]` (predictions that matched).
     pub fn way_prediction_accuracy(&self) -> f64 {
         fraction(self.way_predictions_correct, self.way_predictions)

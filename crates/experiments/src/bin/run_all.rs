@@ -68,16 +68,7 @@ fn main() {
         &matrix.lane_width_histogram()[2..],
         matrix.lane_scalar_fallback(),
     );
-    eprintln!(
-        "run_all: cache health: {} io errors, {} evictions, {} lock timeouts, \
-         {} tmp recovered, {} compacted, degraded {}",
-        matrix.cache_io_errors(),
-        matrix.cache_evictions(),
-        matrix.cache_lock_timeouts(),
-        matrix.cache_recovered_tmp(),
-        matrix.cache_compacted(),
-        matrix.cache_degraded(),
-    );
+    eprintln!("run_all: cache health: {}", matrix.cache_health());
     if let Some(path) = &cli.health_json {
         // The machine-readable twin of the stderr line above: the same
         // `CacheHealth` struct the wp-serve daemon returns for a `health`

@@ -184,16 +184,7 @@ fn main() {
         matrix.lane_points(),
         matrix.lane_scalar_fallback(),
     );
-    eprintln!(
-        "trace_replay: cache health: {} io errors, {} evictions, {} lock timeouts, \
-         {} tmp recovered, {} compacted, degraded {}",
-        matrix.cache_io_errors(),
-        matrix.cache_evictions(),
-        matrix.cache_lock_timeouts(),
-        matrix.cache_recovered_tmp(),
-        matrix.cache_compacted(),
-        matrix.cache_degraded(),
-    );
+    eprintln!("trace_replay: cache health: {}", matrix.cache_health());
 
     let baseline_machine = MachineConfig::baseline().with_dpolicy(POLICIES[0]);
     let baseline = matrix.require_workload(&workload, &baseline_machine, &options);

@@ -15,14 +15,17 @@
 //! (each stream is materialized once and replayed by every configuration
 //! that needs it), and within a gang, members sharing a d-cache policy and
 //! geometry run as work units of up to [`MAX_LANES`] points through one
-//! walk of the stream. A gang of one is point-at-a-time execution.
+//! walk of the stream. A stream that only one work unit reads is not
+//! materialized: that unit walks the live source
+//! ([`SharedStream::live`]), so a one-point pass is point-at-a-time
+//! execution.
 //!
 //! Simulations are deterministic in their key — the trace seed is part of
 //! [`RunOptions`] — so a matrix produced serially and one produced in
 //! parallel contain identical results, and a point is never executed twice.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use wp_cpu::{SimResult, MAX_LANES};
@@ -172,6 +175,7 @@ pub struct SimMatrix {
     streams_materialized: usize,
     ops_generated: u64,
     ops_consumed: u64,
+    ops_stopped: u64,
     lane_batches: usize,
     lane_scalar_fallback: usize,
     lane_width_histogram: [usize; MAX_LANES + 1],
@@ -306,6 +310,14 @@ impl SimMatrix {
         self.ops_consumed
     }
 
+    /// Total micro-ops walked by work units that `run_streaming`'s token
+    /// stopped before the end of their stream (counted once per unit,
+    /// whatever its width). Their points have no result, so this is the
+    /// progress a cancelled point reports; zero for an uncancelled pass.
+    pub fn ops_stopped(&self) -> u64 {
+        self.ops_stopped
+    }
+
     /// How many config-parallel lane batches (work units of width ≥ 2) the
     /// engine ran into this matrix.
     pub fn lane_batches(&self) -> usize {
@@ -345,41 +357,6 @@ impl SimMatrix {
     pub fn cache_health(&self) -> CacheHealth {
         self.cache_health
     }
-
-    /// I/O errors the attached [`MatrixCache`] observed while filling this
-    /// matrix (including injected faults). Zero without a cache.
-    pub fn cache_io_errors(&self) -> u64 {
-        self.cache_health.io_errors
-    }
-
-    /// Records the attached cache evicted to honour its capacity cap.
-    pub fn cache_evictions(&self) -> u64 {
-        self.cache_health.evictions
-    }
-
-    /// Eviction passes the attached cache abandoned because the advisory
-    /// lock stayed contended past its timeout.
-    pub fn cache_lock_timeouts(&self) -> u64 {
-        self.cache_health.lock_timeouts
-    }
-
-    /// Stale temporary files the attached cache's startup recovery swept
-    /// (debris of stores that crashed mid-flight).
-    pub fn cache_recovered_tmp(&self) -> u64 {
-        self.cache_health.recovered_tmp
-    }
-
-    /// Old-generation or header-corrupt records the attached cache's
-    /// startup recovery compacted away.
-    pub fn cache_compacted(&self) -> u64 {
-        self.cache_health.compacted
-    }
-
-    /// True if the attached cache's circuit breaker tripped (cache degraded
-    /// to pass-through) at any point while filling this matrix.
-    pub fn cache_degraded(&self) -> bool {
-        self.cache_health.degraded
-    }
 }
 
 /// Executes [`SimPlan`]s into [`SimMatrix`]es, in parallel.
@@ -413,7 +390,8 @@ pub struct SimEngine {
 
 impl SimEngine {
     /// An engine running on `threads` worker threads (clamped to at least
-    /// one), with no persistent cache and the default spill cap
+    /// one; the thread calling a run is one of them), with no persistent
+    /// cache and the default spill cap
     /// ([`wp_workloads::stream_memory_cap`]: the `WPSDM_STREAM_MEMORY_CAP`
     /// environment override if set).
     pub fn new(threads: usize) -> Self {
@@ -490,7 +468,8 @@ impl SimEngine {
     /// the run stops claiming new work once `token` fires. Cancellation
     /// granularity is one op block: a work unit in flight when the token
     /// fires stops within one op block of its stream, and its partial
-    /// results are not observed, stored, or counted; a build in flight
+    /// results are not observed, stored, or counted (only the ops it
+    /// walked are, in [`SimMatrix::ops_stopped`]); a build in flight
     /// stops, deletes any partial spill file, and skips its gang's units.
     /// Each simulated result is stored in the attached
     /// [`MatrixCache`] while the run goes on, and the call returns only
@@ -550,9 +529,11 @@ impl SimEngine {
     /// run one claim queue in which each gang's stream build is queued one
     /// gang ahead of the gang's work units. A unit starts as soon as its
     /// own stream exists, and the stream (with any spill file) is released
-    /// when the gang's last unit finishes. Every completed unit goes to one
-    /// writer thread, which stores its results in the attached cache while
-    /// simulation goes on; this returns after the writer has drained.
+    /// when the gang's last unit finishes; a gang of one unit walks its
+    /// stream live. The calling thread is one of the workers. With a cache
+    /// attached, every completed unit goes to one writer thread, which
+    /// stores its results while simulation goes on; this returns after the
+    /// writer has drained.
     /// Returns the results in `points` order; a `None` slot is a point
     /// whose unit was never claimed or stopped mid-stream, or whose stream
     /// build stopped, because `token` fired. `observer` hears each
@@ -614,72 +595,81 @@ impl SimEngine {
             .collect();
         let tasks = claim_queue(&units, gangs.len());
         let cap = self.stream_memory_cap;
-        // A unit's (point, result) list, or `None` if `token` fired before
-        // the unit's walk reached the end of the stream.
-        let run_unit =
-            |unit: &WorkUnit, stream: &SharedStream| -> Option<Vec<(usize, SimResult)>> {
-                let machines: Vec<MachineConfig> =
-                    unit.points.iter().map(|&pi| points[pi].machine).collect();
-                let results = simulate_workload_shared_lanes_cancellable(stream, &machines, token);
-                Some(unit.points.iter().copied().zip(results.ok()?).collect())
-            };
+        let ops_stopped = AtomicU64::new(0);
         // An atomic-cursor claim loop (the shape of [`parallel_map`], with
         // a cancellation check before every claim): workers stop claiming
         // tasks once the token fires, and a claimed unit stops within one
-        // op block.
+        // op block, counting the ops it walked in `ops_stopped`.
         let threads = self.threads.min(units.len());
         let cursor = AtomicUsize::new(0);
         // One completed unit: (unit index, that unit's (point, result) list).
         type Completed = (usize, Vec<(usize, SimResult)>);
         let (sender, receiver) = mpsc::channel::<Completed>();
-        let completed: Vec<Completed> = std::thread::scope(|scope| {
-            let writer = scope.spawn(|| {
-                let mut completed = Vec::new();
-                for (unit_index, unit_results) in receiver {
-                    if let Some(cache) = &self.cache {
-                        for (point_index, result) in &unit_results {
-                            cache.store(&points[*point_index], result);
-                        }
-                    }
-                    completed.push((unit_index, unit_results));
-                }
-                completed
-            });
-            let (tasks, units, gangs, cursor, run_unit) =
-                (&tasks, &units, &gangs, &cursor, &run_unit);
-            for _ in 0..threads {
-                let sender = sender.clone();
-                scope.spawn(move || loop {
-                    if token.is_cancelled() {
-                        return;
-                    }
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    match tasks.get(index) {
-                        None => return,
-                        Some(Task::Build(gang)) => gangs[*gang].build(cap, token),
-                        Some(Task::Unit(unit_index)) => {
-                            let unit = &units[*unit_index];
-                            let gang = &gangs[unit.gang];
-                            let Some(stream) = gang.acquire(cap, token) else {
-                                continue;
-                            };
-                            let unit_results = run_unit(unit, &stream);
-                            drop(stream);
-                            gang.release();
-                            let Some(unit_results) = unit_results else {
-                                continue;
-                            };
-                            for (point_index, result) in &unit_results {
-                                observer(&points[*point_index], result);
-                            }
-                            sender
-                                .send((*unit_index, unit_results))
-                                .expect("the store writer outlives every worker");
-                        }
-                    }
-                });
+        let work = |sender: mpsc::Sender<Completed>| loop {
+            if token.is_cancelled() {
+                return;
             }
-            drop(sender);
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            match tasks.get(index) {
+                None => return,
+                Some(Task::Build(gang)) => gangs[*gang].build(cap, token),
+                Some(Task::Unit(unit_index)) => {
+                    let unit = &units[*unit_index];
+                    let gang = &gangs[unit.gang];
+                    let Some(stream) = gang.acquire(cap, token) else {
+                        continue;
+                    };
+                    let machines: Vec<MachineConfig> =
+                        unit.points.iter().map(|&pi| points[pi].machine).collect();
+                    let walked =
+                        simulate_workload_shared_lanes_cancellable(&stream, &machines, token);
+                    drop(stream);
+                    gang.release();
+                    let results = match walked {
+                        Ok(results) => results,
+                        Err(stopped) => {
+                            ops_stopped.fetch_add(stopped.ops_completed, Ordering::Relaxed);
+                            continue;
+                        }
+                    };
+                    let unit_results: Vec<(usize, SimResult)> =
+                        unit.points.iter().copied().zip(results).collect();
+                    for (point_index, result) in &unit_results {
+                        observer(&points[*point_index], result);
+                    }
+                    sender
+                        .send((*unit_index, unit_results))
+                        .expect("the receiver outlives every worker");
+                }
+            }
+        };
+        let collect = |receiver: mpsc::Receiver<Completed>| {
+            let mut completed = Vec::new();
+            for (unit_index, unit_results) in receiver {
+                if let Some(cache) = &self.cache {
+                    for (point_index, result) in &unit_results {
+                        cache.store(&points[*point_index], result);
+                    }
+                }
+                completed.push((unit_index, unit_results));
+            }
+            completed
+        };
+        // With a cache, one writer thread stores each completed unit while
+        // the workers go on. Without one there is nothing to store, and the
+        // calling thread collects the units once its own work is done.
+        let completed: Vec<Completed> = std::thread::scope(|scope| {
+            let work = &work;
+            for _ in 1..threads {
+                let sender = sender.clone();
+                scope.spawn(move || work(sender));
+            }
+            if self.cache.is_none() {
+                work(sender);
+                return collect(receiver);
+            }
+            let writer = scope.spawn(|| collect(receiver));
+            work(sender);
             writer.join().expect("store writer panicked")
         });
         let mut slots: Vec<Option<SimResult>> = vec![None; points.len()];
@@ -705,6 +695,7 @@ impl SimEngine {
             .flatten()
             .map(|r| r.activity.instructions)
             .sum::<u64>();
+        matrix.ops_stopped += ops_stopped.into_inner();
         slots
     }
 
@@ -801,9 +792,11 @@ fn claim_queue(units: &[WorkUnit], gangs: usize) -> Vec<Task> {
 
 /// One gang's stream as the claim queue shares it: built at most once, by
 /// the gang's build task or by the first unit that needs it, and dropped
-/// when the gang's last unit has finished.
+/// when the gang's last unit has finished. The stream of a gang that only
+/// one unit reads is built live, so its build copies and spills nothing.
 struct GangStream<'k> {
     key: &'k StreamKey,
+    live: bool,
     state: Mutex<GangState>,
     built: Condvar,
 }
@@ -833,6 +826,7 @@ impl<'k> GangStream<'k> {
     fn new(key: &'k StreamKey, units: usize) -> Self {
         Self {
             key,
+            live: units == 1,
             state: Mutex::new(GangState {
                 stream: StreamSlot::Unbuilt,
                 units_left: units,
@@ -892,7 +886,7 @@ impl<'k> GangStream<'k> {
     }
 
     /// Builds the stream with the lock released, checking `token` once per
-    /// op block, and returns the re-taken lock.
+    /// op block of a materialization, and returns the re-taken lock.
     fn build_locked<'a>(
         &'a self,
         mut state: MutexGuard<'a, GangState>,
@@ -905,9 +899,15 @@ impl<'k> GangStream<'k> {
             gang: self,
             stream: None,
         };
-        outcome.stream = SharedStream::materialize_until(self.key, cap, &|| token.is_cancelled())
-            .unwrap_or_else(|e| panic!("workload stream {} failed to materialize: {e}", self.key))
-            .map(Arc::new);
+        outcome.stream = if self.live {
+            Some(Arc::new(SharedStream::live(self.key)))
+        } else {
+            SharedStream::materialize_until(self.key, cap, &|| token.is_cancelled())
+                .unwrap_or_else(|e| {
+                    panic!("workload stream {} failed to materialize: {e}", self.key)
+                })
+                .map(Arc::new)
+        };
         drop(outcome);
         self.lock()
     }
@@ -1140,20 +1140,65 @@ mod tests {
     #[test]
     fn a_build_task_claimed_after_its_gang_finished_is_a_no_op() {
         // The race: a worker claims a gang's build task but runs it late.
-        // Meanwhile the gang's only unit builds the stream itself, runs,
-        // and releases it. The late build must not panic or build again.
+        // Meanwhile the gang's two units build the stream themselves, run,
+        // and release it. The late build must not panic or build again.
         let key = StreamKey::new(WorkloadSpec::Benchmark(Benchmark::Gcc), 4_000, 1);
         let token = CancelToken::never();
         for cap in [usize::MAX, 1] {
-            let gang = GangStream::new(&key, 1);
-            let stream = gang.acquire(cap, &token).expect("the unit builds");
+            let gang = GangStream::new(&key, 2);
+            let stream = gang.acquire(cap, &token).expect("the first unit builds");
             assert_eq!(stream.is_spilled(), cap == 1);
-            drop(stream);
+            let again = gang
+                .acquire(cap, &token)
+                .expect("the second unit shares it");
+            assert!(Arc::ptr_eq(&stream, &again));
+            drop((stream, again));
+            gang.release();
             gang.release();
             gang.build(cap, &token);
             assert!(matches!(gang.lock().stream, StreamSlot::Released));
             assert_eq!(gang.generated(), Some(4_000), "one build, counted once");
         }
+    }
+
+    #[test]
+    fn a_one_unit_gang_walks_its_stream_live() {
+        let key = StreamKey::new(WorkloadSpec::Benchmark(Benchmark::Li), 4_000, 1);
+        let gang = GangStream::new(&key, 1);
+        let stream = gang.acquire(1, &CancelToken::never()).expect("built");
+        assert!(!stream.is_spilled(), "even a 1-byte cap spills nothing");
+        assert_eq!(
+            gang.generated(),
+            Some(4_000),
+            "a live stream counts as generated"
+        );
+    }
+
+    #[test]
+    fn a_stopped_one_point_pass_reports_the_ops_it_walked() {
+        let point = |ops| {
+            SimPoint::new(
+                Benchmark::Gcc,
+                MachineConfig::baseline(),
+                tiny().with_ops(ops),
+            )
+        };
+        let ops = 500_000_000;
+        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(200);
+        let token = CancelToken::never().with_deadline(deadline);
+        let plan = SimPlan {
+            points: vec![point(ops)],
+        };
+        let mut matrix = SimMatrix::new();
+        assert!(!SimEngine::serial().run_streaming(&mut matrix, &plan, &token, &|_, _| {}));
+        assert_eq!(matrix.executed_points(), 0);
+        let walked = matrix.ops_stopped();
+        assert!(0 < walked && walked < ops as u64, "{walked} of {ops} ops");
+
+        let done = SimEngine::serial().run(&SimPlan {
+            points: vec![point(4_000)],
+        });
+        assert_eq!((done.executed_points(), done.ops_stopped()), (1, 0));
     }
 
     #[test]

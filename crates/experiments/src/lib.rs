@@ -83,10 +83,7 @@ pub use compare::PolicyComparison;
 pub use engine::{PointObserver, SimEngine, SimMatrix, SimPlan, SimPoint};
 pub use matrix_cache::{CacheHealth, EvictLockTimeout, MatrixCache};
 pub use report::TextTable;
-pub use runner::{
-    simulate_workload, simulate_workload_cancellable, CancelToken, Cancelled, CliError, CliOptions,
-    MachineConfig, RunOptions,
-};
+pub use runner::{simulate_workload, CancelToken, CliError, CliOptions, MachineConfig, RunOptions};
 pub use service::{Flight, FlightOutcome, Join, LeaderTicket, PointService, SweepReport};
 
 /// One paper artefact: the name its binary, its `run_all --json` field

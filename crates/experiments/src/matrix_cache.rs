@@ -140,7 +140,9 @@ impl std::error::Error for EvictLockTimeout {}
 
 /// The cache-health counters, as one machine-readable struct: what
 /// `run_all --health-json` writes, the `wp-serve` daemon's `health`
-/// response embeds, and [`crate::SimMatrix::cache_health`] carries.
+/// response embeds, and [`crate::SimMatrix::cache_health`] carries. Its
+/// `Display` is the `cache health:` line `run_all` and `trace_replay`
+/// print.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CacheHealth {
     /// Total I/O errors observed (including injected ones).
@@ -156,6 +158,23 @@ pub struct CacheHealth {
     pub compacted: u64,
     /// True once the circuit breaker has tripped (pass-through mode).
     pub degraded: bool,
+}
+
+impl std::fmt::Display for CacheHealth {
+    /// The body of the batch binaries' `cache health:` stderr line.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} io errors, {} evictions, {} lock timeouts, {} tmp recovered, \
+             {} compacted, degraded {}",
+            self.io_errors,
+            self.evictions,
+            self.lock_timeouts,
+            self.recovered_tmp,
+            self.compacted,
+            self.degraded
+        )
+    }
 }
 
 /// The persistent result store the engine consults before simulating.

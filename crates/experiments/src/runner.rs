@@ -3,16 +3,19 @@
 //!
 //! The experiment modules do not call these executors directly — they
 //! declare [`crate::engine::SimPlan`]s and render from the deduplicated
-//! [`crate::engine::SimMatrix`]; this module supplies the executors the
-//! engine schedules, the per-point [`simulate_workload`] reference, and the
-//! [`MachineConfig`] key type.
+//! [`crate::engine::SimMatrix`]. This module supplies the one executor the
+//! engine schedules ([`simulate_workload_shared_lanes`]), the per-point
+//! [`simulate_workload`] reference (that executor over a live stream), the
+//! [`MachineConfig`] key type, the [`CancelToken`], and the command line
+//! the binaries share, including [`engine_from_flags`], the engine wiring
+//! of the batch binaries and the `wp-serve` daemon.
 
 use core::fmt;
 
 use serde::{Deserialize, Serialize};
 use wp_cache::{DCachePolicy, ICachePolicy, L1Config};
 use wp_cpu::{run_lane_batch, CpuConfig, LaneMember, Processor, SimResult};
-use wp_workloads::{SharedStream, WorkloadSpec};
+use wp_workloads::{SharedStream, StreamKey, WorkloadSpec};
 
 use crate::engine::SimEngine;
 use crate::matrix_cache::MatrixCache;
@@ -119,8 +122,9 @@ impl MachineConfig {
 
 /// Builds and runs one simulation over any workload source: a synthetic
 /// benchmark, a stress scenario, or a recorded trace replayed off disk. The
-/// stream never materializes in memory; the processor consumes it the same
-/// way in all three cases.
+/// stream never materializes: the processor walks it live
+/// ([`SharedStream::live`]), the walk the engine gives a stream that one
+/// work unit reads.
 ///
 /// # Panics
 ///
@@ -133,8 +137,10 @@ pub fn simulate_workload(
     machine: &MachineConfig,
     options: &RunOptions,
 ) -> SimResult {
-    simulate_workload_cancellable(workload, machine, options, &CancelToken::never())
-        .expect("a token that never fires cannot cancel")
+    let stream = SharedStream::live(&StreamKey::new(workload.clone(), options.ops, options.seed));
+    simulate_workload_shared_lanes(&stream, std::slice::from_ref(machine))
+        .pop()
+        .expect("one machine, one result")
 }
 
 /// The processor `machine` describes.
@@ -153,11 +159,12 @@ fn processor(machine: &MachineConfig) -> Processor {
     .expect("experiment cache configurations must be valid")
 }
 
-/// A cooperative cancellation token for [`simulate_workload_cancellable`]:
-/// a wall-clock deadline, a shared cancel flag, or both. The simulation
-/// polls it once per op block ([`wp_workloads::DEFAULT_OP_BLOCK`] ops), so
-/// cancellation latency is bounded by one block of simulation, not by the
-/// whole run — the property the service's deadline layer is built on.
+/// A cooperative cancellation token for
+/// [`crate::SimEngine::run_streaming`]: a wall-clock deadline, a shared
+/// cancel flag, or both. A simulation polls it once per op block
+/// ([`wp_workloads::DEFAULT_OP_BLOCK`] ops), so cancellation latency is
+/// bounded by one block of simulation, not by the whole run — the property
+/// the service's deadline layer is built on.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     deadline: Option<std::time::Instant>,
@@ -165,8 +172,7 @@ pub struct CancelToken {
 }
 
 impl CancelToken {
-    /// A token that never fires: the cancellable executor behaves exactly
-    /// like [`simulate_workload`].
+    /// A token that never fires: a run under it always completes.
     pub fn never() -> Self {
         Self::default()
     }
@@ -205,28 +211,12 @@ impl CancelToken {
     }
 }
 
-/// A simulation stopped by its [`CancelToken`] before completing, with the
-/// partial-progress counters the service reports in `DeadlineExceeded`
-/// errors.
+/// A walk its [`CancelToken`] stopped before the end of its stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cancelled {
-    /// Ops the processor consumed before the token fired.
-    pub ops_completed: u64,
-    /// Ops the run would have simulated ([`RunOptions::ops`]).
-    pub ops_requested: u64,
+pub(crate) struct Cancelled {
+    /// Ops the walk consumed before the token fired.
+    pub(crate) ops_completed: u64,
 }
-
-impl fmt::Display for Cancelled {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "simulation cancelled after {} of {} ops",
-            self.ops_completed, self.ops_requested
-        )
-    }
-}
-
-impl std::error::Error for Cancelled {}
 
 /// Wraps a block source, polling a [`CancelToken`] once per refill: when
 /// the token fires while ops remain, the refilled block is discarded and
@@ -241,30 +231,6 @@ struct CancelSource<'a, S> {
     token: &'a CancelToken,
     ops_completed: u64,
     cancelled: bool,
-}
-
-impl<'a, S> CancelSource<'a, S> {
-    fn new(inner: S, token: &'a CancelToken) -> Self {
-        Self {
-            inner,
-            token,
-            ops_completed: 0,
-            cancelled: false,
-        }
-    }
-
-    /// `result` if the run consumed the whole source, else [`Cancelled`]
-    /// with the progress made before the token fired.
-    fn outcome<T>(&self, result: T, ops_requested: usize) -> Result<T, Cancelled> {
-        if self.cancelled {
-            Err(Cancelled {
-                ops_completed: self.ops_completed,
-                ops_requested: ops_requested as u64,
-            })
-        } else {
-            Ok(result)
-        }
-    }
 }
 
 impl<S: wp_workloads::OpBlockSource> wp_workloads::OpBlockSource for CancelSource<'_, S> {
@@ -283,46 +249,14 @@ impl<S: wp_workloads::OpBlockSource> wp_workloads::OpBlockSource for CancelSourc
     }
 }
 
-/// [`simulate_workload`] with cooperative cancellation: the run checks
-/// `token` at op-block granularity and stops early once it fires, returning
-/// [`Cancelled`] with partial-progress counters instead of a result. A run
-/// whose token never fires returns a result bit-identical to an unwrapped
-/// [`Processor::run`] of the stream — the cancel seam adds no observable
-/// behaviour (asserted by the runner tests), so [`simulate_workload`] and
-/// the service's point path share this one executor.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] if the token fired before the workload was fully
-/// consumed; the partial [`SimResult`] is discarded (it is not a valid
-/// measurement of the point).
-///
-/// # Panics
-///
-/// Panics exactly where [`simulate_workload`] does: invalid cache
-/// configuration or a workload that fails to open.
-pub fn simulate_workload_cancellable(
-    workload: &WorkloadSpec,
-    machine: &MachineConfig,
-    options: &RunOptions,
-    token: &CancelToken,
-) -> Result<SimResult, Cancelled> {
-    let mut cpu = processor(machine);
-    let stream = workload
-        .stream(options.ops, options.seed)
-        .unwrap_or_else(|e| panic!("workload {workload} failed to open: {e}"));
-    let mut source = CancelSource::new(wp_workloads::IterBlockSource(stream), token);
-    let result = cpu.run_blocks(&mut source);
-    source.outcome(result, options.ops)
-}
-
 /// Runs 1..=[`wp_cpu::MAX_LANES`] machine configurations sharing a d-cache
-/// policy and geometry over **one** walk of an already-materialized shared
-/// stream, returning one result per machine in input order — the engine's
-/// executor. The stream was produced once by
-/// [`wp_workloads::SharedStream::materialize`], and any number of walks
-/// replay it through independent readers, so the op-generation cost is paid
-/// once per gang instead of once per point. A single machine walks one lane
+/// policy and geometry over **one** walk of a shared stream, returning one
+/// result per machine in input order — the engine's executor. A stream
+/// that several walks read was produced once by
+/// [`wp_workloads::SharedStream::materialize`], and each walk replays it
+/// through an independent reader, so the op-generation cost is paid once
+/// per gang instead of once per point; a stream that one walk reads is
+/// [`wp_workloads::SharedStream::live`]. A single machine walks one lane
 /// over a bare d-cache controller ([`Processor::run_blocks`]); a batch walks
 /// its lanes through [`run_lane_batch`]. Each result is bit-identical to
 /// [`simulate_workload`] of the same machine over the same
@@ -333,8 +267,8 @@ pub fn simulate_workload_cancellable(
 ///
 /// Panics if `machines` is empty, wider than [`wp_cpu::MAX_LANES`], or
 /// disagrees on d-cache policy or geometry (the engine groups by the batch
-/// key before calling), contains an invalid cache configuration, or a
-/// spilled stream's temp file cannot be re-opened.
+/// key before calling), contains an invalid cache configuration, or the
+/// stream cannot be re-opened (a spill file or trace file that vanished).
 pub fn simulate_workload_shared_lanes(
     stream: &SharedStream,
     machines: &[MachineConfig],
@@ -343,14 +277,16 @@ pub fn simulate_workload_shared_lanes(
         .expect("a token that never fires cancels nothing")
 }
 
-/// [`simulate_workload_shared_lanes`] with cooperative cancellation, like
-/// [`simulate_workload_cancellable`]: the walk checks `token` once per op
-/// block and stops once it fires, discarding every lane's partial result.
+/// [`simulate_workload_shared_lanes`] with cooperative cancellation: the
+/// walk checks `token` once per op block and stops once it fires,
+/// discarding every lane's partial result (it is not a valid measurement
+/// of the point). A walk whose token never fires is bit-identical to an
+/// unwrapped one — the cancel seam adds no observable behaviour.
 ///
 /// # Errors
 ///
-/// Returns [`Cancelled`] if the token fired before the stream was fully
-/// consumed.
+/// Returns [`Cancelled`], with the ops walked before the token fired, if
+/// it fired before the stream was fully consumed.
 ///
 /// # Panics
 ///
@@ -368,13 +304,25 @@ pub(crate) fn simulate_workload_shared_lanes_cancellable(
         machines.iter().all(|m| m.dpolicy == dpolicy),
         "a lane batch requires one d-cache policy"
     );
+    // A single machine's processor is built before the stream opens: with
+    // a live stream the other order left a cold 2k-op daemon point about
+    // 70 µs slower on the allocator's page traffic.
+    let cpu = match machines {
+        [machine] => Some(processor(machine)),
+        _ => None,
+    };
     let reader = stream
         .reader()
-        .unwrap_or_else(|e| panic!("shared workload stream failed to re-open: {e}"));
-    let mut source = CancelSource::new(reader, token);
-    let results = match machines {
-        [machine] => vec![processor(machine).run_blocks(&mut source)],
-        _ => {
+        .unwrap_or_else(|e| panic!("workload stream failed to open: {e}"));
+    let mut source = CancelSource {
+        inner: reader,
+        token,
+        ops_completed: 0,
+        cancelled: false,
+    };
+    let results = match cpu {
+        Some(mut cpu) => vec![cpu.run_blocks(&mut source)],
+        None => {
             let members: Vec<LaneMember> = machines
                 .iter()
                 .map(|m| LaneMember {
@@ -388,7 +336,12 @@ pub(crate) fn simulate_workload_shared_lanes_cancellable(
                 .expect("experiment cache configurations must be valid")
         }
     };
-    source.outcome(results, stream.ops())
+    if source.cancelled {
+        return Err(Cancelled {
+            ops_completed: source.ops_completed,
+        });
+    }
+    Ok(results)
 }
 
 /// Command-line options shared by every experiment binary.
@@ -486,31 +439,53 @@ impl CliOptions {
     /// simulating, so the flag exists for determinism auditing and CI,
     /// not correctness).
     pub fn engine(&self) -> SimEngine {
-        let mut engine = match self.threads {
-            Some(threads) => SimEngine::new(threads),
-            None => SimEngine::default(),
-        };
-        if let Some(cap) = self.stream_cap {
-            engine = engine.with_stream_memory_cap(cap);
+        let engine = engine_from_flags(
+            self.threads,
+            self.no_matrix_cache,
+            self.matrix_cache_dir.as_deref(),
+            self.matrix_cache_cap,
+        );
+        match self.stream_cap {
+            Some(cap) => engine.with_stream_memory_cap(cap),
+            None => engine,
         }
-        if self.no_matrix_cache {
-            return engine;
-        }
-        let mut cache = match &self.matrix_cache_dir {
-            Some(dir) => MatrixCache::new(dir),
-            None => MatrixCache::at_default_dir(),
-        };
-        if self.matrix_cache_cap.is_some() {
-            cache = cache.with_cap(self.matrix_cache_cap);
-        }
-        if let Some(io) = crate::storage::FaultyIo::from_env() {
-            // The fault-injection knob (`WPSDM_MATRIX_CACHE_FAULT_SEED`):
-            // CI's reliability job runs the real binaries over a faulty
-            // cache and asserts byte-identical output.
-            cache = cache.with_io_backend(io);
-        }
-        engine.with_matrix_cache(cache)
     }
+}
+
+/// The engine a worker count and the three cache flags describe, built the
+/// same way for the batch binaries ([`CliOptions::engine`]) and the
+/// `wp-serve` daemon, so both share one on-disk cache and one fault seed:
+/// `threads` workers (every core if `None`) and, unless `no_matrix_cache`,
+/// the persistent matrix cache rooted at `matrix_cache_dir` (else
+/// [`MatrixCache::default_dir`]) and capped at `matrix_cache_cap` (else
+/// the `WPSDM_MATRIX_CACHE_CAP` override, else unbounded).
+pub fn engine_from_flags(
+    threads: Option<usize>,
+    no_matrix_cache: bool,
+    matrix_cache_dir: Option<&std::path::Path>,
+    matrix_cache_cap: Option<u64>,
+) -> SimEngine {
+    let engine = match threads {
+        Some(threads) => SimEngine::new(threads),
+        None => SimEngine::default(),
+    };
+    if no_matrix_cache {
+        return engine;
+    }
+    let mut cache = match matrix_cache_dir {
+        Some(dir) => MatrixCache::new(dir),
+        None => MatrixCache::at_default_dir(),
+    };
+    if matrix_cache_cap.is_some() {
+        cache = cache.with_cap(matrix_cache_cap);
+    }
+    if let Some(io) = crate::storage::FaultyIo::from_env() {
+        // The fault-injection knob (`WPSDM_MATRIX_CACHE_FAULT_SEED`):
+        // CI's reliability job runs the real binaries over a faulty
+        // cache and asserts byte-identical output.
+        cache = cache.with_io_backend(io);
+    }
+    engine.with_matrix_cache(cache)
 }
 
 /// Usage text shared by the binaries.
@@ -887,52 +862,34 @@ mod tests {
                 .stream(options.ops, options.seed)
                 .expect("generated workloads always open"),
         );
-        let cancellable =
-            simulate_workload_cancellable(&workload, &machine, &options, &CancelToken::never())
-                .expect("a token that never fires must not cancel");
+        let walked = simulate_workload(&workload, &machine, &options);
         assert!(
-            plain.exact_eq(&cancellable),
-            "the cancel seam must add no observable behaviour"
+            plain.exact_eq(&walked),
+            "the live walk and the cancel seam must add no observable behaviour"
         );
     }
 
     #[test]
     fn fired_tokens_cancel_with_partial_progress() {
-        let workload = WorkloadSpec::Benchmark(Benchmark::Li);
-        let machine = MachineConfig::baseline();
-        let options = RunOptions::quick().with_ops(10_000);
-        let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
-        let token = CancelToken::never().with_flag(flag);
-        let error = simulate_workload_cancellable(&workload, &machine, &options, &token)
-            .expect_err("a pre-fired token must cancel");
-        assert_eq!(error.ops_requested, 10_000);
-        assert!(
-            error.ops_completed < error.ops_requested,
-            "a cancelled run never consumed the whole workload"
-        );
-        assert_eq!(
-            error.to_string(),
-            format!(
-                "simulation cancelled after {} of 10000 ops",
-                error.ops_completed
-            )
-        );
-    }
-
-    #[test]
-    fn expired_deadlines_cancel() {
-        let token =
-            CancelToken::never().with_deadline(std::time::Instant::now() - Duration::from_secs(1));
-        assert!(token.is_cancelled());
         assert!(!CancelToken::never().is_cancelled());
-        let error = simulate_workload_cancellable(
-            &WorkloadSpec::Benchmark(Benchmark::Li),
-            &MachineConfig::baseline(),
-            &RunOptions::quick().with_ops(8_000),
-            &token,
-        )
-        .expect_err("an expired deadline must cancel");
-        assert!(error.ops_completed < 8_000);
+        let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let expired =
+            CancelToken::never().with_deadline(std::time::Instant::now() - Duration::from_secs(1));
+        let key = StreamKey::new(WorkloadSpec::Benchmark(Benchmark::Li), 10_000, 42);
+        for token in [CancelToken::never().with_flag(flag), expired] {
+            assert!(token.is_cancelled());
+            let machines = [MachineConfig::baseline()];
+            let error = simulate_workload_shared_lanes_cancellable(
+                &SharedStream::live(&key),
+                &machines,
+                &token,
+            )
+            .expect_err("a fired token must cancel");
+            assert!(
+                error.ops_completed < 10_000,
+                "a cancelled walk never consumed the whole stream"
+            );
+        }
     }
 
     #[test]

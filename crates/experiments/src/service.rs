@@ -6,8 +6,10 @@
 //! [`SimPoint`] while it is in flight, exactly one simulation executes and
 //! every caller observes the same outcome. [`PointService`] provides that
 //! seam — a flight table keyed by the full point configuration, a
-//! leader/follower join protocol, and a shared optional [`MatrixCache`]
-//! behind the crate's circuit breaker, so cached, freshly simulated, and
+//! leader/follower join protocol, and one [`SimEngine`] (with its optional
+//! [`crate::MatrixCache`] behind the crate's circuit breaker) that executes
+//! everything: a led point runs as a one-point engine pass, a sweep's led
+//! points as one gang-scheduled pass. Cached, freshly simulated, and
 //! coalesced responses are all bit-identical to the batch path
 //! ([`crate::runner::simulate_workload`]).
 //!
@@ -24,7 +26,7 @@ use wp_cpu::SimResult;
 
 use crate::engine::{SimEngine, SimMatrix, SimPlan, SimPoint};
 use crate::matrix_cache::{CacheHealth, MatrixCache};
-use crate::runner::{simulate_workload_cancellable, CancelToken};
+use crate::runner::CancelToken;
 
 /// How long a sweep pass parks on one followed flight before re-checking
 /// its own cancel token — bounds a sweep's reaction time to its deadline
@@ -37,9 +39,9 @@ pub enum FlightOutcome {
     /// The simulation completed; the result is shared by every caller and
     /// bit-identical to the batch executor's.
     Done(Arc<SimResult>),
-    /// The leader's cancel token fired mid-simulation.
+    /// The leader's cancel token fired before the simulation completed.
     Cancelled {
-        /// Ops the leader consumed before the token fired.
+        /// Ops the leader's walk consumed before the token fired.
         ops_completed: u64,
         /// Ops the run would have simulated.
         ops_requested: u64,
@@ -119,20 +121,19 @@ pub enum Join {
     Follower(Flight),
 }
 
-/// A singleflight executor over [`SimPoint`]s with an optional shared
-/// [`MatrixCache`].
+/// A singleflight executor over [`SimPoint`]s on one [`SimEngine`].
 ///
-/// Cloning is cheap and shares the flight table, cache, and counters — the
-/// daemon hands one clone to every worker and connection handler.
-#[derive(Debug, Clone, Default)]
+/// Cloning is cheap and shares the flight table, engine, and counters —
+/// the daemon hands one clone to every worker and connection handler.
+#[derive(Debug, Clone)]
 pub struct PointService {
     inner: Arc<ServiceState>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ServiceState {
     flights: Mutex<HashMap<SimPoint, Arc<FlightState>>>,
-    cache: Option<MatrixCache>,
+    engine: SimEngine,
     executed: AtomicU64,
     cache_hits: AtomicU64,
     coalesced: AtomicU64,
@@ -168,37 +169,32 @@ impl ServiceState {
 }
 
 impl PointService {
-    /// A service with no persistent cache: every led flight simulates.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A service backed by a shared [`MatrixCache`]: led flights consult
-    /// the cache before simulating and store fresh results back. When the
-    /// cache's circuit breaker trips, loads and stores degrade to
-    /// pass-through and the service keeps computing — graceful degradation
-    /// is the cache's contract, not special-cased here.
-    pub fn with_cache(cache: MatrixCache) -> Self {
+    /// A service executing on `engine`: its worker threads size every
+    /// sweep's pass, and its [`MatrixCache`], if one is attached, is the
+    /// service's. Led flights then consult the cache before simulating and
+    /// store fresh results back. When the cache's circuit breaker trips,
+    /// loads and stores degrade to pass-through and the service keeps
+    /// computing — graceful degradation is the cache's contract, not
+    /// special-cased here.
+    pub fn new(engine: SimEngine) -> Self {
         Self {
             inner: Arc::new(ServiceState {
-                cache: Some(cache),
-                ..Default::default()
+                flights: Mutex::default(),
+                engine,
+                executed: AtomicU64::new(0),
+                cache_hits: AtomicU64::new(0),
+                coalesced: AtomicU64::new(0),
             }),
         }
     }
 
-    /// The attached cache, if any.
-    pub fn cache(&self) -> Option<&MatrixCache> {
-        self.inner.cache.as_ref()
-    }
-
-    /// The attached cache's health counters (all-zero without a cache) —
+    /// The engine's cache's health counters (all-zero without a cache) —
     /// what the daemon's `health` response and `run_all --health-json`
     /// both serialize.
     pub fn cache_health(&self) -> CacheHealth {
         self.inner
-            .cache
-            .as_ref()
+            .engine
+            .matrix_cache()
             .map(MatrixCache::health)
             .unwrap_or_default()
     }
@@ -242,42 +238,43 @@ impl PointService {
         )
     }
 
-    /// Executes a led flight: consult the cache, simulate under `token` if
-    /// it misses, store fresh results back, and publish the outcome to
-    /// every follower. Returns the published outcome.
-    pub fn execute(&self, mut ticket: LeaderTicket, token: &CancelToken) -> FlightOutcome {
-        ticket.executed = true;
+    /// Executes a led flight as a one-point engine pass under `token` (the
+    /// engine consults its cache, simulates on a miss, and stores the
+    /// fresh result back), and publishes the outcome to every follower.
+    /// Returns the published outcome.
+    pub fn execute(&self, ticket: LeaderTicket, token: &CancelToken) -> FlightOutcome {
         let outcome = self.compute(&ticket.point, token);
-        self.inner
-            .publish(&ticket.point, &ticket.state, outcome.clone());
+        ticket.publish(outcome.clone());
         outcome
     }
 
     fn compute(&self, point: &SimPoint, token: &CancelToken) -> FlightOutcome {
+        let ops_requested = point.options.ops as u64;
         if token.is_cancelled() {
             return FlightOutcome::Cancelled {
                 ops_completed: 0,
-                ops_requested: point.options.ops as u64,
+                ops_requested,
             };
         }
-        if let Some(cache) = &self.inner.cache {
-            if let Some(result) = cache.load(point) {
-                self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return FlightOutcome::Done(Arc::new(result));
-            }
-        }
+        let mut plan = SimPlan::new();
+        plan.add(point.clone());
+        let mut matrix = SimMatrix::new();
+        // Counted as the walk starts, so the daemon's `executed` shows a
+        // long simulation while it runs; a pass the cache answered instead
+        // moves its count to `cache_hits`.
         self.inner.executed.fetch_add(1, Ordering::Relaxed);
-        match simulate_workload_cancellable(&point.workload, &point.machine, &point.options, token)
-        {
-            Ok(result) => {
-                if let Some(cache) = &self.inner.cache {
-                    cache.store(point, &result);
-                }
-                FlightOutcome::Done(Arc::new(result))
-            }
-            Err(cancelled) => FlightOutcome::Cancelled {
-                ops_completed: cancelled.ops_completed,
-                ops_requested: cancelled.ops_requested,
+        self.inner
+            .engine
+            .run_streaming(&mut matrix, &plan, token, &|_, _| {});
+        if matrix.cache_hits() > 0 {
+            self.inner.executed.fetch_sub(1, Ordering::Relaxed);
+            self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        match matrix.get_workload(&point.workload, &point.machine, &point.options) {
+            Some(result) => FlightOutcome::Done(Arc::new(result.clone())),
+            None => FlightOutcome::Cancelled {
+                ops_completed: matrix.ops_stopped(),
+                ops_requested,
             },
         }
     }
@@ -295,29 +292,19 @@ impl PointService {
         }
     }
 
-    /// Consults the attached cache for `point` without opening a flight.
+    /// Consults the engine's cache for `point` without opening a flight.
     /// A hit counts toward [`cache_hits`](Self::cache_hits) — this is the
     /// daemon's warm pre-pass for `simulate` and `sweep` requests, and a
     /// warm point served here is indistinguishable (bytes and counters)
     /// from one served through a led flight.
     pub fn load_cached(&self, point: &SimPoint) -> Option<SimResult> {
-        let result = self.inner.cache.as_ref()?.load(point)?;
+        let result = self.inner.engine.matrix_cache()?.load(point)?;
         self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);
         Some(result)
     }
 
-    /// Publishes an externally computed `result` as a led flight's outcome —
-    /// how a sweep's engine pass completes the flights its points lead,
-    /// with byte-identical results to [`execute`](Self::execute) (the
-    /// engine and the flight executor share one simulator and one cache).
-    pub fn complete(&self, mut ticket: LeaderTicket, result: Arc<SimResult>) {
-        ticket.executed = true;
-        self.inner
-            .publish(&ticket.point, &ticket.state, FlightOutcome::Done(result));
-    }
-
-    /// Runs a whole sweep through one gang-scheduled engine pass,
-    /// coalescing with concurrent point requests.
+    /// Runs a whole sweep through one gang-scheduled pass of the service's
+    /// engine, coalescing with concurrent point requests.
     ///
     /// `points` is the sweep's deduplicated plan; `pending` the indices not
     /// yet streamed (the handler's warm pre-pass already answered the
@@ -336,7 +323,6 @@ impl PointService {
         &self,
         points: &[SimPoint],
         pending: &[usize],
-        engine: &SimEngine,
         token: &CancelToken,
         observer: &(dyn Fn(usize, &SimPoint, &SimResult) + Sync),
     ) -> SweepReport {
@@ -374,13 +360,15 @@ impl PointService {
                         .expect("sweep ticket table poisoned")
                         .remove(&index);
                     if let Some(ticket) = ticket {
-                        self.complete(ticket, Arc::new(result.clone()));
+                        ticket.publish(FlightOutcome::Done(Arc::new(result.clone())));
                     }
                     observer(index, point, result);
                     streamed.fetch_add(1, Ordering::Relaxed);
                     done.lock().expect("sweep done list poisoned").push(index);
                 };
-                engine.run_streaming(&mut matrix, &plan, token, &engine_observer);
+                self.inner
+                    .engine
+                    .run_streaming(&mut matrix, &plan, token, &engine_observer);
                 // The engine executed (or cache-loaded) on this service's
                 // behalf: mirror the deltas into the service counters so
                 // `health` and `metrics` see sweep work.
@@ -443,6 +431,14 @@ pub struct SweepReport {
     pub complete: bool,
 }
 
+impl LeaderTicket {
+    /// Publishes the led flight's `outcome` to every follower.
+    fn publish(mut self, outcome: FlightOutcome) {
+        self.executed = true;
+        self.service.publish(&self.point, &self.state, outcome);
+    }
+}
+
 impl Drop for LeaderTicket {
     fn drop(&mut self) {
         if self.executed {
@@ -462,6 +458,10 @@ mod tests {
     use crate::runner::{MachineConfig, RunOptions};
     use wp_workloads::Benchmark;
 
+    fn service() -> PointService {
+        PointService::new(SimEngine::serial())
+    }
+
     fn point(ops: usize) -> SimPoint {
         SimPoint::new(
             Benchmark::Li,
@@ -472,7 +472,7 @@ mod tests {
 
     #[test]
     fn a_lone_caller_leads_and_executes_once() {
-        let service = PointService::new();
+        let service = service();
         let point = point(2_000);
         let a = service.run_point(&point, &CancelToken::never());
         let b = service.run_point(&point, &CancelToken::never());
@@ -485,7 +485,7 @@ mod tests {
 
     #[test]
     fn followers_share_the_leaders_result() {
-        let service = PointService::new();
+        let service = service();
         let point = point(30_000);
         let threads = 6;
         let barrier = std::sync::Barrier::new(threads);
@@ -525,7 +525,7 @@ mod tests {
 
     #[test]
     fn dropped_leaders_shed_their_followers() {
-        let service = PointService::new();
+        let service = service();
         let point = point(2_000);
         let Join::Leader(ticket, flight) = service.join(&point) else {
             panic!("first join leads");
@@ -549,7 +549,8 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("wpsdm-service-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let service = PointService::with_cache(MatrixCache::new(&dir));
+        let service =
+            PointService::new(SimEngine::serial().with_matrix_cache(MatrixCache::new(&dir)));
         let point = point(2_000);
         let FlightOutcome::Done(cold) = service.run_point(&point, &CancelToken::never()) else {
             panic!("uncancelled runs complete");
@@ -565,7 +566,7 @@ mod tests {
 
     #[test]
     fn fired_tokens_cancel_with_progress() {
-        let service = PointService::new();
+        let service = service();
         let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
         let token = CancelToken::never().with_flag(flag);
         let outcome = service.run_point(&point(5_000), &token);
@@ -582,7 +583,7 @@ mod tests {
 
     #[test]
     fn waits_respect_deadlines() {
-        let service = PointService::new();
+        let service = service();
         let point = point(2_000);
         let Join::Leader(_ticket, flight) = service.join(&point) else {
             panic!("first join leads");

@@ -14,9 +14,8 @@
 use std::io::Write;
 use std::time::Duration;
 
-use wp_experiments::runner::parse_positive;
-use wp_experiments::storage::FaultyIo;
-use wp_experiments::{CliError, MatrixCache, PointService};
+use wp_experiments::runner::{engine_from_flags, parse_positive};
+use wp_experiments::{CliError, PointService};
 use wp_serve::server::{self, Listen, ServerConfig};
 use wp_serve::signal;
 
@@ -93,25 +92,18 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<ServeOptions, CliErr
     Ok(options)
 }
 
-/// The shared service the options describe — the same cache wiring as the
-/// batch binaries ([`wp_experiments::runner::CliOptions::engine`]), so warm
+/// The shared service the options describe: one engine of
+/// `--sweep-threads` workers that runs every point and sweep, with the same
+/// cache wiring as the batch binaries ([`engine_from_flags`]), so warm
 /// daemon responses and `run_all` share one on-disk cache and one fault
 /// seed (`WPSDM_MATRIX_CACHE_FAULT_SEED`).
 fn service_from(options: &ServeOptions) -> PointService {
-    if options.no_matrix_cache {
-        return PointService::new();
-    }
-    let mut cache = match &options.matrix_cache_dir {
-        Some(dir) => MatrixCache::new(dir),
-        None => MatrixCache::at_default_dir(),
-    };
-    if options.matrix_cache_cap.is_some() {
-        cache = cache.with_cap(options.matrix_cache_cap);
-    }
-    if let Some(io) = FaultyIo::from_env() {
-        cache = cache.with_io_backend(io);
-    }
-    PointService::with_cache(cache)
+    PointService::new(engine_from_flags(
+        options.sweep_threads,
+        options.no_matrix_cache,
+        options.matrix_cache_dir.as_deref(),
+        options.matrix_cache_cap,
+    ))
 }
 
 fn main() {
@@ -130,9 +122,6 @@ fn main() {
     }
     config.queue_depth = options.queue_depth;
     config.lane_depth = options.lane_depth;
-    if let Some(sweep_threads) = options.sweep_threads {
-        config.sweep_threads = sweep_threads;
-    }
     config.default_deadline_ms = options.default_deadline_ms;
     config.max_conn_requests = options.max_conn_requests;
 

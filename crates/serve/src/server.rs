@@ -11,22 +11,29 @@
 //!    [`protocol::FrameReader`], so a read timeout mid-frame pauses the
 //!    decode instead of discarding the bytes already received — only a
 //!    timeout *between* frames counts as idleness.
-//! 3. A `simulate` request whose point is in the matrix cache is answered
-//!    on the handler thread, before admission, like a sweep's warm points.
-//!    A cold one joins the [`PointService`] flight table *before*
-//!    touching the queue: followers of an in-flight point consume **no**
-//!    queue slot — a stampede of N identical requests occupies one slot and
-//!    executes one simulation. A follower whose flight is cancelled or shed
-//!    under the *leader's* deadline re-joins and leads a fresh flight while
-//!    its own deadline still has budget.
-//! 4. Flight leaders and sweep jobs are admitted through the bounded lane
-//!    scheduler. A full queue (global or per-lane) sheds immediately with
-//!    `overloaded` (a dropped leader ticket wakes any followers with the
-//!    same outcome); a closed queue answers `shutting_down`.
+//! 3. `simulate` and `sweep` pass one gate first: a draining daemon
+//!    answers `shutting_down`, and a connection past its request budget
+//!    is shed with `overloaded`; both close the connection. A `simulate`
+//!    request whose point is in the matrix cache is then answered on the
+//!    handler thread, before admission, like a sweep's warm points. A
+//!    cold one joins the [`PointService`] flight table *before* touching
+//!    the queue: followers of an in-flight point consume **no** queue
+//!    slot — a stampede of N identical requests occupies one slot and
+//!    executes one simulation. A follower whose flight is cancelled or
+//!    shed under the *leader's* deadline re-joins and leads a fresh flight
+//!    while its own deadline still has budget; leader and follower map the
+//!    flight's outcome to one response the same way.
+//! 4. Flight leaders and sweep jobs are admitted by one helper through the
+//!    bounded lane scheduler. A full queue (global or per-lane) sheds
+//!    immediately with `overloaded` (the refused job is dropped, and a
+//!    dropped leader ticket wakes any followers with the same outcome); a
+//!    closed queue answers `shutting_down`.
 //! 5. A fixed pool of workers pops jobs lane-by-lane and executes them
-//!    through the shared service. A `sweep` job runs the whole remaining
-//!    plan through one gang-scheduled [`SimEngine`] pass, streaming each
-//!    completed point back to the handler's inbox; the scheduler reserves
+//!    through the shared service, whose one [`wp_experiments::SimEngine`]
+//!    executes every simulation. A led point runs as a one-point engine
+//!    pass, which walks its workload stream live; a `sweep` job runs the
+//!    whole remaining plan through one gang-scheduled pass, streaming each
+//!    completed point back to the handler's inbox. The scheduler reserves
 //!    at least one worker for point requests while sweeps run.
 //! 6. Shutdown (SIGTERM/SIGINT, or a `shutdown` request) sets the shutdown
 //!    flag and dials the listener once, so the accept loop's blocked
@@ -46,7 +53,7 @@ use std::time::{Duration, Instant};
 
 use wp_cpu::SimResult;
 use wp_experiments::service::{FlightOutcome, Join, PointService, SweepReport};
-use wp_experiments::{CancelToken, LeaderTicket, SimEngine, SimPoint};
+use wp_experiments::{CancelToken, LeaderTicket, SimPoint};
 
 use crate::protocol::{self, ErrorCode, HistogramSnapshot, MetricsSnapshot, Request};
 
@@ -111,13 +118,12 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Per-lane admission cap: jobs one connection may have queued.
     pub lane_depth: usize,
-    /// Threads one sweep's gang-scheduled engine pass may use.
-    pub sweep_threads: usize,
     /// Deadline for requests that do not carry their own, in milliseconds.
     pub default_deadline_ms: u64,
     /// Requests one connection may issue before it is shed and closed.
     pub max_conn_requests: u64,
-    /// The shared singleflight executor (and its optional matrix cache).
+    /// The shared singleflight executor, with the one engine (and its
+    /// optional matrix cache) that runs every simulation.
     pub service: PointService,
 }
 
@@ -131,7 +137,6 @@ impl ServerConfig {
             workers: wp_experiments::engine::available_threads(),
             queue_depth: 128,
             lane_depth: 32,
-            sweep_threads: wp_experiments::engine::available_threads(),
             default_deadline_ms: 30_000,
             max_conn_requests: 1024,
             service,
@@ -175,15 +180,16 @@ impl Job {
     }
 }
 
-/// Why [`LaneScheduler::try_push`] refused a job.
+/// Why [`LaneScheduler::try_push`] refused a job. The refused job is
+/// dropped, so a point job's leader ticket sheds its followers.
+#[derive(Debug, PartialEq, Eq)]
 enum Refused {
-    /// The global queue is at depth; the job is returned so its ticket
-    /// sheds.
-    Full(Job),
-    /// The connection's own lane is at depth; ditto.
-    LaneFull(Job),
-    /// The scheduler is closed for shutdown; ditto.
-    Closed(Job),
+    /// The global queue is at depth.
+    Full,
+    /// The connection's own lane is at depth.
+    LaneFull,
+    /// The scheduler is closed for shutdown.
+    Closed,
 }
 
 /// The bounded, fairness-aware admission queue. `try_push` never blocks —
@@ -238,13 +244,13 @@ impl LaneScheduler {
     fn try_push(&self, lane: u64, job: Job) -> Result<(), Refused> {
         let mut state = self.state.lock().expect("scheduler lock poisoned");
         if state.closed {
-            return Err(Refused::Closed(job));
+            return Err(Refused::Closed);
         }
         if state.queued >= self.queue_depth {
-            return Err(Refused::Full(job));
+            return Err(Refused::Full);
         }
         if state.lanes.get(&lane).map_or(0, VecDeque::len) >= self.lane_depth {
-            return Err(Refused::LaneFull(job));
+            return Err(Refused::LaneFull);
         }
         let queue = state.lanes.entry(lane).or_default();
         let newly_active = queue.is_empty();
@@ -498,9 +504,6 @@ impl Metrics {
 /// Shared state every handler and worker sees.
 struct Shared {
     service: PointService,
-    /// The gang-scheduled engine sweeps execute through, sharing the
-    /// service's matrix cache so streamed and batch bytes coincide.
-    engine: SimEngine,
     scheduler: LaneScheduler,
     /// `Arc` so sweep cancel tokens can watch it directly.
     shutdown: Arc<AtomicBool>,
@@ -524,6 +527,65 @@ impl Shared {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
             self.wake.dial();
         }
+    }
+
+    /// The gate every `simulate` and `sweep` passes before anything else:
+    /// refused while the daemon drains, and once the connection has spent
+    /// its request budget (`served` counts the requests that got this far).
+    fn gate(&self, served: &mut u64) -> Result<(), Rejection> {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return Err(Rejection::SHUTTING_DOWN);
+        }
+        *served += 1;
+        if *served > self.max_conn_requests {
+            self.shed.fetch_add(1, Ordering::Relaxed);
+            return Err(Rejection {
+                code: ErrorCode::Overloaded,
+                message: "per-connection request budget exhausted; reconnect to continue",
+                close: true,
+            });
+        }
+        Ok(())
+    }
+
+    /// Queues `job` on `lane`, or says why not (a refused job is dropped).
+    fn admit(&self, lane: u64, job: Job) -> Result<(), Rejection> {
+        let message = match self.scheduler.try_push(lane, job) {
+            Ok(()) => {
+                let (_, queued) = self.scheduler.depths();
+                self.metrics.note_depth(queued);
+                return Ok(());
+            }
+            Err(Refused::Closed) => return Err(Rejection::SHUTTING_DOWN),
+            Err(Refused::Full) => "the request queue is full",
+            Err(Refused::LaneFull) => "the connection's fairness lane is full",
+        };
+        self.shed.fetch_add(1, Ordering::Relaxed);
+        Err(Rejection {
+            code: ErrorCode::Overloaded,
+            message,
+            close: false,
+        })
+    }
+}
+
+/// Why a `simulate` or `sweep` was refused before it ran: the error to
+/// answer with, and whether the connection closes after it.
+struct Rejection {
+    code: ErrorCode,
+    message: &'static str,
+    close: bool,
+}
+
+impl Rejection {
+    const SHUTTING_DOWN: Rejection = Rejection {
+        code: ErrorCode::ShuttingDown,
+        message: "the daemon is draining for shutdown",
+        close: true,
+    };
+
+    fn response(&self, v: u64, id: u64) -> String {
+        protocol::error_response(v, id, self.code, self.message)
     }
 }
 
@@ -759,13 +821,8 @@ pub fn start(config: ServerConfig) -> io::Result<RunningServer> {
     let addr = listener.addr();
     let wake = listener.wake()?;
     let workers = config.workers.max(1);
-    let mut engine = SimEngine::new(config.sweep_threads.max(1));
-    if let Some(cache) = config.service.cache() {
-        engine = engine.with_matrix_cache(cache.clone());
-    }
     let shared = Arc::new(Shared {
         service: config.service,
-        engine,
         scheduler: LaneScheduler::new(config.queue_depth.max(1), config.lane_depth.max(1), workers),
         shutdown: Arc::new(AtomicBool::new(false)),
         wake,
@@ -811,7 +868,6 @@ fn worker_loop(shared: &Shared) {
                 let report = shared.service.run_sweep(
                     &job.points,
                     &job.pending,
-                    &shared.engine,
                     &job.token,
                     &|index, _point, result| {
                         job.inbox
@@ -986,29 +1042,8 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
             deadline_ms,
             priority,
         } => {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return (
-                    protocol::error_response(
-                        v,
-                        id,
-                        ErrorCode::ShuttingDown,
-                        "the daemon is draining for shutdown",
-                    ),
-                    true,
-                );
-            }
-            *served += 1;
-            if *served > shared.max_conn_requests {
-                shared.shed.fetch_add(1, Ordering::Relaxed);
-                return (
-                    protocol::error_response(
-                        v,
-                        id,
-                        ErrorCode::Overloaded,
-                        "per-connection request budget exhausted; reconnect to continue",
-                    ),
-                    true,
-                );
+            if let Err(rejection) = shared.gate(served) {
+                return (rejection.response(v, id), rejection.close);
             }
             let started = Instant::now();
             // Warm pre-pass *before* admission, as for sweeps: a cached
@@ -1020,14 +1055,13 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
             }
             let deadline_ms = deadline_ms.unwrap_or(shared.default_deadline_ms);
             let deadline = started + Duration::from_millis(deadline_ms);
-            let ops_requested = point.options.ops as u64;
             // Join → wait, re-joining when a *followed* flight dies under
             // its own leader's budget: another request's shorter deadline
             // (or a shed sweep ticket) must not be inherited by this one.
             // A led flight's cancellation IS this request's own deadline,
             // so leaders never loop.
             let response = loop {
-                match shared.service.join(&point) {
+                let (flight, led) = match shared.service.join(&point) {
                     Join::Leader(ticket, flight) => {
                         let token = CancelToken::never().with_deadline(deadline);
                         let job = Job::Point(PointJob {
@@ -1035,114 +1069,46 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
                             token,
                             priority,
                         });
-                        match shared.scheduler.try_push(lane, job) {
-                            Ok(()) => {
-                                let (_, queued) = shared.scheduler.depths();
-                                shared.metrics.note_depth(queued);
-                            }
-                            Err(Refused::Full(job)) => {
-                                shared.shed.fetch_add(1, Ordering::Relaxed);
-                                drop(job); // the dropped ticket publishes Shed to any followers
-                                break (
-                                    protocol::error_response(
-                                        v,
-                                        id,
-                                        ErrorCode::Overloaded,
-                                        "the request queue is full",
-                                    ),
-                                    false,
-                                );
-                            }
-                            Err(Refused::LaneFull(job)) => {
-                                shared.shed.fetch_add(1, Ordering::Relaxed);
-                                drop(job);
-                                break (
-                                    protocol::error_response(
-                                        v,
-                                        id,
-                                        ErrorCode::Overloaded,
-                                        "the connection's fairness lane is full",
-                                    ),
-                                    false,
-                                );
-                            }
-                            Err(Refused::Closed(job)) => {
-                                drop(job);
-                                break (
-                                    protocol::error_response(
-                                        v,
-                                        id,
-                                        ErrorCode::ShuttingDown,
-                                        "the daemon is draining for shutdown",
-                                    ),
-                                    true,
-                                );
-                            }
+                        if let Err(rejection) = shared.admit(lane, job) {
+                            break (rejection.response(v, id), rejection.close);
                         }
-                        break match flight.wait(Some(deadline + WAIT_GRACE)) {
-                            Some(FlightOutcome::Done(result)) => {
-                                (protocol::ok_response_for(v, id, &result), false)
-                            }
-                            Some(FlightOutcome::Cancelled {
-                                ops_completed,
-                                ops_requested,
-                            }) => (
-                                protocol::deadline_response(v, id, ops_completed, ops_requested),
-                                false,
-                            ),
-                            Some(FlightOutcome::Shed) => (
-                                protocol::error_response(
-                                    v,
-                                    id,
-                                    ErrorCode::Overloaded,
-                                    "the request was shed before executing",
-                                ),
-                                false,
-                            ),
-                            None => (protocol::deadline_response(v, id, 0, ops_requested), false),
-                        };
+                        (flight, true)
                     }
-                    Join::Follower(flight) => match flight.wait(Some(deadline + WAIT_GRACE)) {
-                        Some(FlightOutcome::Done(result)) => {
-                            break (protocol::ok_response_for(v, id, &result), false)
-                        }
-                        Some(FlightOutcome::Cancelled {
-                            ops_completed,
-                            ops_requested,
-                        }) => {
-                            if Instant::now() < deadline {
-                                shared.metrics.releads.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                            break (
-                                protocol::deadline_response(v, id, ops_completed, ops_requested),
-                                false,
-                            );
-                        }
-                        Some(FlightOutcome::Shed) => {
-                            if Instant::now() < deadline {
-                                shared.metrics.releads.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                            break (
-                                protocol::error_response(
-                                    v,
-                                    id,
-                                    ErrorCode::Overloaded,
-                                    "the request was shed before executing",
-                                ),
-                                false,
-                            );
-                        }
-                        None => {
-                            break (protocol::deadline_response(v, id, 0, ops_requested), false)
-                        }
-                    },
+                    Join::Follower(flight) => (flight, false),
+                };
+                let outcome = flight.wait(Some(deadline + WAIT_GRACE));
+                let inherited = matches!(
+                    outcome,
+                    Some(FlightOutcome::Cancelled { .. } | FlightOutcome::Shed)
+                );
+                if !led && inherited && Instant::now() < deadline {
+                    shared.metrics.releads.fetch_add(1, Ordering::Relaxed);
+                    continue;
                 }
+                break (point_response(v, id, outcome, &point), false);
             };
             shared.metrics.point_latency.record(started.elapsed());
             response
         }
+    }
+}
+
+/// The response to a `simulate` whose flight ended with `outcome`, or
+/// whose wait expired (`None`) before it did.
+fn point_response(v: u64, id: u64, outcome: Option<FlightOutcome>, point: &SimPoint) -> String {
+    match outcome {
+        Some(FlightOutcome::Done(result)) => protocol::ok_response_for(v, id, &result),
+        Some(FlightOutcome::Cancelled {
+            ops_completed,
+            ops_requested,
+        }) => protocol::deadline_response(v, id, ops_completed, ops_requested),
+        Some(FlightOutcome::Shed) => protocol::error_response(
+            v,
+            id,
+            ErrorCode::Overloaded,
+            "the request was shed before executing",
+        ),
+        None => protocol::deadline_response(v, id, 0, point.options.ops as u64),
     }
 }
 
@@ -1172,28 +1138,13 @@ fn handle_sweep(
         deadline_ms,
         priority,
     } = params;
-    let v2 = protocol::PROTOCOL_V2;
-    if shared.shutdown.load(Ordering::SeqCst) {
-        let response = protocol::error_response(
-            v2,
-            id,
-            ErrorCode::ShuttingDown,
-            "the daemon is draining for shutdown",
-        );
+    let refuse = |conn: &mut Conn, rejection: Rejection| -> io::Result<bool> {
+        let response = rejection.response(protocol::PROTOCOL_V2, id);
         protocol::write_frame(conn, response.as_bytes())?;
-        return Ok(true);
-    }
-    *served += 1;
-    if *served > shared.max_conn_requests {
-        shared.shed.fetch_add(1, Ordering::Relaxed);
-        let response = protocol::error_response(
-            v2,
-            id,
-            ErrorCode::Overloaded,
-            "per-connection request budget exhausted; reconnect to continue",
-        );
-        protocol::write_frame(conn, response.as_bytes())?;
-        return Ok(true);
+        Ok(rejection.close)
+    };
+    if let Err(rejection) = shared.gate(served) {
+        return refuse(conn, rejection);
     }
     let started = Instant::now();
     let deadline =
@@ -1223,46 +1174,8 @@ fn handle_sweep(
             priority,
             inbox: Arc::clone(&inbox),
         });
-        match shared.scheduler.try_push(lane, job) {
-            Ok(()) => {
-                let (_, queued) = shared.scheduler.depths();
-                shared.metrics.note_depth(queued);
-            }
-            Err(Refused::Full(job)) => {
-                shared.shed.fetch_add(1, Ordering::Relaxed);
-                drop(job);
-                let response = protocol::error_response(
-                    v2,
-                    id,
-                    ErrorCode::Overloaded,
-                    "the request queue is full",
-                );
-                protocol::write_frame(conn, response.as_bytes())?;
-                return Ok(false);
-            }
-            Err(Refused::LaneFull(job)) => {
-                shared.shed.fetch_add(1, Ordering::Relaxed);
-                drop(job);
-                let response = protocol::error_response(
-                    v2,
-                    id,
-                    ErrorCode::Overloaded,
-                    "the connection's fairness lane is full",
-                );
-                protocol::write_frame(conn, response.as_bytes())?;
-                return Ok(false);
-            }
-            Err(Refused::Closed(job)) => {
-                drop(job);
-                let response = protocol::error_response(
-                    v2,
-                    id,
-                    ErrorCode::ShuttingDown,
-                    "the daemon is draining for shutdown",
-                );
-                protocol::write_frame(conn, response.as_bytes())?;
-                return Ok(true);
-            }
+        if let Err(rejection) = shared.admit(lane, job) {
+            return refuse(conn, rejection);
         }
     }
     shared
@@ -1333,11 +1246,11 @@ fn handle_sweep(
 mod tests {
     use super::*;
 
-    use wp_experiments::{MachineConfig, RunOptions};
+    use wp_experiments::{MachineConfig, RunOptions, SimEngine};
     use wp_workloads::Benchmark;
 
     fn point_job(priority: u8) -> Job {
-        let service = PointService::new();
+        let service = PointService::new(SimEngine::serial());
         let point = SimPoint::new(
             Benchmark::Gcc,
             MachineConfig::baseline(),
@@ -1415,15 +1328,17 @@ mod tests {
     fn the_global_and_lane_caps_refuse_distinctly() {
         let scheduler = LaneScheduler::new(2, 1, 2);
         assert!(scheduler.try_push(1, point_job(4)).is_ok());
-        match scheduler.try_push(1, point_job(4)) {
-            Err(Refused::LaneFull(_)) => {}
-            _ => panic!("the second job on one lane must hit the lane cap"),
-        }
+        assert_eq!(
+            scheduler.try_push(1, point_job(4)),
+            Err(Refused::LaneFull),
+            "the second job on one lane must hit the lane cap"
+        );
         assert!(scheduler.try_push(2, point_job(4)).is_ok());
-        match scheduler.try_push(3, point_job(4)) {
-            Err(Refused::Full(_)) => {}
-            _ => panic!("the third job must hit the global cap"),
-        }
+        assert_eq!(
+            scheduler.try_push(3, point_job(4)),
+            Err(Refused::Full),
+            "the third job must hit the global cap"
+        );
     }
 
     #[test]

@@ -45,9 +45,3 @@ pub fn install() {
 pub fn requested() -> bool {
     REQUESTED.load(Ordering::SeqCst)
 }
-
-/// Test hook: pretends a signal arrived.
-#[doc(hidden)]
-pub fn request_for_tests() {
-    REQUESTED.store(true, Ordering::SeqCst);
-}

@@ -10,7 +10,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use wp_experiments::PointService;
+use wp_experiments::{PointService, SimEngine};
 use wp_serve::protocol::{self, FrameReader};
 use wp_serve::server::{self, Listen, RunningServer, ServerConfig};
 
@@ -19,7 +19,10 @@ use wp_serve::server::{self, Listen, RunningServer, ServerConfig};
 const DRIBBLE_PAUSE: Duration = Duration::from_millis(300);
 
 fn start() -> RunningServer {
-    let mut config = ServerConfig::new(Listen::Tcp("127.0.0.1:0".to_string()), PointService::new());
+    let mut config = ServerConfig::new(
+        Listen::Tcp("127.0.0.1:0".to_string()),
+        PointService::new(SimEngine::default()),
+    );
     config.workers = 1;
     server::start(config).expect("daemon starts on an ephemeral port")
 }

@@ -8,7 +8,7 @@
 use std::time::{Duration, Instant};
 
 use wp_experiments::{
-    simulate_workload, MachineConfig, MatrixCache, PointService, RunOptions, SimPoint,
+    simulate_workload, MachineConfig, MatrixCache, PointService, RunOptions, SimEngine, SimPoint,
 };
 use wp_serve::protocol;
 use wp_serve::server::{self, Listen, RunningServer, ServerConfig};
@@ -29,7 +29,10 @@ fn point(benchmark: Benchmark, ops: usize) -> SimPoint {
 }
 
 fn start(configure: impl FnOnce(&mut ServerConfig)) -> RunningServer {
-    let mut config = ServerConfig::new(Listen::Tcp("127.0.0.1:0".to_string()), PointService::new());
+    let mut config = ServerConfig::new(
+        Listen::Tcp("127.0.0.1:0".to_string()),
+        PointService::new(SimEngine::default()),
+    );
     config.workers = 2;
     configure(&mut config);
     server::start(config).expect("daemon starts on an ephemeral port")
@@ -91,7 +94,8 @@ fn a_stampede_of_identical_requests_executes_one_simulation() {
         // The shared cache makes the executed-once property independent of
         // timing: concurrent duplicates coalesce in flight, and any
         // straggler that arrives after completion hits the cache instead.
-        config.service = PointService::with_cache(MatrixCache::new(&dir));
+        config.service =
+            PointService::new(SimEngine::default().with_matrix_cache(MatrixCache::new(&dir)));
         config.workers = 4;
     });
     let stampede = 8;
@@ -187,7 +191,8 @@ fn a_full_queue_sheds_with_overloaded_instead_of_stalling() {
 fn warm_points_are_answered_while_the_queue_is_full() {
     let dir = temp_dir("warm-full-queue");
     let server = start(|config| {
-        config.service = PointService::with_cache(MatrixCache::new(&dir));
+        config.service =
+            PointService::new(SimEngine::default().with_matrix_cache(MatrixCache::new(&dir)));
         config.workers = 1;
         config.queue_depth = 1;
     });
@@ -444,7 +449,8 @@ fn a_shutdown_request_acks_drains_and_rejects_new_work() {
 fn health_reports_cache_and_singleflight_counters() {
     let dir = temp_dir("health");
     let server = start(|config| {
-        config.service = PointService::with_cache(MatrixCache::new(&dir));
+        config.service =
+            PointService::new(SimEngine::default().with_matrix_cache(MatrixCache::new(&dir)));
     });
     let mut client = client(&server);
     let request = protocol::simulate_request(1, &point(Benchmark::Gcc, QUICK_OPS), None);
@@ -475,7 +481,10 @@ fn health_reports_cache_and_singleflight_counters() {
 fn unix_sockets_serve_and_are_unlinked_on_shutdown() {
     let path = std::env::temp_dir().join(format!("wpsdm-serve-test-{}.sock", std::process::id()));
     let server = {
-        let mut config = ServerConfig::new(Listen::Unix(path.clone()), PointService::new());
+        let mut config = ServerConfig::new(
+            Listen::Unix(path.clone()),
+            PointService::new(SimEngine::default()),
+        );
         config.workers = 1;
         server::start(config).expect("daemon binds the unix socket")
     };

@@ -4,15 +4,18 @@
 //! replays warm from the cache without re-executing, and coexists with
 //! interactive v1 point requests on other connections (fairness lanes plus
 //! the sweep worker reservation). A sweep's deadline also stops a stream
-//! build in flight, spill file and all.
+//! build in flight, spill file and all, and a one-point sweep walks its
+//! stream live, with no spill file at all.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use serde::Value;
+use wp_cache::DCachePolicy;
 use wp_experiments::{
-    simulate_workload, MachineConfig, MatrixCache, PointService, RunOptions, SimPoint,
+    simulate_workload, MachineConfig, MatrixCache, PointService, RunOptions, SimEngine, SimPoint,
 };
 use wp_serve::protocol::{self, SweepPlanSpec};
 use wp_serve::server::{self, Listen, RunningServer, ServerConfig};
@@ -24,7 +27,10 @@ use wp_workloads::Benchmark;
 const SWEEP_OPS: u64 = 2_000;
 
 fn start(configure: impl FnOnce(&mut ServerConfig)) -> RunningServer {
-    let mut config = ServerConfig::new(Listen::Tcp("127.0.0.1:0".to_string()), PointService::new());
+    let mut config = ServerConfig::new(
+        Listen::Tcp("127.0.0.1:0".to_string()),
+        PointService::new(SimEngine::default()),
+    );
     config.workers = 2;
     configure(&mut config);
     server::start(config).expect("daemon starts on an ephemeral port")
@@ -93,7 +99,8 @@ fn metric(metrics: &Value, path: &[&str]) -> u64 {
 fn a_cold_run_all_sweep_streams_byte_identical_frames_in_one_engine_pass() {
     let dir = temp_dir("cold");
     let server = start(|config| {
-        config.service = PointService::with_cache(MatrixCache::new(&dir));
+        config.service =
+            PointService::new(SimEngine::default().with_matrix_cache(MatrixCache::new(&dir)));
     });
     let (requested, points) = run_all_points(SWEEP_OPS);
 
@@ -175,7 +182,8 @@ fn a_cold_run_all_sweep_streams_byte_identical_frames_in_one_engine_pass() {
 fn a_v1_point_request_completes_while_a_sweep_streams() {
     let dir = temp_dir("fairness");
     let server = start(|config| {
-        config.service = PointService::with_cache(MatrixCache::new(&dir));
+        config.service =
+            PointService::new(SimEngine::default().with_matrix_cache(MatrixCache::new(&dir)));
     });
     // Enough work per point that the sweep is still streaming when the
     // interactive request lands.
@@ -256,7 +264,8 @@ fn an_expired_sweep_deadline_ends_the_stream_with_a_typed_error() {
 fn sweep_points_coalesce_with_concurrent_point_requests() {
     let dir = temp_dir("coalesce");
     let server = start(|config| {
-        config.service = PointService::with_cache(MatrixCache::new(&dir));
+        config.service =
+            PointService::new(SimEngine::default().with_matrix_cache(MatrixCache::new(&dir)));
     });
     // Warm exactly one plan point through the v1 path first; the sweep
     // must serve it from the cache, not re-execute it.
@@ -283,9 +292,13 @@ fn sweep_points_coalesce_with_concurrent_point_requests() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Ops of the one-point sweep whose stream build outlives its deadline: at
-/// tens of nanoseconds an op, seconds of building.
+/// Ops of the sweeps whose stream outlives their deadline: at tens of
+/// nanoseconds an op, seconds of building or walking.
 const SPILL_OPS: usize = 40_000_000;
+
+/// The deadline of those sweeps: long enough for many polls of the temp
+/// directory, far too short to build or walk `SPILL_OPS` ops.
+const SPILL_DEADLINE_MS: u64 = 500;
 
 /// A `serve` process, killed when dropped.
 struct DaemonProcess(Child);
@@ -310,12 +323,22 @@ fn spill_files(dir: &std::path::Path) -> Vec<String> {
         .unwrap_or_default()
 }
 
-#[test]
-fn a_sweep_deadline_stops_the_stream_build_and_deletes_its_spill_file() {
-    // The daemon runs as its own process with its own temp directory, so
-    // every spill file in that directory is this sweep's. A 4 KiB stream
-    // cap spills the stream almost at once.
-    let tmp = temp_dir("spill-deadline");
+/// A sweep that [`sweep_past_its_deadline`] ran, with its daemon still up.
+struct SpillRun {
+    daemon: DaemonProcess,
+    tmp: std::path::PathBuf,
+    terminal: String,
+    /// Whether any poll of `tmp` before the terminal frame saw a spill file.
+    spilled: bool,
+}
+
+/// Runs a `serve` process with its own temp directory, so every spill file
+/// in that directory is its sweep's, and a 4 KiB stream cap, so a
+/// materialized stream spills almost at once. Sends it one sweep of
+/// `machines` on gcc at `SPILL_OPS` ops that its deadline stops, polling the
+/// temp directory until the terminal frame arrives.
+fn sweep_past_its_deadline(tag: &str, machines: &[MachineConfig]) -> SpillRun {
+    let tmp = temp_dir(tag);
     std::fs::create_dir_all(&tmp).expect("a private temp directory");
     let mut daemon = DaemonProcess(
         Command::new(env!("CARGO_BIN_EXE_serve"))
@@ -336,39 +359,90 @@ fn a_sweep_deadline_stops_the_stream_build_and_deletes_its_spill_file() {
         .strip_prefix("wp-serve: listening on tcp://")
         .unwrap_or_else(|| panic!("unexpected announcement: {line}"))
         .to_string();
-    let point = SimPoint::new(
-        Benchmark::Gcc,
-        MachineConfig::baseline(),
-        RunOptions::default().with_ops(SPILL_OPS),
-    );
+    let points = machines
+        .iter()
+        .map(|machine| {
+            SimPoint::new(
+                Benchmark::Gcc,
+                *machine,
+                RunOptions::default().with_ops(SPILL_OPS),
+            )
+        })
+        .collect();
     let request = protocol::sweep_request(
         1,
-        &SweepPlanSpec::Points(vec![point]),
+        &SweepPlanSpec::Points(points),
         SPILL_OPS as u64,
         42,
-        Some(100),
+        Some(SPILL_DEADLINE_MS),
         None,
     );
     let mut client = Client::connect(&addr).expect("client connects");
     client
         .set_timeout(Duration::from_secs(60))
         .expect("timeout set");
-    let terminal = client
-        .sweep(&request, |frame| panic!("no point can finish: {frame}"))
-        .expect("the deadline frame arrives");
-    let framed = Instant::now();
+    let framed = AtomicBool::new(false);
+    let (terminal, spilled) = std::thread::scope(|scope| {
+        let poller = scope.spawn(|| {
+            let mut spilled = false;
+            while !framed.load(Ordering::SeqCst) {
+                spilled |= !spill_files(&tmp).is_empty();
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            spilled
+        });
+        let terminal = client
+            .sweep(&request, |frame| panic!("no point can finish: {frame}"))
+            .expect("the deadline frame arrives");
+        framed.store(true, Ordering::SeqCst);
+        (terminal, poller.join().expect("the poller panicked"))
+    });
     assert!(
         terminal.contains("\"code\":\"deadline_exceeded\""),
         "{terminal}"
     );
-    while !spill_files(&tmp).is_empty() && framed.elapsed() < Duration::from_secs(1) {
+    SpillRun {
+        daemon,
+        tmp,
+        terminal,
+        spilled,
+    }
+}
+
+#[test]
+fn a_sweep_deadline_stops_the_stream_build_and_deletes_its_spill_file() {
+    // Two points on one stream: the stream is materialized for both, and
+    // under the 4 KiB cap its build spills.
+    let baseline = MachineConfig::baseline();
+    let run = sweep_past_its_deadline(
+        "spill-deadline",
+        &[baseline, baseline.with_dpolicy(DCachePolicy::Sequential)],
+    );
+    assert!(
+        run.spilled,
+        "the build wrote a spill file before the deadline: {}",
+        run.terminal
+    );
+    let framed = Instant::now();
+    while !spill_files(&run.tmp).is_empty() && framed.elapsed() < Duration::from_secs(1) {
         std::thread::sleep(Duration::from_millis(10));
     }
-    let left = spill_files(&tmp);
-    drop(daemon);
-    let _ = std::fs::remove_dir_all(&tmp);
+    let left = spill_files(&run.tmp);
+    drop(run.daemon);
+    let _ = std::fs::remove_dir_all(&run.tmp);
     assert!(
         left.is_empty(),
         "a second after its deadline frame the sweep still has spill files: {left:?}"
+    );
+}
+
+#[test]
+fn a_one_point_sweep_walks_its_stream_live_without_a_spill_file() {
+    let run = sweep_past_its_deadline("live-walk", &[MachineConfig::baseline()]);
+    drop(run.daemon);
+    let _ = std::fs::remove_dir_all(&run.tmp);
+    assert!(
+        !run.spilled,
+        "a stream one unit reads is walked live, never spilled"
     );
 }

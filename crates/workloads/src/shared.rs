@@ -16,7 +16,9 @@
 //! stream spills to a temporary file in the `WPTR` trace codec
 //! ([`crate::trace`]) — the round-trip is bit-exact, so spilled and
 //! in-memory replays produce the same op sequence. Spill files are deleted
-//! when the [`SharedStream`] drops.
+//! when the [`SharedStream`] drops. A stream that only one consumer reads
+//! is better not materialized at all: [`SharedStream::live`] hands that
+//! consumer the live source, with no copy and no spill file.
 //!
 //! # Example
 //!
@@ -45,7 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::batch::{fill_from_iter, OpBlockSource, OpBuffer, DEFAULT_OP_BLOCK};
 use crate::op::MicroOp;
 use crate::trace::{TraceError, TraceReplay, TraceWriter};
-use crate::workload::WorkloadSpec;
+use crate::workload::{WorkloadSpec, WorkloadStream};
 
 /// Default per-stream memory cap before a materialized stream spills to the
 /// `WPTR` codec: 64 MiB, ~1.6 M ops — comfortably above the sweep defaults
@@ -116,6 +118,8 @@ enum Storage {
     /// The stream encoded in a `WPTR` file: an `owned` temp spill (deleted
     /// on drop), or a borrowed pre-existing trace file (left alone).
     Spilled { path: PathBuf, owned: bool },
+    /// Nothing stored: each reader opens the live source.
+    Live(StreamKey),
 }
 
 /// One workload stream, produced once and replayable any number of times.
@@ -227,6 +231,22 @@ impl SharedStream {
         Ok(Some(spilled))
     }
 
+    /// The stream for `key`, not materialized: every
+    /// [`reader`](Self::reader) opens the live generator or trace replay
+    /// and walks it as [`WorkloadSpec::stream`] produces it, so nothing is
+    /// copied or spilled, and each reader pays the generation cost again.
+    /// This suits a stream that one consumer reads.
+    pub fn live(key: &StreamKey) -> Self {
+        let ops = match &key.spec {
+            WorkloadSpec::Trace(handle) => key.ops.min(handle.records() as usize),
+            _ => key.ops,
+        };
+        Self {
+            ops,
+            storage: Storage::Live(key.clone()),
+        }
+    }
+
     /// Number of ops the stream holds (may be below the requested `ops` for
     /// trace workloads shorter than the request).
     pub fn ops(&self) -> usize {
@@ -238,14 +258,15 @@ impl SharedStream {
         matches!(self.storage, Storage::Spilled { .. })
     }
 
-    /// Opens an independent reader over the materialized stream. Readers
-    /// replay the identical op sequence the live generator produced, from
-    /// the start, truncated to [`SharedStream::ops`].
+    /// Opens an independent reader over the stream. Readers replay the
+    /// identical op sequence the live generator produces, from the start,
+    /// truncated to [`SharedStream::ops`].
     ///
     /// # Errors
     ///
-    /// Returns a [`TraceError`] if a spill file cannot be re-opened;
-    /// in-memory streams never fail.
+    /// Returns a [`TraceError`] if a spill file or a live trace-file
+    /// workload cannot be re-opened; in-memory and live generated streams
+    /// never fail.
     pub fn reader(&self) -> Result<SharedStreamReader<'_>, TraceError> {
         Ok(match &self.storage {
             Storage::Memory(ops) => SharedStreamReader::Memory { ops, pos: 0 },
@@ -253,6 +274,7 @@ impl SharedStream {
                 replay: TraceReplay::open(path)?,
                 left: self.ops,
             },
+            Storage::Live(key) => SharedStreamReader::Live(key.spec.stream(key.ops, key.seed)?),
         })
     }
 }
@@ -285,6 +307,8 @@ pub enum SharedStreamReader<'a> {
         /// Ops still to serve.
         left: usize,
     },
+    /// Walks the live source of a [`SharedStream::live`] stream.
+    Live(WorkloadStream),
 }
 
 impl OpBlockSource for SharedStreamReader<'_> {
@@ -302,6 +326,7 @@ impl OpBlockSource for SharedStreamReader<'_> {
                 *left -= produced;
                 produced
             }
+            SharedStreamReader::Live(stream) => stream.fill(buf),
         }
     }
 }
@@ -341,6 +366,11 @@ mod tests {
         assert_eq!(drain(&shared), direct);
         // A second reader replays from the start, unaffected by the first.
         assert_eq!(drain(&shared), direct);
+        // So does each reader of a live stream, which stores nothing.
+        let live = SharedStream::live(&key);
+        assert_eq!((live.ops(), live.is_spilled()), (5_000, false));
+        assert_eq!(drain(&live), direct);
+        assert_eq!(drain(&live), direct);
     }
 
     #[test]
@@ -366,7 +396,7 @@ mod tests {
                 assert!(*owned, "a generated spill is owned");
                 path.clone()
             }
-            Storage::Memory(_) => panic!("stream must spill under a 1-byte cap"),
+            Storage::Memory(_) | Storage::Live(_) => panic!("stream must spill under a 1-byte cap"),
         };
         assert!(path.exists());
         drop(shared);
@@ -420,6 +450,9 @@ mod tests {
         assert_eq!(shared.ops(), 400, "truncates at the requested ops");
         let direct: Vec<MicroOp> = spec.stream(400, 0).expect("opens").collect();
         assert_eq!(drain(&shared), direct);
+        let live = SharedStream::live(&key);
+        assert_eq!(live.ops(), 400, "a live replay truncates the same way");
+        assert_eq!(drain(&live), direct);
         drop(shared);
         assert!(path.exists(), "a borrowed trace file must survive the drop");
         let _ = std::fs::remove_dir_all(&dir);

@@ -152,12 +152,12 @@ fn read_only_cache_dir_degrades_but_results_stay_correct() {
     // The right counters moved: every store failed, and with more failed
     // stores than the breaker threshold the cache degraded to pass-through.
     assert!(
-        matrix.cache_io_errors() >= 4,
+        matrix.cache_health().io_errors >= 4,
         "failed stores must count as I/O errors (saw {})",
-        matrix.cache_io_errors()
+        matrix.cache_health().io_errors
     );
     assert!(
-        matrix.cache_degraded(),
+        matrix.cache_health().degraded,
         "consecutive store failures past the threshold must trip the breaker"
     );
     // Nothing was ever written.
@@ -198,12 +198,12 @@ fn enospc_mid_store_loses_one_record_but_no_results() {
     let cold = engine.run(&plan);
     assert_eq!(cold.executed_points(), 2);
     assert_eq!(
-        cold.cache_io_errors(),
+        cold.cache_health().io_errors,
         1,
         "exactly the one ENOSPC write must be counted"
     );
     assert!(
-        !cold.cache_degraded(),
+        !cold.cache_health().degraded,
         "one failure must not trip the breaker"
     );
     for point in plan.unique_points() {
@@ -264,11 +264,11 @@ fn stale_tmp_debris_is_swept_and_counted() {
     let engine = SimEngine::default().with_matrix_cache(MatrixCache::new(&dir));
     let matrix = engine.run(&plan);
     assert_eq!(
-        matrix.cache_recovered_tmp(),
+        matrix.cache_health().recovered_tmp,
         2,
         "both stranded tmp files swept"
     );
-    assert_eq!(matrix.cache_io_errors(), 0);
+    assert_eq!(matrix.cache_health().io_errors, 0);
     for point in plan.unique_points() {
         assert_eq!(
             reference.require_workload(&point.workload, &point.machine, &point.options),

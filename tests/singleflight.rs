@@ -14,7 +14,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use wpsdm::cpu::SimResult;
 use wpsdm::experiments::{
-    CancelToken, FlightOutcome, MachineConfig, MatrixCache, PointService, RunOptions, SimPoint,
+    CancelToken, FlightOutcome, MachineConfig, MatrixCache, PointService, RunOptions, SimEngine,
+    SimPoint,
 };
 use wpsdm::workloads::Benchmark;
 
@@ -72,7 +73,7 @@ proptest! {
     /// all K results are bit-identical.
     #[test]
     fn identical_stampedes_coalesce_and_share_bytes(callers in 2usize..9) {
-        let service = PointService::new();
+        let service = PointService::new(SimEngine::default());
         let point = pool().remove(0);
         let assignments = vec![point; callers];
         let outcomes = stampede(&service, &assignments);
@@ -111,7 +112,7 @@ proptest! {
             picks.iter().map(usize::to_string).collect::<String>(),
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let service = PointService::with_cache(MatrixCache::new(&dir));
+        let service = PointService::new(SimEngine::default().with_matrix_cache(MatrixCache::new(&dir)));
         let pool = pool();
         let assignments: Vec<SimPoint> = picks.iter().map(|&i| pool[i].clone()).collect();
         let unique: HashSet<&SimPoint> = assignments.iter().collect();

@@ -156,7 +156,7 @@ impl IWaySelect {
     }
 
     /// The BTB's predicted target for a taken branch at `branch_pc`, if any.
-    pub fn predicted_target(&mut self, branch_pc: Addr) -> Option<Addr> {
+    pub fn predicted_target(&self, branch_pc: Addr) -> Option<Addr> {
         self.btb.lookup(branch_pc).map(|e| e.target)
     }
 }
@@ -303,7 +303,7 @@ impl ICacheController {
     /// The BTB's predicted target for a taken branch at `branch_pc`, if the
     /// fetch engine has one (used by the processor model to decide whether a
     /// taken branch causes a fetch bubble).
-    pub fn predicted_target(&mut self, branch_pc: Addr) -> Option<Addr> {
+    pub fn predicted_target(&self, branch_pc: Addr) -> Option<Addr> {
         self.select.predicted_target(branch_pc)
     }
 

@@ -70,7 +70,9 @@ pub struct LaneMember {
 ///
 /// Panics if `members` is empty, wider than [`MAX_LANES`], or the members
 /// disagree on d-cache geometry — batch construction (`wp-experiments`)
-/// groups by `(policy, geometry)` before calling this.
+/// groups by `(policy, geometry)` before calling this — or if a member's
+/// core is one the scheduler cannot model
+/// ([`CpuConfig::assert_supported`]).
 pub fn run_lane_batch(
     dpolicy: DCachePolicy,
     members: &[LaneMember],

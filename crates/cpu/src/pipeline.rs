@@ -32,6 +32,11 @@
 //! configuration, never on how many lanes share the walk: everything
 //! timing-dependent is per lane, and the shared predictor and d-cache
 //! states depend only on the op stream.
+//!
+//! The step runs once per op per lane, so it avoids branches that follow
+//! the data: the ROB and LSQ stalls fold into one `max`, dependence
+//! distances are masked rather than tested, commit is a pair of selects, and
+//! "no fetch block" and "no pending redirect" are sentinels, not `Option`s.
 
 use serde::{Deserialize, Serialize};
 use wp_cache::{
@@ -90,6 +95,23 @@ impl Default for CpuConfig {
     }
 }
 
+impl CpuConfig {
+    /// Panics unless the scheduler can model this core: a fetch width of at
+    /// least 1, issue and commit widths in `1..=255` (a cycle's slot counter
+    /// is a byte), and at least one ROB and one LSQ entry.
+    pub fn assert_supported(&self) {
+        assert!(
+            self.fetch_width >= 1
+                && (1..=255).contains(&self.issue_width)
+                && (1..=255).contains(&self.commit_width)
+                && self.rob_entries >= 1
+                && self.lsq_entries >= 1,
+            "unsupported core {self:?}: fetch width must be at least 1, issue and commit widths \
+             in 1..=255, and the ROB and LSQ need at least one entry each"
+        );
+    }
+}
+
 /// The processor: an out-of-order core timing model bound to an i-cache, a
 /// d-cache, the memory hierarchy behind them, and a branch predictor.
 ///
@@ -144,9 +166,6 @@ const MAX_DEP_WINDOW: usize = 64;
 /// the invariant that every slot outside `[base, head)` holds zero:
 /// advancing the base zeroes exactly the cycles it retires, and a probe
 /// beyond `head` claims an untouched (hence free) slot without scanning.
-/// The ring replaces the `VecDeque` the scheduler used to carry, whose
-/// per-op pop/resize bookkeeping was the single largest line in the per-op
-/// profile (~12 of ~51 ns).
 #[derive(Debug)]
 struct IssueWindow {
     counts: Box<[u8]>,
@@ -188,25 +207,21 @@ impl IssueWindow {
     }
 
     /// Finds the first cycle at or after `start` with a free slot (fewer
-    /// than `width` reservations) and reserves it.
+    /// than `width` reservations) and reserves it. A cycle at or past
+    /// `head` holds zero by invariant, so it passes the same `< width` test
+    /// as any free slot (`width` is at least 1).
     #[inline]
     fn reserve(&mut self, start: u64, width: u8) -> u64 {
-        debug_assert!(start >= self.base);
+        debug_assert!(start >= self.base && width > 0);
         let mut cycle = start;
         loop {
-            if cycle - self.base >= self.counts.len() as u64 {
+            while cycle - self.base >= self.counts.len() as u64 {
                 self.grow();
             }
             let slot = (cycle & (self.counts.len() as u64 - 1)) as usize;
-            if cycle >= self.head {
-                // Untouched slot: zero by invariant, take it outright.
-                debug_assert_eq!(self.counts[slot], 0);
-                self.counts[slot] = 1;
-                self.head = cycle + 1;
-                return cycle;
-            }
             if self.counts[slot] < width {
                 self.counts[slot] += 1;
+                self.head = self.head.max(cycle + 1);
                 return cycle;
             }
             cycle += 1;
@@ -230,53 +245,42 @@ impl IssueWindow {
     }
 }
 
-/// A fixed-capacity ring of in-flight commit cycles, modelling ROB and LSQ
-/// occupancy. The scheduler pops the oldest entry exactly when the
-/// structure is full and pushes one entry per op, so the ring never
-/// reallocates and the hot path is two array index operations.
+/// A fixed-capacity ring of in-flight commit cycles, modelling ROB or LSQ
+/// occupancy. Every op that takes an entry first reads it — the commit
+/// cycle of the op `capacity` entries earlier, whose retirement frees it,
+/// or 0 while the structure has not yet filled — and then overwrites it
+/// with its own commit cycle: one load and one store per op, and no fill
+/// count to branch on.
 #[derive(Debug)]
 struct OccupancyRing {
     slots: Box<[u64]>,
-    /// Index of the oldest in-flight entry.
-    head: usize,
-    filled: usize,
+    /// The entry the next op takes: the oldest in flight once full.
+    next: usize,
 }
 
 impl OccupancyRing {
     fn new(capacity: usize) -> Self {
         Self {
-            slots: vec![0; capacity.max(1)].into_boxed_slice(),
-            head: 0,
-            filled: 0,
+            slots: vec![0; capacity].into_boxed_slice(),
+            next: 0,
         }
     }
 
-    /// If the structure is at capacity, consumes and returns the oldest
-    /// in-flight commit cycle — the op being scheduled must wait for that
-    /// retirement to free its entry.
+    /// The cycle the next op's entry frees at: 0 (never a stall) while the
+    /// structure has a free entry.
     #[inline]
-    fn pop_if_full(&mut self) -> Option<u64> {
-        if self.filled < self.slots.len() {
-            return None;
-        }
-        let oldest = self.slots[self.head];
-        self.head += 1;
-        if self.head == self.slots.len() {
-            self.head = 0;
-        }
-        self.filled -= 1;
-        Some(oldest)
+    fn oldest(&self) -> u64 {
+        self.slots[self.next]
     }
 
-    /// Records an op's commit cycle.
+    /// Records an op's commit cycle in the entry [`Self::oldest`] read.
     #[inline]
     fn push(&mut self, commit: u64) {
-        let mut tail = self.head + self.filled;
-        if tail >= self.slots.len() {
-            tail -= self.slots.len();
+        self.slots[self.next] = commit;
+        self.next += 1;
+        if self.next == self.slots.len() {
+            self.next = 0;
         }
-        self.slots[tail] = commit;
-        self.filled += 1;
     }
 }
 
@@ -308,6 +312,10 @@ impl From<DAccessOutcome> for DServiced {
     }
 }
 
+/// `cur_block` when no fetch block is current. Block addresses are `u64`
+/// (a 1-byte i-cache block is its PC), so this value is never one.
+const NO_BLOCK: u128 = u128::MAX;
+
 /// The mutable scheduling state of one simulated core: fetch steering,
 /// bandwidth reservations, the dependence/completion ring, and ROB/LSQ
 /// occupancy. One instance per lane of a [`walk`].
@@ -315,17 +323,19 @@ impl From<DAccessOutcome> for DServiced {
 struct SchedState {
     fetch_cycle: u64,
     slots_left: usize,
-    cur_block: Option<u64>,
+    /// The block fetch is reading ops from, or [`NO_BLOCK`] when the next
+    /// op must fetch.
+    cur_block: u128,
     next_kind: FetchKind,
-    pending_resume: Option<u64>,
+    /// The earliest cycle fetch may resume at after a redirect; 0, a bound
+    /// that never binds, when none is pending.
+    pending_resume: u64,
     issue: IssueWindow,
-    /// Commit probes are globally non-decreasing (`commit_ready =
-    /// max(complete, prev_commit)` and reservations land at or after the
-    /// probe), so the whole commit bandwidth map collapses to the last
-    /// commit cycle and how many ops committed there.
+    /// Commits never go backwards (an op commits at or after the one before
+    /// it), so the whole commit bandwidth map collapses to the last commit
+    /// cycle and how many ops committed there.
     prev_commit: u64,
     commit_used: u32,
-    last_commit: u64,
     /// Completion cycles of the last [`MAX_DEP_WINDOW`] ops, as a ring:
     /// the op at dependence distance `dep` completed at
     /// `completes[(pushed - dep) & (MAX_DEP_WINDOW - 1)]`.
@@ -341,13 +351,12 @@ impl SchedState {
         Self {
             fetch_cycle: 0,
             slots_left: 0,
-            cur_block: None,
+            cur_block: NO_BLOCK,
             next_kind: FetchKind::Redirect,
-            pending_resume: None,
+            pending_resume: 0,
             issue: IssueWindow::default(),
             prev_commit: 0,
             commit_used: 0,
-            last_commit: 0,
             completes: [0; MAX_DEP_WINDOW],
             pushed: 0,
             rob: OccupancyRing::new(config.rob_entries),
@@ -364,8 +373,9 @@ impl SchedState {
     ///
     /// `predicted_taken` is the branch predictor's direction for this op
     /// (meaningful only for branches), and `dout` its L1 d-outcome
-    /// (meaningful only for loads and stores): the walker computes both
-    /// once per op for every lane, because neither depends on timing.
+    /// (meaningful only for loads and stores: for other ops the walker
+    /// leaves the last memory op's outcome in place): the walker computes
+    /// both once per op for every lane, because neither depends on timing.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn step_op(
@@ -379,29 +389,21 @@ impl SchedState {
         hierarchy: &mut MemoryHierarchy,
     ) {
         // ---- structural gating: ROB and LSQ occupancy ----
-        if let Some(oldest) = self.rob.pop_if_full() {
-            if oldest > self.fetch_cycle {
-                self.fetch_cycle = oldest;
-                self.cur_block = None;
-            }
-        }
+        // Fetch waits for the op's ROB entry and, for a memory op, its LSQ
+        // entry to free.
         let is_mem = op.kind.is_mem();
-        if is_mem {
-            if let Some(oldest) = self.lsq.pop_if_full() {
-                if oldest > self.fetch_cycle {
-                    self.fetch_cycle = oldest;
-                    self.cur_block = None;
-                }
-            }
+        let lsq_free = if is_mem { self.lsq.oldest() } else { 0 };
+        let free = self.rob.oldest().max(lsq_free);
+        if free > self.fetch_cycle {
+            self.fetch_cycle = free;
+            self.cur_block = NO_BLOCK;
         }
 
         // ---- fetch ----
         let block = op.pc & block_mask;
-        if self.cur_block != Some(block) {
-            self.fetch_cycle += 1;
-            if let Some(resume) = self.pending_resume.take() {
-                self.fetch_cycle = self.fetch_cycle.max(resume);
-            }
+        if self.cur_block != u128::from(block) {
+            self.fetch_cycle = (self.fetch_cycle + 1).max(self.pending_resume);
+            self.pending_resume = 0;
             let outcome = icache.fetch(op.pc, self.next_kind);
             let mut stall = outcome.latency.saturating_sub(1);
             if outcome.is_miss() {
@@ -411,7 +413,7 @@ impl SchedState {
             }
             self.fetch_cycle += stall;
             self.slots_left = config.fetch_width;
-            self.cur_block = Some(block);
+            self.cur_block = u128::from(block);
             self.next_kind = FetchKind::Sequential { prev_pc: op.pc };
         } else if self.slots_left == 0 {
             self.fetch_cycle += 1;
@@ -426,12 +428,14 @@ impl SchedState {
         // the issue window can discard everything behind it first.
         let mut ready = fetched_at + config.dispatch_latency;
         self.issue.advance_to(ready);
+        // A distance counts when it names one of the last `visible` ops; 0
+        // (no dependence) wraps to the largest distance and is masked out.
         let visible = self.pushed.min(MAX_DEP_WINDOW);
         for dep in op.src_deps {
-            let dep = dep as usize;
-            if dep > 0 && dep <= visible {
-                ready = ready.max(self.completes[(self.pushed - dep) & (MAX_DEP_WINDOW - 1)]);
-            }
+            let dep = usize::from(dep);
+            let done = self.completes[self.pushed.wrapping_sub(dep) & (MAX_DEP_WINDOW - 1)];
+            let named = dep.wrapping_sub(1) < visible;
+            ready = ready.max(if named { done } else { 0 });
         }
         let issue = self.issue.reserve(ready, config.issue_width as u8);
 
@@ -489,11 +493,11 @@ impl SchedState {
             if direction_mispredicted {
                 // Fetch of the correct path waits for the branch to
                 // resolve in the pipeline.
-                self.pending_resume = Some(complete + 1 + config.mispredict_extra_penalty);
-                self.cur_block = None;
+                self.pending_resume = complete + 1 + config.mispredict_extra_penalty;
+                self.cur_block = NO_BLOCK;
                 self.next_kind = FetchKind::Redirect;
             } else if taken {
-                self.cur_block = None;
+                self.cur_block = NO_BLOCK;
                 self.next_kind = match class {
                     BranchClass::Call => FetchKind::Call {
                         branch_pc: op.pc,
@@ -505,7 +509,7 @@ impl SchedState {
                 // A predicted-taken branch whose target is not in the BTB
                 // costs a short fetch bubble while decode produces it.
                 if class != BranchClass::Return && icache.predicted_target(op.pc) != Some(target) {
-                    self.pending_resume = Some(fetched_at + 1 + config.btb_miss_penalty);
+                    self.pending_resume = fetched_at + 1 + config.btb_miss_penalty;
                 }
             } else {
                 self.next_kind = FetchKind::NotTakenBranch { prev_pc: op.pc };
@@ -513,19 +517,22 @@ impl SchedState {
         }
 
         // ---- commit ----
-        let commit_ready = complete.max(self.prev_commit);
-        let commit = if commit_ready > self.prev_commit {
-            self.commit_used = 1;
-            commit_ready
-        } else if self.commit_used < config.commit_width as u32 {
-            self.commit_used += 1;
-            self.prev_commit
+        // In order, `commit_width` per cycle: an op completing after the
+        // last commit cycle commits when it completes; otherwise it joins
+        // that cycle, or the next one once the cycle is full.
+        let later = complete > self.prev_commit;
+        let full = self.commit_used >= config.commit_width as u32;
+        let commit = if later {
+            complete
         } else {
-            self.commit_used = 1;
-            self.prev_commit + 1
+            self.prev_commit + u64::from(full)
+        };
+        self.commit_used = if later || full {
+            1
+        } else {
+            self.commit_used + 1
         };
         self.prev_commit = commit;
-        self.last_commit = self.last_commit.max(commit);
         self.rob.push(commit);
         if is_mem {
             self.lsq.push(commit);
@@ -536,7 +543,7 @@ impl SchedState {
     /// Finalizes the run: total cycles is the last commit (1 for an empty
     /// trace) and the accumulated activity is handed out.
     fn finish(mut self) -> ActivityCounts {
-        self.activity.cycles = self.last_commit.max(1);
+        self.activity.cycles = self.prev_commit.max(1);
         self.activity
     }
 }
@@ -562,6 +569,7 @@ impl Lane {
         icache: ICacheController,
         hierarchy: MemoryHierarchy,
     ) -> Self {
+        config.assert_supported();
         Self {
             config,
             block_mask: !(icache.config().block_bytes as u64 - 1),
@@ -608,8 +616,12 @@ pub(crate) fn walk(
     let mut outcomes = [DServiced::default(); MAX_LANES];
     let outcomes = &mut outcomes[..lanes.len()];
     let mut buf = OpBuffer::new();
-    while source.fill(&mut buf) > 0 {
-        for op in buf.ops() {
+    loop {
+        let ops = source.next_block(&mut buf);
+        if ops.is_empty() {
+            break;
+        }
+        for op in ops {
             let predicted_taken = match op.kind {
                 OpKind::Branch { taken, .. } => predictor
                     .update(op.pc, BranchOutcome::from_taken(taken))
@@ -636,7 +648,8 @@ pub(crate) fn walk(
 }
 
 impl Processor {
-    /// Assembles a processor from its parts.
+    /// Assembles a processor from its parts. Panics if the scheduler cannot
+    /// model `config` ([`CpuConfig::assert_supported`]).
     pub fn new(
         config: CpuConfig,
         dcache: DCacheController,
@@ -659,7 +672,7 @@ impl Processor {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if either cache configuration is
-    /// inconsistent.
+    /// inconsistent. Panics as [`Processor::new`] does.
     pub fn with_l1(
         config: CpuConfig,
         l1d: L1Config,
@@ -708,9 +721,9 @@ impl Processor {
     }
 
     /// Runs a block-producing op source to completion — the throughput
-    /// entry point: the source refills a reusable [`OpBuffer`] and the
-    /// scheduling loop walks plain slices, resolving the workload kind once
-    /// per block instead of once per op.
+    /// entry point: the source serves blocks, in place or through a
+    /// reusable [`OpBuffer`], and the scheduling loop walks plain slices,
+    /// resolving the workload kind once per block instead of once per op.
     ///
     /// The d-cache policy is resolved *once per run*, not once per access:
     /// this dispatches to a monomorphized instantiation of the scheduling
@@ -742,6 +755,8 @@ impl Processor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{HashMap, VecDeque};
     use wp_cache::{DCachePolicy, ICachePolicy, L1Config};
     use wp_mem::HierarchyConfig;
     use wp_workloads::{Benchmark, TraceConfig, TraceGenerator};
@@ -789,6 +804,94 @@ mod tests {
         // clearing — the window simply re-bases past the gap.
         assert_eq!(win.head, 1_000_000);
         assert_eq!(win.reserve(1_000_000, 1), 1_000_000);
+    }
+
+    proptest! {
+        /// The ring answers as the naive per-cycle map the oracle reserves
+        /// through, across ring wraps and probes far enough past the base
+        /// to make it grow and re-place its live span.
+        #[test]
+        fn issue_window_matches_a_per_cycle_map(
+            width in 1u8..=8,
+            steps in prop::collection::vec((0u64..6, 0u64..24, 0u64..700, 0u8..12), 1..400),
+        ) {
+            let mut win = IssueWindow::default();
+            let mut reference: HashMap<u64, u8> = HashMap::new();
+            let mut floor = 0;
+            for (advance, near, far, pick) in steps {
+                floor += advance;
+                win.advance_to(floor);
+                let start = floor + if pick == 0 { 256 + far } else { near };
+                let mut cycle = start;
+                while reference.get(&cycle).is_some_and(|&used| used >= width) {
+                    cycle += 1;
+                }
+                *reference.entry(cycle).or_insert(0) += 1;
+                prop_assert_eq!(win.reserve(start, width), cycle);
+            }
+        }
+
+        /// Reading the next entry then overwriting it is a queue that pops
+        /// its oldest commit exactly when full.
+        #[test]
+        fn occupancy_ring_matches_a_bounded_queue(
+            capacity in 1usize..=70,
+            commits in prop::collection::vec(1u64..1_000_000, 0..300),
+        ) {
+            let mut ring = OccupancyRing::new(capacity);
+            let mut queue = VecDeque::new();
+            for commit in commits {
+                let oldest = if queue.len() == capacity {
+                    queue.pop_front().expect("a full queue has an oldest entry")
+                } else {
+                    0
+                };
+                prop_assert_eq!(ring.oldest(), oldest);
+                ring.push(commit);
+                queue.push_back(commit);
+            }
+        }
+    }
+
+    fn run_core(cpu: CpuConfig) -> SimResult {
+        Processor::with_l1(
+            cpu,
+            L1Config::paper_dcache(),
+            DCachePolicy::Parallel,
+            L1Config::paper_icache(),
+            ICachePolicy::Parallel,
+        )
+        .expect("valid caches")
+        .run(TraceGenerator::new(
+            TraceConfig::new(Benchmark::Gcc).with_ops(2_000),
+        ))
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported core")]
+    fn an_issue_width_of_zero_is_refused() {
+        run_core(CpuConfig {
+            issue_width: 0,
+            ..CpuConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported core")]
+    fn an_issue_width_past_the_slot_counter_is_refused() {
+        run_core(CpuConfig {
+            issue_width: 256,
+            ..CpuConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported core")]
+    fn a_rob_without_entries_is_refused() {
+        run_core(CpuConfig {
+            rob_entries: 0,
+            ..CpuConfig::default()
+        });
     }
 
     #[test]

@@ -15,7 +15,7 @@ use core::fmt;
 use serde::{Deserialize, Serialize};
 use wp_cache::{DCachePolicy, ICachePolicy, L1Config};
 use wp_cpu::{run_lane_batch, CpuConfig, LaneMember, Processor, SimResult};
-use wp_workloads::{SharedStream, StreamKey, WorkloadSpec};
+use wp_workloads::{MicroOp, OpBlockSource, OpBuffer, SharedStream, StreamKey, WorkloadSpec};
 
 use crate::engine::SimEngine;
 use crate::matrix_cache::MatrixCache;
@@ -233,8 +233,8 @@ struct CancelSource<'a, S> {
     cancelled: bool,
 }
 
-impl<S: wp_workloads::OpBlockSource> wp_workloads::OpBlockSource for CancelSource<'_, S> {
-    fn fill(&mut self, buf: &mut wp_workloads::OpBuffer) -> usize {
+impl<S: OpBlockSource> OpBlockSource for CancelSource<'_, S> {
+    fn fill(&mut self, buf: &mut OpBuffer) -> usize {
         let produced = self.inner.fill(buf);
         if produced == 0 {
             return 0;
@@ -246,6 +246,19 @@ impl<S: wp_workloads::OpBlockSource> wp_workloads::OpBlockSource for CancelSourc
         }
         self.ops_completed += produced as u64;
         produced
+    }
+
+    fn next_block<'b>(&'b mut self, buf: &'b mut OpBuffer) -> &'b [MicroOp] {
+        let ops = self.inner.next_block(buf);
+        if ops.is_empty() {
+            return ops;
+        }
+        if self.token.is_cancelled() {
+            self.cancelled = true;
+            return &[];
+        }
+        self.ops_completed += ops.len() as u64;
+        ops
     }
 }
 

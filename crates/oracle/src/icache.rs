@@ -80,7 +80,7 @@ impl OracleICache {
     }
 
     /// The BTB's predicted target for a taken branch at `branch_pc`.
-    pub fn predicted_target(&mut self, branch_pc: Addr) -> Option<Addr> {
+    pub fn predicted_target(&self, branch_pc: Addr) -> Option<Addr> {
         self.btb.lookup(branch_pc).map(|e| e.target)
     }
 

@@ -50,6 +50,11 @@ impl OracleProcessor {
     ///
     /// Returns a [`ConfigError`] if either cache configuration is
     /// inconsistent.
+    ///
+    /// # Panics
+    ///
+    /// Panics where the optimized scheduler does
+    /// ([`CpuConfig::assert_supported`]).
     pub fn with_l1(
         config: CpuConfig,
         l1d: L1Config,
@@ -57,6 +62,7 @@ impl OracleProcessor {
         l1i: L1Config,
         ipolicy: ICachePolicy,
     ) -> Result<Self, ConfigError> {
+        config.assert_supported();
         Ok(Self {
             config,
             dcache: OracleDCache::new(l1d, dpolicy)?,
@@ -285,6 +291,22 @@ mod tests {
         let result = oracle.run(Vec::new());
         assert_eq!(result.activity.instructions, 0);
         assert_eq!(result.cycles, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported core")]
+    fn refuses_a_core_the_optimized_scheduler_cannot_model() {
+        // A zero commit width would never find a commit slot.
+        let _ = OracleProcessor::with_l1(
+            CpuConfig {
+                commit_width: 0,
+                ..CpuConfig::default()
+            },
+            L1Config::paper_dcache(),
+            DCachePolicy::Parallel,
+            L1Config::paper_icache(),
+            ICachePolicy::Parallel,
+        );
     }
 
     #[test]

@@ -42,8 +42,6 @@ struct TaggedEntry {
 #[derive(Debug, Clone)]
 pub struct Btb {
     entries: Vec<Option<TaggedEntry>>,
-    lookups: u64,
-    hits: u64,
 }
 
 impl Btb {
@@ -56,8 +54,6 @@ impl Btb {
         assert!(entries.is_power_of_two(), "BTB size must be a power of two");
         Self {
             entries: vec![None; entries],
-            lookups: 0,
-            hits: 0,
         }
     }
 
@@ -79,15 +75,10 @@ impl Btb {
     /// Looks up the branch at `pc`, returning its target and way prediction
     /// if the entry is present (a BTB miss means the fetch defaults to a
     /// parallel i-cache access).
-    pub fn lookup(&mut self, pc: Addr) -> Option<BtbEntry> {
-        self.lookups += 1;
+    pub fn lookup(&self, pc: Addr) -> Option<BtbEntry> {
         let idx = self.index(pc);
         let tag = self.tag(pc);
-        let hit = self.entries[idx].filter(|e| e.tag == tag).map(|e| e.entry);
-        if hit.is_some() {
-            self.hits += 1;
-        }
-        hit
+        self.entries[idx].filter(|e| e.tag == tag).map(|e| e.entry)
     }
 
     /// Installs or updates the entry for the taken branch at `pc`.
@@ -110,16 +101,6 @@ impl Btb {
                 e.entry.way = Some(way);
             }
         }
-    }
-
-    /// Total lookups performed.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Lookups that found a matching entry.
-    pub fn hits(&self) -> u64 {
-        self.hits
     }
 }
 
@@ -158,8 +139,6 @@ mod tests {
         let e = btb.lookup(0x100).expect("entry present");
         assert_eq!(e.target, 0x4000);
         assert_eq!(e.way, Some(2));
-        assert_eq!(btb.lookups(), 2);
-        assert_eq!(btb.hits(), 1);
     }
 
     #[test]

@@ -26,8 +26,6 @@ use wp_mem::{Addr, WayIndex};
 #[derive(Debug, Clone)]
 pub struct Sawp {
     entries: Vec<Option<WayIndex>>,
-    lookups: u64,
-    predictions: u64,
 }
 
 impl Sawp {
@@ -44,8 +42,6 @@ impl Sawp {
         );
         Self {
             entries: vec![None; entries],
-            lookups: 0,
-            predictions: 0,
         }
     }
 
@@ -67,13 +63,8 @@ impl Sawp {
     /// Predicts the way of the fetch that sequentially follows the fetch at
     /// `current_pc`, or `None` if the entry is untrained (the fetch then
     /// defaults to a parallel access).
-    pub fn predict(&mut self, current_pc: Addr) -> Option<WayIndex> {
-        self.lookups += 1;
-        let prediction = self.entries[self.index(current_pc)];
-        if prediction.is_some() {
-            self.predictions += 1;
-        }
-        prediction
+    pub fn predict(&self, current_pc: Addr) -> Option<WayIndex> {
+        self.entries[self.index(current_pc)]
     }
 
     /// Records that the fetch following `current_pc` actually resided in
@@ -81,16 +72,6 @@ impl Sawp {
     pub fn update(&mut self, current_pc: Addr, way: WayIndex) {
         let idx = self.index(current_pc);
         self.entries[idx] = Some(way);
-    }
-
-    /// Total lookups performed.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Lookups that returned a prediction.
-    pub fn predictions_made(&self) -> u64 {
-        self.predictions
     }
 }
 
@@ -100,10 +81,8 @@ mod tests {
 
     #[test]
     fn cold_entries_return_none() {
-        let mut s = Sawp::new(64);
+        let s = Sawp::new(64);
         assert_eq!(s.predict(0x100), None);
-        assert_eq!(s.lookups(), 1);
-        assert_eq!(s.predictions_made(), 0);
     }
 
     #[test]

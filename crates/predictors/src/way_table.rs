@@ -13,8 +13,6 @@ use wp_mem::{Addr, WayIndex};
 #[derive(Debug, Clone)]
 struct WayTable {
     entries: Vec<Option<WayIndex>>,
-    predictions: u64,
-    hits_without_prediction: u64,
 }
 
 impl WayTable {
@@ -25,8 +23,6 @@ impl WayTable {
         );
         Self {
             entries: vec![None; entries],
-            predictions: 0,
-            hits_without_prediction: 0,
         }
     }
 
@@ -36,13 +32,8 @@ impl WayTable {
     }
 
     #[inline]
-    fn predict(&mut self, handle: u64) -> Option<WayIndex> {
-        let prediction = self.entries[self.index(handle)];
-        match prediction {
-            Some(_) => self.predictions += 1,
-            None => self.hits_without_prediction += 1,
-        }
-        prediction
+    fn predict(&self, handle: u64) -> Option<WayIndex> {
+        self.entries[self.index(handle)]
     }
 
     #[inline]
@@ -99,23 +90,13 @@ impl PcWayPredictor {
 
     /// Predicts the way for the load at `pc`, or `None` if the entry has
     /// never been trained (the access then defaults to a parallel probe).
-    pub fn predict(&mut self, pc: Addr) -> Option<WayIndex> {
+    pub fn predict(&self, pc: Addr) -> Option<WayIndex> {
         self.table.predict(pc >> 2)
     }
 
     /// Records that the load at `pc` actually hit in `way`.
     pub fn update(&mut self, pc: Addr, way: WayIndex) {
         self.table.update(pc >> 2, way);
-    }
-
-    /// Number of lookups that returned a prediction.
-    pub fn predictions_made(&self) -> u64 {
-        self.table.predictions
-    }
-
-    /// Number of lookups that found an untrained entry.
-    pub fn cold_lookups(&self) -> u64 {
-        self.table.hits_without_prediction
     }
 }
 
@@ -156,7 +137,7 @@ impl XorWayPredictor {
 
     /// Predicts the way for a load whose XOR-approximate address is
     /// `approx_addr`.
-    pub fn predict(&mut self, approx_addr: Addr) -> Option<WayIndex> {
+    pub fn predict(&self, approx_addr: Addr) -> Option<WayIndex> {
         self.table.predict(approx_addr >> self.block_shift)
     }
 
@@ -164,11 +145,6 @@ impl XorWayPredictor {
     /// in.
     pub fn update(&mut self, approx_addr: Addr, way: WayIndex) {
         self.table.update(approx_addr >> self.block_shift, way);
-    }
-
-    /// Number of lookups that returned a prediction.
-    pub fn predictions_made(&self) -> u64 {
-        self.table.predictions
     }
 }
 
@@ -187,10 +163,8 @@ mod tests {
 
     #[test]
     fn pc_predictor_cold_entries_return_none() {
-        let mut p = PcWayPredictor::new(16);
+        let p = PcWayPredictor::new(16);
         assert_eq!(p.predict(0x2000), None);
-        assert_eq!(p.cold_lookups(), 1);
-        assert_eq!(p.predictions_made(), 0);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! a reusable fixed-size [`OpBuffer`] in blocks, resolving the source kind
 //! once per block, and the consumer iterates a plain `&[MicroOp]` slice.
 //! The op sequence is exactly the one the underlying iterator produces, so
-//! block-driven and op-driven runs are bit-identical.
+//! block-driven and op-driven runs are bit-identical. A source holding its
+//! ops in memory serves them in place ([`OpBlockSource::next_block`]).
 //!
 //! # Example
 //!
@@ -101,6 +102,14 @@ pub trait OpBlockSource {
     /// Clears `buf` and refills it with up to `buf.capacity()` ops.
     /// Returns the number produced; `0` means the source is exhausted.
     fn fill(&mut self, buf: &mut OpBuffer) -> usize;
+
+    /// The next block [`fill`](Self::fill) would produce, empty once the
+    /// source is exhausted. The default fills `buf`; a source that holds
+    /// its ops in memory returns them in place, without the copy.
+    fn next_block<'b>(&'b mut self, buf: &'b mut OpBuffer) -> &'b [MicroOp] {
+        self.fill(buf);
+        buf.ops()
+    }
 }
 
 /// Refills `buf` from any micro-op iterator — the shared body of every

@@ -7,8 +7,10 @@
 //! time. [`StreamKey`] names that shared identity, and [`SharedStream`]
 //! materializes the stream for a key exactly once so any number of
 //! consumers ("the gang") can replay it from [`SharedStream::reader`] —
-//! each reader refills an [`OpBuffer`] block by block, so the consumer-side
-//! loop is the same as for a live generator.
+//! each reader serves the stream block by block, so the consumer-side loop
+//! is the same as for a live generator. A resident stream's blocks are read
+//! in place ([`OpBlockSource::next_block`]); [`OpBlockSource::fill`] copies
+//! them into an [`OpBuffer`].
 //!
 //! Materialized streams are bounded: up to the byte cap the ops live in
 //! one in-memory buffer (`ops × 40 B`; the default cap of
@@ -329,6 +331,16 @@ impl OpBlockSource for SharedStreamReader<'_> {
             SharedStreamReader::Live(stream) => stream.fill(buf),
         }
     }
+
+    fn next_block<'b>(&'b mut self, buf: &'b mut OpBuffer) -> &'b [MicroOp] {
+        let SharedStreamReader::Memory { ops, pos } = self else {
+            self.fill(buf);
+            return buf.ops();
+        };
+        let block = &ops[*pos..ops.len().min(*pos + buf.capacity())];
+        *pos += block.len();
+        block
+    }
 }
 
 #[cfg(test)]
@@ -371,6 +383,38 @@ mod tests {
         assert_eq!((live.ops(), live.is_spilled()), (5_000, false));
         assert_eq!(drain(&live), direct);
         assert_eq!(drain(&live), direct);
+    }
+
+    #[test]
+    fn next_block_yields_the_fill_blocks() {
+        let _spills = spilling();
+        // 5,000 ops in 777-op blocks: six full blocks and a short seventh.
+        let key = StreamKey::new(WorkloadSpec::Benchmark(Benchmark::Perl), 5_000, 6);
+        let resident = SharedStream::materialize(&key).expect("generated");
+        let spilled = SharedStream::materialize_capped(&key, 1).expect("spills");
+        let live = SharedStream::live(&key);
+        assert!(!resident.is_spilled() && spilled.is_spilled());
+        for stream in [&resident, &spilled, &live] {
+            let mut filled = Vec::new();
+            let mut reader = stream.reader().expect("reader opens");
+            let mut buf = OpBuffer::with_capacity(777);
+            while reader.fill(&mut buf) > 0 {
+                filled.push(buf.ops().to_vec());
+            }
+            let mut blocks = Vec::new();
+            let mut reader = stream.reader().expect("reader opens");
+            loop {
+                let block = reader.next_block(&mut buf);
+                if block.is_empty() {
+                    break;
+                }
+                blocks.push(block.to_vec());
+            }
+            assert_eq!(blocks.len(), 7);
+            assert_eq!(blocks[6].len(), 5_000 - 6 * 777);
+            assert_eq!(blocks, filled);
+            assert!(reader.next_block(&mut buf).is_empty(), "stays exhausted");
+        }
     }
 
     #[test]

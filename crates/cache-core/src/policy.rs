@@ -64,16 +64,6 @@ impl DCachePolicy {
         )
     }
 
-    /// True if the policy uses a way-prediction table.
-    pub fn uses_way_prediction(&self) -> bool {
-        matches!(
-            self,
-            DCachePolicy::WayPredictPc
-                | DCachePolicy::WayPredictXor
-                | DCachePolicy::SelDmWayPredict
-        )
-    }
-
     /// A short label matching the paper's figure legends.
     pub fn label(&self) -> &'static str {
         match self {
@@ -246,12 +236,8 @@ mod tests {
     #[test]
     fn classification_matches_paper_structure() {
         assert!(DCachePolicy::SelDmWayPredict.uses_selective_dm());
-        assert!(DCachePolicy::SelDmWayPredict.uses_way_prediction());
         assert!(DCachePolicy::SelDmSequential.uses_selective_dm());
-        assert!(!DCachePolicy::SelDmSequential.uses_way_prediction());
         assert!(!DCachePolicy::Parallel.uses_selective_dm());
-        assert!(DCachePolicy::WayPredictXor.uses_way_prediction());
-        assert!(!DCachePolicy::Sequential.uses_way_prediction());
     }
 
     #[test]

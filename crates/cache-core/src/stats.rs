@@ -161,11 +161,6 @@ impl ICacheStats {
         fraction(self.sawp_correct + self.btb_correct, predicted)
     }
 
-    /// Fraction of all fetches that probed a single way and were correct.
-    pub fn single_way_fraction(&self) -> f64 {
-        fraction(self.sawp_correct + self.btb_correct, self.fetches)
-    }
-
     /// Fraction of fetches in each Figure 10 breakdown class, in the order
     /// (SAWP correct, BTB/RAS correct, no prediction, mispredicted).
     pub fn access_breakdown(&self) -> [f64; 4] {
@@ -253,7 +248,6 @@ mod tests {
             ..ICacheStats::default()
         };
         assert!((s.way_prediction_accuracy() - 90.0 / 95.0).abs() < 1e-12);
-        assert!((s.single_way_fraction() - 0.9).abs() < 1e-12);
         assert_eq!(s.total_energy(), 10.5);
     }
 }

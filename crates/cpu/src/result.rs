@@ -166,41 +166,6 @@ impl SimResult {
             .all(|(a, b)| a.1 == b.1)
     }
 
-    /// True if every counter matches exactly and every floating-point
-    /// field agrees within relative tolerance `tolerance` — the loose
-    /// comparison for experiments that *intend* to change energy
-    /// accounting and want to bound the drift.
-    pub fn approx_eq(&self, other: &SimResult, tolerance: f64) -> bool {
-        let close = |x: f64, y: f64| {
-            let scale = x.abs().max(y.abs());
-            (x - y).abs() <= tolerance * scale.max(1.0)
-        };
-        self.cycles == other.cycles
-            && self.activity == other.activity
-            && self.memory_accesses == other.memory_accesses
-            && close(self.branch_accuracy, other.branch_accuracy)
-            && {
-                let (mut a, mut b) = (self.dcache, other.dcache);
-                let energies_close = close(a.cache_energy, b.cache_energy)
-                    && close(a.prediction_energy, b.prediction_energy);
-                a.cache_energy = 0.0;
-                a.prediction_energy = 0.0;
-                b.cache_energy = 0.0;
-                b.prediction_energy = 0.0;
-                energies_close && a == b
-            }
-            && {
-                let (mut a, mut b) = (self.icache, other.icache);
-                let energies_close = close(a.cache_energy, b.cache_energy)
-                    && close(a.prediction_energy, b.prediction_energy);
-                a.cache_energy = 0.0;
-                a.prediction_energy = 0.0;
-                b.cache_energy = 0.0;
-                b.prediction_energy = 0.0;
-                energies_close && a == b
-            }
-    }
-
     /// The names of every field whose bits differ between the two results,
     /// in declaration order — the diagnostic the conformance report prints
     /// for a mismatching point.
@@ -281,32 +246,6 @@ mod tests {
         let mut c = a.clone();
         c.activity.loads += 1;
         assert_eq!(a.diff(&c), vec!["activity.loads"]);
-    }
-
-    #[test]
-    fn approx_eq_bounds_float_drift_but_never_counter_drift() {
-        let a = synthetic(500, 100.0);
-        // Identity.
-        assert!(a.approx_eq(&a, 0.0));
-        // A 0.5 % energy drift passes at 1 % tolerance and fails at 0.1 %.
-        let mut drifted = a.clone();
-        drifted.dcache.cache_energy *= 1.005;
-        drifted.icache.cache_energy *= 0.995;
-        assert!(a.approx_eq(&drifted, 0.01));
-        assert!(!a.approx_eq(&drifted, 0.001));
-        // Counters are never tolerated, whatever the tolerance.
-        let mut counted = a.clone();
-        counted.dcache.load_misses += 1;
-        assert!(!a.approx_eq(&counted, 1.0));
-        let mut cycles = a.clone();
-        cycles.cycles += 1;
-        cycles.activity.cycles += 1;
-        assert!(!a.approx_eq(&cycles, 1.0));
-        // Near-zero fields compare against the absolute floor, so a tiny
-        // prediction-energy difference passes a loose tolerance.
-        let mut tiny = a.clone();
-        tiny.dcache.prediction_energy += 1e-6;
-        assert!(a.approx_eq(&tiny, 1e-3));
     }
 
     #[test]

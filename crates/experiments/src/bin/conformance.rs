@@ -32,9 +32,7 @@
 use std::path::PathBuf;
 
 use wp_cache::DCachePolicy;
-use wp_experiments::conformance::{
-    self, check_plan_keeping_cache, check_plan_with, random_points, GoldenDrift, GOLDEN_OPTIONS,
-};
+use wp_experiments::conformance::{self, check_plan, random_points, GoldenDrift, GOLDEN_OPTIONS};
 use wp_experiments::engine::{available_threads, SimEngine, SimPlan, SimPoint};
 use wp_experiments::runner::{options_from_args, CliError, MachineConfig, RunOptions};
 use wp_experiments::storage::FaultyIo;
@@ -47,8 +45,8 @@ const USAGE: &str = "usage: conformance [--quick] [--ops N] [--seed N] [--thread
 
 struct Cli {
     run: RunOptions,
-    /// The optimized-side engine (threads, stream cap); the oracle side
-    /// mirrors both.
+    /// The optimized-side engine (threads, stream cap); the oracle walks
+    /// each point from its source on as many threads.
     engine: SimEngine,
     threads: usize,
     random: usize,
@@ -175,7 +173,7 @@ fn main() {
              (ops {}, seed {})",
             cli.threads, cli.run.ops, cli.run.seed
         );
-        failures += tally("sweep", &check_plan_with(&cli.engine, &plan));
+        failures += tally("sweep", &check_plan(&cli.engine, &plan));
     }
 
     // ---- 2. trace capture → replay through both backends ----
@@ -208,7 +206,7 @@ fn main() {
                     },
                 ));
             }
-            failures += tally("trace", &check_plan_with(&cli.engine, &plan));
+            failures += tally("trace", &check_plan(&cli.engine, &plan));
         }
         Err(error) => {
             println!("conformance[trace]: FAILED to capture/open trace: {error}");
@@ -228,7 +226,7 @@ fn main() {
         for point in points {
             plan.add(point);
         }
-        failures += tally("random", &check_plan_with(&cli.engine, &plan));
+        failures += tally("random", &check_plan(&cli.engine, &plan));
     }
 
     // ---- 3b. fault-schedule conformance: optimized over a faulty cache ----
@@ -246,16 +244,10 @@ fn main() {
         let faulty_engine = cli.engine.clone().with_matrix_cache(cache.clone());
         let plan = wp_experiments::run_all_plan(&cli.run);
         // Cold pass: everything simulates, stores race injected faults.
-        failures += tally(
-            "faulty-cache-cold",
-            &check_plan_keeping_cache(&faulty_engine, &plan),
-        );
+        failures += tally("faulty-cache-cold", &check_plan(&faulty_engine, &plan));
         // Warm pass: loads are served from whatever survived the fault
         // schedule — hits must be bit-identical, torn records must miss.
-        failures += tally(
-            "faulty-cache-warm",
-            &check_plan_keeping_cache(&faulty_engine, &plan),
-        );
+        failures += tally("faulty-cache-warm", &check_plan(&faulty_engine, &plan));
         eprintln!(
             "conformance: faulty cache observed {} io errors, degraded {}",
             cache.io_errors(),
@@ -275,7 +267,7 @@ fn main() {
             cli.run.seed
         );
         let plan = wp_experiments::coverage::profile_plan(profile, &cli.run);
-        failures += tally("profile", &check_plan_with(&cli.engine, &plan));
+        failures += tally("profile", &check_plan(&cli.engine, &plan));
     }
 
     // ---- 5. golden artefact snapshots ----

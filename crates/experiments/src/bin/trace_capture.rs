@@ -4,8 +4,9 @@
 //! stress scenario (`pointer_chase`, `strided_stream`, `phase_mix`,
 //! `way_alias_thrash`, `phase_flip`, `conflict_chase`) — is run through
 //! its generator once and every micro-op is recorded in the `WPTR` binary
-//! format (or, with `--text`, the human-readable twin). The resulting
-//! file replays bit-identically through `trace_replay` or a
+//! format (or, with `--text`, the human-readable twin, which is for
+//! reading and diffing: nothing reads it back). A `WPTR` file replays
+//! bit-identically through `trace_replay` or a
 //! [`wp_workloads::TraceReplay`].
 //!
 //! With `--profile FILE` (mutually exclusive with `--workload`) every

@@ -14,15 +14,18 @@
 //!
 //! "Same" means [`SimResult::exact_eq`] — every counter equal and every
 //! energy/accuracy field identical down to the IEEE-754 bit pattern. The
-//! two backends consume one materialized [`SharedStream`] through
-//! independent readers (the optimized side in blocks, the oracle through
-//! [`wp_workloads::BlockSourceIter`]), so a mismatch is always a modelling
-//! divergence, never workload-generation noise.
+//! oracle walks every point's workload from its source
+//! ([`WorkloadSpec::stream`]), while the engine replays each gang's stream
+//! as it stored it (resident, spilled to a `WPTR` file, or walked live), so
+//! a mismatch is a modelling divergence or a stream-storage fault. Streams
+//! are deterministic in `(workload, ops, seed)`, so it is never
+//! workload-generation noise.
 //!
 //! Three checking surfaces (see `docs/VALIDATION.md`):
 //!
-//! 1. [`check_plan`] — a whole [`SimPlan`] (the `conformance` binary runs
-//!    the full `run_all` union plan: all 264 unique sweep points);
+//! 1. [`check_plan`] — a whole [`SimPlan`] through a caller-configured
+//!    [`SimEngine`] (the `conformance` binary runs the full `run_all` union
+//!    plan: all 264 unique sweep points);
 //! 2. [`random_points`] — a seeded random matrix over cache geometries,
 //!    latencies, policies, core widths, and workloads (benchmarks,
 //!    parameterised scenarios, recorded traces);
@@ -38,7 +41,7 @@ use rand::{Rng, SeedableRng};
 use wp_cache::{DCachePolicy, ICachePolicy, L1Config};
 use wp_cpu::{CpuConfig, SimResult};
 use wp_oracle::OracleProcessor;
-use wp_workloads::{Benchmark, BlockSourceIter, Scenario, SharedStream, StreamKey, WorkloadSpec};
+use wp_workloads::{Benchmark, Scenario, WorkloadSpec};
 
 use crate::engine::{parallel_map, SimEngine, SimPlan, SimPoint};
 use crate::report::{to_json, to_json_with};
@@ -62,23 +65,6 @@ pub fn oracle_simulate_workload(
         .stream(options.ops, options.seed)
         .unwrap_or_else(|e| panic!("workload {workload} failed to open: {e}"));
     cpu.run(stream)
-}
-
-/// Simulates one machine on the oracle backend over an already-materialized
-/// shared stream — the reference twin of
-/// [`crate::runner::simulate_workload_shared_lanes`]. The stream fans out: any
-/// number of optimized and oracle consumers replay the one
-/// materialization through independent readers.
-///
-/// # Panics
-///
-/// Panics like [`oracle_simulate_workload`].
-pub fn oracle_simulate_shared(stream: &SharedStream, machine: &MachineConfig) -> SimResult {
-    let mut cpu = oracle_processor(machine);
-    let reader = stream
-        .reader()
-        .unwrap_or_else(|e| panic!("shared workload stream failed to re-open: {e}"));
-    cpu.run(BlockSourceIter::new(reader))
 }
 
 fn oracle_processor(machine: &MachineConfig) -> OracleProcessor {
@@ -106,83 +92,38 @@ pub struct PointReport {
 }
 
 impl PointReport {
+    fn new(point: SimPoint, optimized: SimResult, oracle: SimResult) -> Self {
+        let diff = oracle.diff(&optimized);
+        Self {
+            point,
+            optimized,
+            oracle,
+            diff,
+        }
+    }
+
     /// True if the two backends agreed bit for bit.
     pub fn matches(&self) -> bool {
         self.diff.is_empty()
     }
 }
 
-/// Checks every unique point of `plan`: the optimized side executes through
-/// a fresh [`SimEngine`] (gang scheduling, lane batches, kernels — the real
-/// production path, no persistent cache), the oracle side replays the same
-/// materialized streams per-op, and each pair is compared bit for bit.
-/// Returns one report per unique point, in plan order. Streams spill under
-/// the default cap ([`wp_workloads::stream_memory_cap`]).
-pub fn check_plan(plan: &SimPlan, threads: usize) -> Vec<PointReport> {
-    check_plan_with(&SimEngine::new(threads), plan)
-}
-
-/// [`check_plan`] against a caller-configured optimized engine — the
-/// general entry: the engine's thread count and stream cap apply to the
-/// optimized side, and the oracle side mirrors both. A tiny cap forces
-/// every stream of both backends through the `WPTR` spill codec. Any
-/// attached [`crate::MatrixCache`] is ignored: conformance exists to
-/// *execute* both stacks, never to compare a stack against its own stored
-/// output.
-pub fn check_plan_with(engine: &SimEngine, plan: &SimPlan) -> Vec<PointReport> {
-    check_matrix_against_oracle(&engine.clone().without_matrix_cache(), plan)
-}
-
-/// [`check_plan_with`], but *keeping* any [`crate::MatrixCache`] attached
-/// to the optimized engine — the fault-schedule conformance entry. The
-/// optimized side is allowed to load from and store to its (possibly
-/// fault-injected) cache while the oracle executes everything from
-/// scratch; the pair must still agree bit for bit, proving no injected
-/// I/O failure, torn write, or recovery sweep can corrupt a result a
-/// consumer sees. Driven by the `conformance` binary's `--faulty-cache`
-/// flag and the CI reliability job (see `docs/RELIABILITY.md`).
-pub fn check_plan_keeping_cache(engine: &SimEngine, plan: &SimPlan) -> Vec<PointReport> {
-    check_matrix_against_oracle(engine, plan)
-}
-
-/// Shared body of [`check_plan_with`] / [`check_plan_keeping_cache`]: run
-/// the optimized engine as configured, replay the same streams through the
-/// oracle, compare bit for bit.
-fn check_matrix_against_oracle(engine: &SimEngine, plan: &SimPlan) -> Vec<PointReport> {
-    let threads = engine.threads();
+/// Checks every unique point of `plan`: the optimized side runs `engine`
+/// exactly as the caller configured it (threads, stream cap, and any
+/// attached [`crate::MatrixCache`], which the fault-schedule section
+/// batters), while the oracle walks each point's workload from its source
+/// ([`oracle_simulate_workload`]) on the engine's thread count. Returns one
+/// report per unique point, in plan order.
+///
+/// The two sides share no stream: the engine's gangs replay materialized
+/// (resident or spilled) streams, the oracle regenerates every point's
+/// stream, so a fault in stream storage shows as a mismatch.
+pub fn check_plan(engine: &SimEngine, plan: &SimPlan) -> Vec<PointReport> {
     let points = plan.unique_points();
     let matrix = engine.run(plan);
-
-    // Group the oracle's work by stream identity so each stream is
-    // materialized once and fanned out, mirroring the optimized gangs.
-    let mut keys: Vec<StreamKey> = Vec::new();
-    let mut key_index = std::collections::HashMap::new();
-    let jobs: Vec<(usize, usize)> = points
-        .iter()
-        .enumerate()
-        .map(|(point_index, point)| {
-            let key = StreamKey::new(
-                point.workload.clone(),
-                point.options.ops,
-                point.options.seed,
-            );
-            let stream_index = *key_index.entry(key.clone()).or_insert_with(|| {
-                keys.push(key);
-                keys.len() - 1
-            });
-            (point_index, stream_index)
-        })
-        .collect();
-    let cap = engine.stream_memory_cap();
-    let streams: Vec<SharedStream> = parallel_map(threads, &keys, |key| {
-        SharedStream::materialize_capped(key, cap)
-            .unwrap_or_else(|e| panic!("workload stream {key} failed to materialize: {e}"))
+    let oracle_results = parallel_map(engine.threads(), &points, |point| {
+        oracle_simulate_workload(&point.workload, &point.machine, &point.options)
     });
-    let oracle_results: Vec<SimResult> =
-        parallel_map(threads, &jobs, |&(point_index, stream_index)| {
-            oracle_simulate_shared(&streams[stream_index], &points[point_index].machine)
-        });
-
     points
         .into_iter()
         .zip(oracle_results)
@@ -190,13 +131,7 @@ fn check_matrix_against_oracle(engine: &SimEngine, plan: &SimPlan) -> Vec<PointR
             let optimized = matrix
                 .require_workload(&point.workload, &point.machine, &point.options)
                 .clone();
-            let diff = oracle.diff(&optimized);
-            PointReport {
-                point,
-                optimized,
-                oracle,
-                diff,
-            }
+            PointReport::new(point, optimized, oracle)
         })
         .collect()
 }
@@ -207,13 +142,7 @@ pub fn check_point(point: &SimPoint) -> PointReport {
     let optimized =
         crate::runner::simulate_workload(&point.workload, &point.machine, &point.options);
     let oracle = oracle_simulate_workload(&point.workload, &point.machine, &point.options);
-    let diff = oracle.diff(&optimized);
-    PointReport {
-        point: point.clone(),
-        optimized,
-        oracle,
-        diff,
-    }
+    PointReport::new(point.clone(), optimized, oracle)
 }
 
 /// Draws `count` random (configuration, workload) points from `seed`.
@@ -425,7 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn check_plan_fans_one_stream_out_to_both_backends() {
+    fn check_plan_conforms_on_a_two_unit_gang_resident_and_spilled() {
         let options = RunOptions::quick().with_ops(2_500);
         let mut plan = SimPlan::new();
         for dpolicy in [DCachePolicy::Parallel, DCachePolicy::SelDmWayPredict] {
@@ -435,10 +364,20 @@ mod tests {
                 options,
             ));
         }
-        let reports = check_plan(&plan, 2);
-        assert_eq!(reports.len(), 2);
-        for report in reports {
-            assert!(report.matches(), "diff: {:?}", report.diff);
+        // Under a 1-byte cap the gang's one stream spills, and both of its
+        // width-1 units replay the spill file.
+        for engine in [
+            SimEngine::new(2),
+            SimEngine::new(2).with_stream_memory_cap(1),
+        ] {
+            let matrix = engine.run(&plan);
+            assert_eq!((matrix.gangs(), matrix.streams_materialized()), (1, 1));
+            assert_eq!(matrix.lane_scalar_fallback(), 2);
+            let reports = check_plan(&engine, &plan);
+            assert_eq!(reports.len(), 2);
+            for report in reports {
+                assert!(report.matches(), "diff: {:?}", report.diff);
+            }
         }
     }
 }

@@ -176,7 +176,6 @@ pub struct SimMatrix {
     ops_generated: u64,
     ops_consumed: u64,
     ops_stopped: u64,
-    lane_batches: usize,
     lane_scalar_fallback: usize,
     lane_width_histogram: [usize; MAX_LANES + 1],
     cache_health: CacheHealth,
@@ -319,9 +318,10 @@ impl SimMatrix {
     }
 
     /// How many config-parallel lane batches (work units of width ≥ 2) the
-    /// engine ran into this matrix.
+    /// engine ran into this matrix — the sum of
+    /// [`SimMatrix::lane_width_histogram`] over widths 2 and up.
     pub fn lane_batches(&self) -> usize {
-        self.lane_batches
+        self.lane_width_histogram[2..].iter().sum()
     }
 
     /// How many width-1 work units the engine ran into this matrix — points
@@ -413,12 +413,6 @@ impl SimEngine {
     /// bit-identical to simulating (see [`MatrixCache`]).
     pub fn with_matrix_cache(mut self, cache: MatrixCache) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Detaches any persistent cache (every missing point simulates).
-    pub fn without_matrix_cache(mut self) -> Self {
-        self.cache = None;
         self
     }
 
@@ -676,10 +670,7 @@ impl SimEngine {
         for (unit_index, unit_results) in completed {
             match units[unit_index].points.len() {
                 1 => matrix.lane_scalar_fallback += 1,
-                width => {
-                    matrix.lane_batches += 1;
-                    matrix.lane_width_histogram[width] += 1;
-                }
+                width => matrix.lane_width_histogram[width] += 1,
             }
             for (point_index, result) in unit_results {
                 slots[point_index] = Some(result);

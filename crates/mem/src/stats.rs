@@ -36,11 +36,6 @@ impl CacheStats {
         ratio(self.misses(), self.accesses())
     }
 
-    /// Read miss ratio in `[0, 1]`; zero if there were no reads.
-    pub fn read_miss_ratio(&self) -> f64 {
-        ratio(self.read_misses, self.reads)
-    }
-
     /// Overall miss rate expressed as a percentage, as the paper's Table 4
     /// reports it.
     pub fn miss_rate_percent(&self) -> f64 {
@@ -103,7 +98,6 @@ mod tests {
     fn empty_stats_have_zero_ratios() {
         let s = CacheStats::default();
         assert_eq!(s.miss_ratio(), 0.0);
-        assert_eq!(s.read_miss_ratio(), 0.0);
         assert_eq!(s.accesses(), 0);
     }
 
@@ -119,7 +113,6 @@ mod tests {
         assert_eq!(s.accesses(), 6);
         assert_eq!(s.misses(), 2);
         assert!((s.miss_ratio() - 2.0 / 6.0).abs() < 1e-12);
-        assert!((s.read_miss_ratio() - 0.25).abs() < 1e-12);
         assert!((s.miss_rate_percent() - 100.0 * 2.0 / 6.0).abs() < 1e-9);
     }
 

@@ -21,14 +21,15 @@
 //! * [`OracleProcessor`] — the out-of-order scheduling loop walked one
 //!   micro-op at a time, no block batching, no custom hashers.
 //!
-//! The oracle consumes the same workload streams
-//! ([`wp_workloads::WorkloadSpec`] / [`wp_workloads::SharedStream`]) and
-//! emits the same [`wp_cpu::SimResult`] as the optimized stack, and the
-//! contract is *bit-identity*: [`wp_cpu::SimResult::exact_eq`] over every
-//! counter and every IEEE-754 energy bit pattern. The differential
-//! conformance harness in `wp-experiments` (module `conformance`, binary
-//! `conformance`) drives the two stacks over the full `run_all` sweep,
-//! randomized configuration/workload matrices, and recorded traces; see
+//! The oracle walks each workload from its source
+//! ([`wp_workloads::WorkloadSpec::stream`], one op at a time) and emits the
+//! same [`wp_cpu::SimResult`] as the optimized stack, which replays its
+//! gangs' shared streams; the contract is *bit-identity*:
+//! [`wp_cpu::SimResult::exact_eq`] over every counter and every IEEE-754
+//! energy bit pattern. The differential conformance harness in
+//! `wp-experiments` (module `conformance`, binary `conformance`) drives the
+//! two stacks over the full `run_all` sweep, randomized
+//! configuration/workload matrices, and recorded traces; see
 //! `docs/VALIDATION.md`.
 //!
 //! Prediction *tables* (selective-DM counters, PC/XOR way tables, BTB,

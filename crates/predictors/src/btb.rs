@@ -90,18 +90,6 @@ impl Btb {
             entry: BtbEntry { target, way },
         });
     }
-
-    /// Updates only the way field of an existing entry (used when the target
-    /// block moves within the i-cache).
-    pub fn update_way(&mut self, pc: Addr, way: WayIndex) {
-        let idx = self.index(pc);
-        let tag = self.tag(pc);
-        if let Some(e) = self.entries[idx].as_mut() {
-            if e.tag == tag {
-                e.entry.way = Some(way);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -150,17 +138,6 @@ mod tests {
         btb.update(b, 0x2000, None);
         assert!(btb.lookup(a).is_none(), "displaced by aliasing branch");
         assert_eq!(btb.lookup(b).map(|e| e.target), Some(0x2000));
-    }
-
-    #[test]
-    fn update_way_only_touches_matching_entry() {
-        let mut btb = Btb::new(16);
-        btb.update(0x100, 0x1000, None);
-        btb.update_way(0x100, 3);
-        assert_eq!(btb.lookup(0x100).and_then(|e| e.way), Some(3));
-        // A non-matching PC must not be affected.
-        btb.update_way(0x100 + 16 * 4, 1);
-        assert_eq!(btb.lookup(0x100).and_then(|e| e.way), Some(3));
     }
 
     #[test]

@@ -25,35 +25,23 @@ const USAGE: &str = "usage: serve [--listen ADDR] [--workers N] [--queue-depth N
                      [--no-matrix-cache] [--matrix-cache-dir PATH] \
                      [--matrix-cache-cap BYTES]";
 
-/// The daemon's command line.
+/// Where the daemon listens without `--listen`.
+const DEFAULT_LISTEN: &str = "127.0.0.1:0";
+
+/// The daemon's command line. An admission flag left unset keeps the
+/// [`ServerConfig::new`] default.
+#[derive(Default)]
 struct ServeOptions {
-    listen: String,
+    listen: Option<String>,
     workers: Option<usize>,
-    queue_depth: usize,
-    lane_depth: usize,
+    queue_depth: Option<usize>,
+    lane_depth: Option<usize>,
     sweep_threads: Option<usize>,
-    default_deadline_ms: u64,
-    max_conn_requests: u64,
+    default_deadline_ms: Option<u64>,
+    max_conn_requests: Option<u64>,
     no_matrix_cache: bool,
     matrix_cache_dir: Option<std::path::PathBuf>,
     matrix_cache_cap: Option<u64>,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        Self {
-            listen: "127.0.0.1:0".to_string(),
-            workers: None,
-            queue_depth: 128,
-            lane_depth: 32,
-            sweep_threads: None,
-            default_deadline_ms: 30_000,
-            max_conn_requests: 1024,
-            no_matrix_cache: false,
-            matrix_cache_dir: None,
-            matrix_cache_cap: None,
-        }
-    }
 }
 
 fn parse_args(args: impl Iterator<Item = String>) -> Result<ServeOptions, CliError> {
@@ -62,19 +50,25 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<ServeOptions, CliErr
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--listen" => {
-                options.listen = args.next().ok_or(CliError::MissingValue("--listen"))?;
+                options.listen = Some(args.next().ok_or(CliError::MissingValue("--listen"))?);
             }
             "--workers" => options.workers = Some(parse_positive("--workers", args.next())?),
-            "--queue-depth" => options.queue_depth = parse_positive("--queue-depth", args.next())?,
-            "--lane-depth" => options.lane_depth = parse_positive("--lane-depth", args.next())?,
+            "--queue-depth" => {
+                options.queue_depth = Some(parse_positive("--queue-depth", args.next())?);
+            }
+            "--lane-depth" => {
+                options.lane_depth = Some(parse_positive("--lane-depth", args.next())?);
+            }
             "--sweep-threads" => {
                 options.sweep_threads = Some(parse_positive("--sweep-threads", args.next())?);
             }
             "--default-deadline-ms" => {
-                options.default_deadline_ms = parse_positive("--default-deadline-ms", args.next())?;
+                options.default_deadline_ms =
+                    Some(parse_positive("--default-deadline-ms", args.next())?);
             }
             "--max-conn-requests" => {
-                options.max_conn_requests = parse_positive("--max-conn-requests", args.next())?;
+                options.max_conn_requests =
+                    Some(parse_positive("--max-conn-requests", args.next())?);
             }
             "--no-matrix-cache" => options.no_matrix_cache = true,
             "--matrix-cache-dir" => {
@@ -115,28 +109,30 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let listen = Listen::parse(&options.listen);
+    let listen_spec = options.listen.as_deref().unwrap_or(DEFAULT_LISTEN);
+    let listen = Listen::parse(listen_spec);
+    let scheme = match listen {
+        Listen::Unix(_) => "unix",
+        Listen::Tcp(_) => "tcp",
+    };
     let mut config = ServerConfig::new(listen, service_from(&options));
-    if let Some(workers) = options.workers {
-        config.workers = workers;
-    }
-    config.queue_depth = options.queue_depth;
-    config.lane_depth = options.lane_depth;
-    config.default_deadline_ms = options.default_deadline_ms;
-    config.max_conn_requests = options.max_conn_requests;
+    config.workers = options.workers.unwrap_or(config.workers);
+    config.queue_depth = options.queue_depth.unwrap_or(config.queue_depth);
+    config.lane_depth = options.lane_depth.unwrap_or(config.lane_depth);
+    config.default_deadline_ms = options
+        .default_deadline_ms
+        .unwrap_or(config.default_deadline_ms);
+    config.max_conn_requests = options
+        .max_conn_requests
+        .unwrap_or(config.max_conn_requests);
 
     signal::install();
     let server = match server::start(config) {
         Ok(server) => server,
         Err(error) => {
-            eprintln!("error: cannot listen on {}: {error}", options.listen);
+            eprintln!("error: cannot listen on {listen_spec}: {error}");
             std::process::exit(1);
         }
-    };
-    let scheme = if options.listen.contains('/') {
-        "unix"
-    } else {
-        "tcp"
     };
     // The bound address (with the actual port for `--listen host:0`) goes to
     // stdout so wrappers can discover it; flush before blocking.

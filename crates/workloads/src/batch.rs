@@ -8,6 +8,8 @@
 //! The op sequence is exactly the one the underlying iterator produces, so
 //! block-driven and op-driven runs are bit-identical. A source holding its
 //! ops in memory serves them in place ([`OpBlockSource::next_block`]).
+//! Blocks only go one way: a per-op consumer (the `wp-oracle` reference
+//! simulator) iterates a workload's [`crate::WorkloadStream`] directly.
 //!
 //! # Example
 //!
@@ -155,62 +157,6 @@ impl<I: Iterator<Item = MicroOp>> OpBlockSource for IterBlockSource<I> {
     }
 }
 
-/// The inverse adapter: any [`OpBlockSource`] walked one op at a time.
-///
-/// This is how a single materialized [`crate::SharedStream`] fans out to
-/// *two* consumers with different appetites — the optimized processor pulls
-/// blocks from one reader while a per-op reference simulator (the
-/// `wp-oracle` conformance backend) iterates another through this adapter.
-/// The sequence is exactly the one the source's blocks concatenate to.
-///
-/// # Example
-///
-/// ```
-/// use wp_workloads::{Benchmark, BlockSourceIter, SharedStream, StreamKey, WorkloadSpec};
-///
-/// let key = StreamKey::new(WorkloadSpec::Benchmark(Benchmark::Li), 1_000, 7);
-/// let stream = SharedStream::materialize(&key).expect("generated workload");
-/// let ops: Vec<_> = BlockSourceIter::new(stream.reader().expect("in-memory")).collect();
-/// let direct: Vec<_> = key.spec.stream(key.ops, key.seed).expect("opens").collect();
-/// assert_eq!(ops, direct);
-/// ```
-#[derive(Debug)]
-pub struct BlockSourceIter<S> {
-    source: S,
-    buf: OpBuffer,
-    pos: usize,
-}
-
-impl<S: OpBlockSource> BlockSourceIter<S> {
-    /// Wraps `source`, refilling a default-capacity buffer block by block.
-    pub fn new(source: S) -> Self {
-        Self {
-            source,
-            buf: OpBuffer::new(),
-            pos: 0,
-        }
-    }
-}
-
-impl<S: OpBlockSource> Iterator for BlockSourceIter<S> {
-    type Item = MicroOp;
-
-    fn next(&mut self) -> Option<MicroOp> {
-        if self.pos == self.buf.ops().len() {
-            // `fill` clears the buffer either way, so the cursor must
-            // reset with it — including on exhaustion, which keeps the
-            // iterator fused (polling past the end keeps returning None).
-            self.pos = 0;
-            if self.source.fill(&mut self.buf) == 0 {
-                return None;
-            }
-        }
-        let op = self.buf.ops()[self.pos];
-        self.pos += 1;
-        Some(op)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,17 +186,6 @@ mod tests {
         assert_eq!(source.fill(&mut buf), 10);
         assert_eq!(source.fill(&mut buf), 0);
         assert!(buf.ops().is_empty());
-    }
-
-    #[test]
-    fn block_source_iter_matches_and_is_fused() {
-        let direct: Vec<MicroOp> = generator(2_500).collect();
-        let mut iter = BlockSourceIter::new(generator(2_500));
-        let walked: Vec<MicroOp> = iter.by_ref().collect();
-        assert_eq!(walked, direct);
-        // Polling past exhaustion keeps returning None (never panics).
-        assert_eq!(iter.next(), None);
-        assert_eq!(iter.next(), None);
     }
 
     #[test]

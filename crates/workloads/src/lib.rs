@@ -57,9 +57,7 @@ pub mod shared;
 pub mod trace;
 mod workload;
 
-pub use batch::{
-    fill_from_iter, BlockSourceIter, IterBlockSource, OpBlockSource, OpBuffer, DEFAULT_OP_BLOCK,
-};
+pub use batch::{fill_from_iter, IterBlockSource, OpBlockSource, OpBuffer, DEFAULT_OP_BLOCK};
 pub use generator::{TraceConfig, TraceGenerator};
 pub use op::{BranchClass, MicroOp, OpKind};
 pub use profile::{Benchmark, BenchmarkProfile};
@@ -70,7 +68,7 @@ pub use shared::{
     STREAM_MEMORY_CAP_ENV,
 };
 pub use trace::{
-    capture_to_file, file_digest, Fnv1a, TextTraceReader, TextTraceWriter, TraceError, TraceHandle,
-    TraceId, TraceReader, TraceReplay, TraceWriter, TRACE_MAGIC, TRACE_VERSION,
+    capture_to_file, file_digest, Fnv1a, TextTraceWriter, TraceError, TraceHandle, TraceId,
+    TraceReader, TraceReplay, TraceWriter, TRACE_MAGIC, TRACE_VERSION,
 };
 pub use workload::{WorkloadSpec, WorkloadStream};

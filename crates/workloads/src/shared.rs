@@ -17,10 +17,13 @@
 //! [`DEFAULT_STREAM_MEMORY_CAP`] holds ~1.6 M ops), and beyond it the
 //! stream spills to a temporary file in the `WPTR` trace codec
 //! ([`crate::trace`]) — the round-trip is bit-exact, so spilled and
-//! in-memory replays produce the same op sequence. Spill files are deleted
-//! when the [`SharedStream`] drops. A stream that only one consumer reads
-//! is better not materialized at all: [`SharedStream::live`] hands that
-//! consumer the live source, with no copy and no spill file.
+//! in-memory replays produce the same op sequence. A reader replays a spill
+//! file the way a trace workload is read, as a [`WorkloadStream::Replay`]
+//! truncated to the stream's op count; so does an over-cap trace workload,
+//! whose own file is borrowed in place. Spill files are deleted when the
+//! [`SharedStream`] drops. A stream that only one consumer reads is better
+//! not materialized at all: [`SharedStream::live`] hands that consumer the
+//! live source, with no copy and no spill file.
 //!
 //! # Example
 //!
@@ -46,7 +49,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::batch::{fill_from_iter, OpBlockSource, OpBuffer, DEFAULT_OP_BLOCK};
+use crate::batch::{OpBlockSource, OpBuffer, DEFAULT_OP_BLOCK};
 use crate::op::MicroOp;
 use crate::trace::{TraceError, TraceReplay, TraceWriter};
 use crate::workload::{WorkloadSpec, WorkloadStream};
@@ -272,11 +275,10 @@ impl SharedStream {
     pub fn reader(&self) -> Result<SharedStreamReader<'_>, TraceError> {
         Ok(match &self.storage {
             Storage::Memory(ops) => SharedStreamReader::Memory { ops, pos: 0 },
-            Storage::Spilled { path, .. } => SharedStreamReader::Spilled {
-                replay: TraceReplay::open(path)?,
-                left: self.ops,
-            },
-            Storage::Live(key) => SharedStreamReader::Live(key.spec.stream(key.ops, key.seed)?),
+            Storage::Spilled { path, .. } => SharedStreamReader::Stream(WorkloadStream::Replay(
+                TraceReplay::open(path)?.take(self.ops),
+            )),
+            Storage::Live(key) => SharedStreamReader::Stream(key.spec.stream(key.ops, key.seed)?),
         })
     }
 }
@@ -300,17 +302,11 @@ pub enum SharedStreamReader<'a> {
         /// Next op to serve.
         pos: usize,
     },
-    /// Streams blocks out of the backing `WPTR` file, truncated to the
-    /// stream's op count (a borrowed trace file may hold more records than
-    /// the stream requested).
-    Spilled {
-        /// The decoding replay.
-        replay: TraceReplay,
-        /// Ops still to serve.
-        left: usize,
-    },
-    /// Walks the live source of a [`SharedStream::live`] stream.
-    Live(WorkloadStream),
+    /// Reads a stream that is not resident the way a workload is read: a
+    /// spill file or a borrowed trace file replays as a trace workload
+    /// truncated to the stream's op count, and a live stream walks its
+    /// source.
+    Stream(WorkloadStream),
 }
 
 impl OpBlockSource for SharedStreamReader<'_> {
@@ -323,12 +319,7 @@ impl OpBlockSource for SharedStreamReader<'_> {
                 *pos += take;
                 take
             }
-            SharedStreamReader::Spilled { replay, left } => {
-                let produced = fill_from_iter(&mut replay.by_ref().take(*left), buf);
-                *left -= produced;
-                produced
-            }
-            SharedStreamReader::Live(stream) => stream.fill(buf),
+            SharedStreamReader::Stream(stream) => stream.fill(buf),
         }
     }
 
@@ -366,6 +357,20 @@ mod tests {
             all.extend_from_slice(buf.ops());
         }
         all
+    }
+
+    /// [`drain`] through `next_block` instead of `fill`.
+    fn drain_blocks(stream: &SharedStream) -> Vec<MicroOp> {
+        let mut reader = stream.reader().expect("reader opens");
+        let mut buf = OpBuffer::with_capacity(777);
+        let mut all = Vec::new();
+        loop {
+            let block = reader.next_block(&mut buf);
+            if block.is_empty() {
+                return all;
+            }
+            all.extend_from_slice(block);
+        }
     }
 
     #[test]
@@ -480,23 +485,28 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wpsdm-shared-trace-{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("borrow.wptr");
-        let source = crate::generator::TraceGenerator::new(
-            crate::generator::TraceConfig::new(Benchmark::Gcc)
-                .with_ops(600)
-                .with_seed(2),
-        );
-        crate::trace::capture_to_file(source, &path, "borrow-test").expect("capture");
+        let source = WorkloadSpec::Benchmark(Benchmark::Gcc);
+        let captured = source.stream(600, 2).expect("generated");
+        crate::trace::capture_to_file(captured, &path, "borrow-test").expect("capture");
         let spec = WorkloadSpec::from_trace_file(&path).expect("opens");
 
         let key = StreamKey::new(spec.clone(), 400, 0);
         let shared = SharedStream::materialize_capped(&key, 1).expect("borrows");
         assert!(shared.is_spilled());
         assert_eq!(shared.ops(), 400, "truncates at the requested ops");
-        let direct: Vec<MicroOp> = spec.stream(400, 0).expect("opens").collect();
+        // The first 400 ops of the live stream the file was captured from,
+        // through both ways a reader serves blocks.
+        let direct: Vec<MicroOp> = source
+            .stream(600, 2)
+            .expect("generated")
+            .take(400)
+            .collect();
         assert_eq!(drain(&shared), direct);
+        assert_eq!(drain_blocks(&shared), direct);
         let live = SharedStream::live(&key);
         assert_eq!(live.ops(), 400, "a live replay truncates the same way");
         assert_eq!(drain(&live), direct);
+        assert_eq!(drain_blocks(&live), direct);
         drop(shared);
         assert!(path.exists(), "a borrowed trace file must survive the drop");
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,5 +1,5 @@
 //! On-disk reference traces: a versioned, compact binary format with a
-//! human-readable text twin.
+//! human-readable text twin for inspection.
 //!
 //! The paper's evaluation — like the related way-memoization and
 //! cache-level-prediction work — is driven by recorded reference streams.
@@ -13,8 +13,9 @@
 //!   version 1, documented in `docs/TRACE_FORMAT.md`): a fixed little-endian
 //!   header followed by one variable-length record per op, with
 //!   delta+varint-compressed program counters and addresses;
-//! * [`TextTraceWriter`] / [`TextTraceReader`] — the text twin, one op per
-//!   line, for inspection, diffing, and hand-written fixtures;
+//! * [`TextTraceWriter`] — the text twin, one op per line, for inspection
+//!   and diffing; nothing reads it back, so `WPTR` is the one format the
+//!   workspace decodes;
 //! * [`TraceHandle`] / [`TraceReplay`] — a validated reference to a trace
 //!   *file* (identity = version + record count + content digest, used by the
 //!   experiment engine's dedup key) and the streaming iterator that replays
@@ -50,7 +51,7 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use wp_mem::Addr;
@@ -576,155 +577,6 @@ impl<W: Write> TextTraceWriter<W> {
     }
 }
 
-/// Streaming reader for the text twin; an iterator of
-/// `Result<MicroOp, TraceError>`.
-#[derive(Debug)]
-pub struct TextTraceReader<R: BufRead> {
-    lines: io::Lines<R>,
-    source: String,
-    line_no: u64,
-    failed: bool,
-}
-
-impl<R: BufRead> TextTraceReader<R> {
-    /// Starts reading a text trace, validating the `wptrace` header line and
-    /// capturing the `# source:` comment if present.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error, [`TraceError::UnsupportedVersion`], or
-    /// [`TraceError::Corrupt`] for a malformed header.
-    pub fn new(input: R) -> Result<Self, TraceError> {
-        let mut lines = input.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| TraceError::Corrupt("empty text trace".into()))??;
-        let version = header
-            .strip_prefix("wptrace v")
-            .and_then(|v| v.trim().parse::<u16>().ok())
-            .ok_or_else(|| TraceError::Corrupt(format!("bad text header `{header}`")))?;
-        if version != TRACE_VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
-        Ok(Self {
-            lines,
-            source: String::new(),
-            line_no: 1,
-            failed: false,
-        })
-    }
-
-    /// The `# source:` label, if one preceded the records read so far.
-    pub fn source(&self) -> &str {
-        &self.source
-    }
-
-    fn parse_line(&self, line: &str) -> Result<MicroOp, TraceError> {
-        let corrupt = |what: &str| TraceError::Corrupt(format!("line {}: {what}", self.line_no));
-        let mut fields = line.split_whitespace();
-        let kind_tag = fields.next().ok_or_else(|| corrupt("empty record"))?;
-        let mut addr_field = |name: &str| -> Result<u64, TraceError> {
-            let field = fields
-                .next()
-                .ok_or_else(|| corrupt(&format!("missing {name}")))?;
-            let digits = field.strip_prefix("0x").unwrap_or(field);
-            u64::from_str_radix(digits, 16).map_err(|_| corrupt(&format!("bad {name} `{field}`")))
-        };
-        let kind = match kind_tag {
-            "I" => OpKind::IntAlu,
-            "F" => OpKind::FpAlu,
-            "L" => OpKind::Load {
-                addr: 0,
-                approx_addr: 0,
-            },
-            "S" => OpKind::Store { addr: 0 },
-            "B" => OpKind::Branch {
-                taken: false,
-                target: 0,
-                class: BranchClass::Conditional,
-            },
-            other => return Err(corrupt(&format!("unknown record kind `{other}`"))),
-        };
-        let pc = addr_field("pc")?;
-        let kind = match kind {
-            OpKind::Load { .. } => {
-                let addr = addr_field("address")?;
-                let approx_addr = addr_field("approximate address")?;
-                OpKind::Load { addr, approx_addr }
-            }
-            OpKind::Store { .. } => OpKind::Store {
-                addr: addr_field("address")?,
-            },
-            OpKind::Branch { .. } => {
-                let target = addr_field("target")?;
-                let taken = match fields.next() {
-                    Some("T") => true,
-                    Some("N") => false,
-                    _ => return Err(corrupt("bad taken flag (expected T or N)")),
-                };
-                let class = match fields.next() {
-                    Some("c") => BranchClass::Conditional,
-                    Some("C") => BranchClass::Call,
-                    Some("R") => BranchClass::Return,
-                    Some("J") => BranchClass::Jump,
-                    _ => return Err(corrupt("bad branch class (expected c, C, R, or J)")),
-                };
-                OpKind::Branch {
-                    taken,
-                    target,
-                    class,
-                }
-            }
-            other => other,
-        };
-        let mut dep = |name: &str| -> Result<u16, TraceError> {
-            fields
-                .next()
-                .ok_or_else(|| corrupt(&format!("missing {name}")))?
-                .parse()
-                .map_err(|_| corrupt(&format!("bad {name}")))
-        };
-        let src_deps = [dep("first dependence")?, dep("second dependence")?];
-        if fields.next().is_some() {
-            return Err(corrupt("trailing fields"));
-        }
-        Ok(MicroOp { pc, kind, src_deps })
-    }
-}
-
-impl<R: BufRead> Iterator for TextTraceReader<R> {
-    type Item = Result<MicroOp, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            self.line_no += 1;
-            let line = match self.lines.next()? {
-                Ok(line) => line,
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(TraceError::Io(e)));
-                }
-            };
-            let trimmed = line.trim();
-            if let Some(label) = trimmed.strip_prefix("# source:") {
-                self.source = label.trim().to_string();
-                continue;
-            }
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            let op = self.parse_line(trimmed);
-            if op.is_err() {
-                self.failed = true;
-            }
-            return Some(op);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // File identity and replay
 // ---------------------------------------------------------------------------
@@ -1026,29 +878,6 @@ mod tests {
     }
 
     #[test]
-    fn text_round_trip_is_bit_identical() {
-        let ops = sample_ops();
-        let mut writer = TextTraceWriter::new(Vec::new(), "text test").expect("header");
-        for op in &ops {
-            writer.write_op(op).expect("record");
-        }
-        let text = writer.finish().expect("finish");
-        let reader = TextTraceReader::new(Cursor::new(text)).expect("header");
-        let replayed: Vec<_> = reader.collect::<Result<_, _>>().expect("decode");
-        assert_eq!(replayed, ops);
-    }
-
-    #[test]
-    fn text_reader_captures_source_and_skips_comments() {
-        let text = "wptrace v1\n# source: hand-written\n\n# a comment\nI 0x400000 0 0\n";
-        let mut reader = TextTraceReader::new(Cursor::new(text)).expect("header");
-        let op = reader.next().expect("one op").expect("valid");
-        assert_eq!(op.kind, OpKind::IntAlu);
-        assert_eq!(reader.source(), "hand-written");
-        assert!(reader.next().is_none());
-    }
-
-    #[test]
     fn bad_magic_and_version_are_rejected() {
         let err = TraceReader::new(Cursor::new(b"NOPE\x01\x00".to_vec())).unwrap_err();
         assert!(matches!(err, TraceError::BadMagic(_)));
@@ -1057,9 +886,6 @@ mod tests {
         bytes[4] = 99; // version field
         let err = TraceReader::new(Cursor::new(bytes)).unwrap_err();
         assert!(matches!(err, TraceError::UnsupportedVersion(99)));
-
-        let err = TextTraceReader::new(Cursor::new("wptrace v9\n")).unwrap_err();
-        assert!(matches!(err, TraceError::UnsupportedVersion(9)));
     }
 
     #[test]
@@ -1078,15 +904,6 @@ mod tests {
         let err = TextTraceWriter::new(Vec::new(), "demo\nI 0x0 0 0").unwrap_err();
         assert!(matches!(err, TraceError::Corrupt(_)));
         assert!(TextTraceWriter::new(Vec::new(), "plain label").is_ok());
-    }
-
-    #[test]
-    fn corrupt_text_lines_are_reported_with_line_numbers() {
-        let text = "wptrace v1\nL 0x400000 zzz 0x0 0 0\n";
-        let mut reader = TextTraceReader::new(Cursor::new(text)).expect("header");
-        let err = reader.next().expect("one result").unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
-        assert!(reader.next().is_none());
     }
 
     #[test]

@@ -110,9 +110,9 @@ fn lane_batches_match_scalar_on_adversarial_profiles() {
     }
 }
 
-/// An adversarial stream fans out byte-identically through the spill
-/// codec: resident and 1-byte-cap spilled materializations reproduce the
-/// live simulation exactly, through both backends.
+/// An adversarial stream survives the spill codec: resident and
+/// 1-byte-cap spilled materializations reproduce the live simulation
+/// exactly, and so does the oracle walking the scenario from its source.
 #[test]
 fn adversarial_streams_survive_the_spill_path() {
     let spec = WorkloadSpec::Scenario(Scenario::PhaseFlip {
@@ -132,13 +132,14 @@ fn adversarial_streams_survive_the_spill_path() {
     assert!(spilled.is_spilled());
 
     let live = simulate_workload(&spec, &machine, &options);
+    let oracle =
+        wpsdm::experiments::conformance::oracle_simulate_workload(&spec, &machine, &options);
+    assert!(oracle.exact_eq(&live), "oracle from source != live");
     for stream in [&resident, &spilled] {
         let optimized =
             wpsdm::experiments::runner::simulate_workload_shared_lanes(stream, &[machine])
                 .remove(0);
-        let oracle = wpsdm::experiments::conformance::oracle_simulate_shared(stream, &machine);
         assert!(optimized.exact_eq(&live), "shared optimized != live");
-        assert!(oracle.exact_eq(&live), "oracle over shared stream != live");
     }
 }
 

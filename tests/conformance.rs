@@ -9,14 +9,13 @@
 //!   policies, core widths, and every workload family (benchmarks,
 //!   parameterised scenarios);
 //! * trace capture → replay through both backends;
-//! * the shared-stream fan-out, including the spill path under a tiny cap.
+//! * shared-stream replay against the oracle walking the source, including
+//!   the spill path under a tiny cap.
 
 use proptest::prelude::*;
 use wpsdm::cache::{DCachePolicy, ICachePolicy, L1Config};
 use wpsdm::cpu::CpuConfig;
-use wpsdm::experiments::conformance::{
-    check_point, oracle_simulate_shared, oracle_simulate_workload, random_points,
-};
+use wpsdm::experiments::conformance::{check_point, oracle_simulate_workload, random_points};
 use wpsdm::experiments::{
     simulate_workload, MachineConfig, RunOptions, SimEngine, SimPlan, SimPoint,
 };
@@ -195,9 +194,10 @@ fn trace_replay_conforms() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One materialized stream fans out to both backends — in memory and
-/// through the spill codec under a 1-byte cap — and the four results
-/// (optimized/oracle × resident/spilled) are all bit-identical.
+/// The optimized stack replays one materialized stream — in memory and
+/// through the spill codec under a 1-byte cap — and both results are
+/// bit-identical to the live run and to the oracle walking the workload
+/// from its source.
 #[test]
 fn shared_stream_fan_out_conforms_resident_and_spilled() {
     let key = StreamKey::new(WorkloadSpec::Benchmark(Benchmark::Swim), 2_500, 9);
@@ -213,13 +213,13 @@ fn shared_stream_fan_out_conforms_resident_and_spilled() {
     assert!(spilled.is_spilled());
 
     let live = simulate_workload(&key.spec, &machine, &options);
+    let oracle = oracle_simulate_workload(&key.spec, &machine, &options);
+    assert!(oracle.exact_eq(&live), "oracle from source != live");
     for stream in [&resident, &spilled] {
         let optimized =
             wpsdm::experiments::runner::simulate_workload_shared_lanes(stream, &[machine])
                 .remove(0);
-        let oracle = oracle_simulate_shared(stream, &machine);
-        assert!(optimized.exact_eq(&live), "shared optimized != live");
-        assert!(oracle.exact_eq(&live), "oracle over shared stream != live");
+        assert!(optimized.exact_eq(&oracle), "shared optimized != oracle");
     }
 }
 

@@ -571,10 +571,6 @@ impl MatrixCache {
             return;
         }
         self.ensure_recovered();
-        if self.state.io.create_dir_all(&self.state.dir).is_err() {
-            self.note_failure();
-            return;
-        }
         let tmp = self.tmp_path_for(digest);
         let bytes = encode(result, digest, Self::verify_digest(point));
         if self.state.io.write_file(&tmp, &bytes).is_err() {
@@ -1154,12 +1150,13 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        // Ops: recovery list(0); store A: mkdir(1) write(2) rename(3);
-        // then faults on the next two stores' writes — but never three in
-        // a row, because each failed store is followed by a working one.
+        // Ops: recovery list(0), then a write and a rename per store: A
+        // (1, 2), B (3, 4). The writes of stores C (5) and E (9) fail, each
+        // followed by its tmp removal, and D (7, 8) and F (11, 12) work —
+        // never two failures in a row.
         let plan = FaultPlan::new()
             .fail_nth(5, FaultKind::Enospc)
-            .fail_nth(10, FaultKind::Eio);
+            .fail_nth(9, FaultKind::Eio);
         let cache = MatrixCache::with_io(&dir, Arc::new(FaultyIo::with_plan(plan)))
             .with_breaker_threshold(2);
         let point = point();

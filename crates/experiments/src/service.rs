@@ -206,7 +206,8 @@ impl PointService {
     }
 
     /// Points served from the cache instead of simulating, by a led
-    /// flight or by [`load_cached`](Self::load_cached).
+    /// flight, by [`load_cached`](Self::load_cached), or from a caller's
+    /// memo of a hit ([`note_cache_hit`](Self::note_cache_hit)).
     pub fn cache_hits(&self) -> u64 {
         self.inner.cache_hits.load(Ordering::Relaxed)
     }
@@ -293,14 +294,22 @@ impl PointService {
     }
 
     /// Consults the engine's cache for `point` without opening a flight.
-    /// A hit counts toward [`cache_hits`](Self::cache_hits) — this is the
-    /// daemon's warm pre-pass for `simulate` and `sweep` requests, and a
-    /// warm point served here is indistinguishable (bytes and counters)
-    /// from one served through a led flight.
+    /// A hit counts toward [`cache_hits`](Self::cache_hits) — the daemon's
+    /// warm pre-pass for `simulate` and `sweep` requests reads through
+    /// this, and a warm point served here is indistinguishable (bytes and
+    /// counters) from one served through a led flight.
     pub fn load_cached(&self, point: &SimPoint) -> Option<SimResult> {
         let result = self.inner.engine.matrix_cache()?.load(point)?;
         self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);
         Some(result)
+    }
+
+    /// Counts one point served warm from the caller's own memo of an
+    /// earlier [`load_cached`](Self::load_cached) hit, so
+    /// [`cache_hits`](Self::cache_hits) counts it as the disk read it
+    /// stands in for.
+    pub fn note_cache_hit(&self) {
+        self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Runs a whole sweep through one gang-scheduled pass of the service's

@@ -19,17 +19,32 @@
 //!   ([`crate::MatrixCache`] sweeps it at startup).
 //!
 //! [`FaultyIo`] wraps any inner backend, counts the operations it passes
-//! through and the faults it injects, and is fully deterministic: the
-//! decision for operation *n* depends only on the plan (and seed), never on
-//! wall-clock time or thread scheduling.
+//! through and the faults it injects, and never consults wall-clock time.
+//! Its two kinds of plan are deterministic in different senses:
+//!
+//! * a **seeded** decision depends on the seed, the operation kind, the
+//!   record the operation touches (the digest part of the file name, so a
+//!   record and its temporary files are one record), and how many times
+//!   that (kind, record) pair has been tried before. Directory-level
+//!   operations key on (kind, attempt). No decision depends on how threads
+//!   interleave, so a failing seed reproduces exactly under a
+//!   multi-threaded engine;
+//! * a **scripted** plan ([`FaultPlan::fail_nth`], [`FaultPlan::tear_write`],
+//!   [`FaultPlan::abort_at`]) targets the *n*-th operation the backend
+//!   sees, counted across all threads. It is meant for single-threaded
+//!   harnesses (a serial engine, or one request at a time), where that
+//!   order is fixed.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::Hasher as _;
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
+
+use wp_workloads::Fnv1a;
 
 /// One directory entry as the cache sees it: enough metadata for recovery
 /// (name), compaction (name + content read separately), and mtime-LRU
@@ -48,12 +63,10 @@ pub struct DirEntry {
 /// cache makes goes through exactly one of these methods, so a backend that
 /// injects faults here has covered the cache's entire failure surface.
 pub trait CacheIo: fmt::Debug + Send + Sync {
-    /// Creates `path` and any missing parents.
-    fn create_dir_all(&self, path: &Path) -> io::Result<()>;
     /// Reads the whole file at `path`.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
-    /// Creates (or truncates) `path`, writes `bytes`, and flushes them to
-    /// stable storage before returning.
+    /// Creates (or truncates) `path`, and any missing parent directories,
+    /// writes `bytes`, and flushes them to stable storage before returning.
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// Atomically renames `from` to `to` (both within the cache directory).
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
@@ -72,16 +85,22 @@ pub trait CacheIo: fmt::Debug + Send + Sync {
 pub struct FsIo;
 
 impl CacheIo for FsIo {
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(path)
-    }
-
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         std::fs::read(path)
     }
 
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut file = std::fs::File::create(path)?;
+        let mut file = match std::fs::File::create(path) {
+            // The first store into a cache directory that does not exist
+            // (yet, or any more) creates it.
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                if let Some(dir) = path.parent() {
+                    std::fs::create_dir_all(dir)?;
+                }
+                std::fs::File::create(path)?
+            }
+            file => file?,
+        };
         file.write_all(bytes)?;
         // Flush the record before the caller renames it into place: a
         // rename that becomes visible before its content is durable would
@@ -163,7 +182,8 @@ pub struct Fault {
 }
 
 /// A deterministic schedule of injected faults, consumed by [`FaultyIo`]
-/// one backend operation at a time (operation indices start at 0).
+/// one backend operation at a time (operation indices start at 0; see the
+/// module docs for what each kind of plan is keyed on).
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Scripted faults by operation index.
@@ -177,7 +197,7 @@ pub struct FaultPlan {
     read_only: bool,
     /// Pseudo-random faults: `(seed, permille)` — each operation fails with
     /// probability `permille / 1000`, with kind and tear point drawn from
-    /// the same per-operation hash.
+    /// the same hash of (seed, kind, record, attempt).
     seeded: Option<(u64, u32)>,
 }
 
@@ -224,11 +244,36 @@ impl FaultPlan {
 
     /// Adds pseudo-random faults: each operation independently fails with
     /// probability `permille / 1000`, deterministically derived from
-    /// `seed` and the operation index.
+    /// `seed`, the operation kind, the record it touches, and how often
+    /// that (kind, record) pair was tried before.
     pub fn seeded(mut self, seed: u64, permille: u32) -> Self {
         self.seeded = Some((seed, permille.min(1000)));
         self
     }
+}
+
+/// The operation kinds of [`CacheIo`], for keying seeded decisions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum OpKind {
+    Read,
+    WriteFile,
+    Rename,
+    RemoveFile,
+    ListDir,
+    CreateExclusive,
+}
+
+/// The record a file operation touches: the FNV-1a hash of its file name up
+/// to the first `.`, which is the digest a record, its temporary files and
+/// its tries share (`{digest}.wpsim`, `{digest}.wpsim.tmp{pid}.{seq}`).
+fn record_of(path: &Path) -> u64 {
+    let name = path
+        .file_name()
+        .and_then(|name| name.to_str())
+        .unwrap_or("");
+    let mut hasher = Fnv1a::new();
+    hasher.write(name.split('.').next().unwrap_or("").as_bytes());
+    hasher.finish()
 }
 
 /// What [`FaultyIo`] decided for one operation.
@@ -249,6 +294,9 @@ pub struct FaultyIo {
     ops: AtomicU64,
     injected: AtomicU64,
     aborted: AtomicBool,
+    /// Tries so far per (kind, record); directory-level operations use
+    /// record 0. Kept only under a seeded plan.
+    attempts: Mutex<HashMap<(OpKind, u64), u64>>,
 }
 
 /// SplitMix64: the per-operation hash behind seeded fault decisions.
@@ -268,6 +316,7 @@ impl FaultyIo {
             ops: AtomicU64::new(0),
             injected: AtomicU64::new(0),
             aborted: AtomicBool::new(false),
+            attempts: Mutex::new(HashMap::new()),
         }
     }
 
@@ -345,10 +394,17 @@ impl FaultyIo {
         self.aborted.load(Ordering::Relaxed)
     }
 
-    /// Decides the fate of the next operation. `mutating` selects whether
-    /// the read-only plan applies.
-    fn decide(&self, mutating: bool) -> Decision {
+    /// Decides the fate of the next operation: one of `kind` on the record
+    /// of `file`, or on the directory itself when `file` is `None`.
+    fn decide(&self, kind: OpKind, file: Option<&Path>) -> Decision {
         let index = self.ops.fetch_add(1, Ordering::Relaxed);
+        let attempt = self.plan.seeded.map(|_| {
+            let record = file.map_or(0, record_of);
+            let mut attempts = self.attempts.lock().expect("fault attempts poisoned");
+            let tries = attempts.entry((kind, record)).or_insert(0);
+            *tries += 1;
+            (record, *tries - 1)
+        });
         if self.aborted.load(Ordering::Relaxed) {
             self.injected.fetch_add(1, Ordering::Relaxed);
             return Decision::Inject(Fault {
@@ -364,7 +420,7 @@ impl FaultyIo {
                 tear: Some(self.plan.abort_tear),
             });
         }
-        if self.plan.read_only && mutating {
+        if self.plan.read_only && !matches!(kind, OpKind::Read | OpKind::ListDir) {
             self.injected.fetch_add(1, Ordering::Relaxed);
             return Decision::Inject(Fault {
                 kind: FaultKind::PermissionDenied,
@@ -375,8 +431,9 @@ impl FaultyIo {
             self.injected.fetch_add(1, Ordering::Relaxed);
             return Decision::Inject(fault);
         }
-        if let Some((seed, permille)) = self.plan.seeded {
-            let hash = splitmix64(seed ^ splitmix64(index));
+        if let (Some((seed, permille)), Some((record, attempt))) = (self.plan.seeded, attempt) {
+            let key = splitmix64(splitmix64(record ^ kind as u64) ^ attempt);
+            let hash = splitmix64(seed ^ key);
             if ((hash % 1000) as u32) < permille {
                 self.injected.fetch_add(1, Ordering::Relaxed);
                 let kind = match (hash >> 10) % 3 {
@@ -399,22 +456,15 @@ impl FaultyIo {
 }
 
 impl CacheIo for FaultyIo {
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        match self.decide(true) {
-            Decision::Pass => self.inner.create_dir_all(path),
-            Decision::Inject(fault) => Err(fault.kind.error()),
-        }
-    }
-
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        match self.decide(false) {
+        match self.decide(OpKind::Read, Some(path)) {
             Decision::Pass => self.inner.read(path),
             Decision::Inject(fault) => Err(fault.kind.error()),
         }
     }
 
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        match self.decide(true) {
+        match self.decide(OpKind::WriteFile, Some(path)) {
             Decision::Pass => self.inner.write_file(path, bytes),
             Decision::Inject(fault) => {
                 if let Some(tear) = fault.tear {
@@ -430,28 +480,28 @@ impl CacheIo for FaultyIo {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        match self.decide(true) {
+        match self.decide(OpKind::Rename, Some(to)) {
             Decision::Pass => self.inner.rename(from, to),
             Decision::Inject(fault) => Err(fault.kind.error()),
         }
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
-        match self.decide(true) {
+        match self.decide(OpKind::RemoveFile, Some(path)) {
             Decision::Pass => self.inner.remove_file(path),
             Decision::Inject(fault) => Err(fault.kind.error()),
         }
     }
 
     fn list_dir(&self, path: &Path) -> io::Result<Vec<DirEntry>> {
-        match self.decide(false) {
+        match self.decide(OpKind::ListDir, None) {
             Decision::Pass => self.inner.list_dir(path),
             Decision::Inject(fault) => Err(fault.kind.error()),
         }
     }
 
     fn create_exclusive(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        match self.decide(true) {
+        match self.decide(OpKind::CreateExclusive, Some(path)) {
             Decision::Pass => self.inner.create_exclusive(path, bytes),
             Decision::Inject(fault) => Err(fault.kind.error()),
         }
@@ -474,7 +524,7 @@ mod tests {
     fn fs_io_round_trips_files_and_lists_them() {
         let dir = temp_dir("fsio");
         let io = FsIo;
-        io.create_dir_all(&dir).expect("mkdir");
+        std::fs::create_dir_all(&dir).expect("mkdir");
         io.write_file(&dir.join("a.bin"), b"hello").expect("write");
         io.rename(&dir.join("a.bin"), &dir.join("b.bin"))
             .expect("rename");
@@ -492,7 +542,7 @@ mod tests {
     fn create_exclusive_is_exclusive() {
         let dir = temp_dir("excl");
         let io = FsIo;
-        io.create_dir_all(&dir).expect("mkdir");
+        std::fs::create_dir_all(&dir).expect("mkdir");
         let lock = dir.join("evict.lock");
         io.create_exclusive(&lock, b"1").expect("first lock");
         let second = io.create_exclusive(&lock, b"2");
@@ -506,7 +556,7 @@ mod tests {
     #[test]
     fn seeded_decisions_are_deterministic() {
         let dir = temp_dir("seeded");
-        FsIo.create_dir_all(&dir).expect("mkdir");
+        std::fs::create_dir_all(&dir).expect("mkdir");
         let outcomes = |seed: u64| -> Vec<bool> {
             let io = FaultyIo::seeded(seed, 300);
             (0..64)
@@ -518,10 +568,80 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A backend on which every operation succeeds and touches nothing.
+    #[derive(Debug)]
+    struct NullIo;
+
+    impl CacheIo for NullIo {
+        fn read(&self, _: &Path) -> io::Result<Vec<u8>> {
+            Ok(Vec::new())
+        }
+        fn write_file(&self, _: &Path, _: &[u8]) -> io::Result<()> {
+            Ok(())
+        }
+        fn rename(&self, _: &Path, _: &Path) -> io::Result<()> {
+            Ok(())
+        }
+        fn remove_file(&self, _: &Path) -> io::Result<()> {
+            Ok(())
+        }
+        fn list_dir(&self, _: &Path) -> io::Result<Vec<DirEntry>> {
+            Ok(Vec::new())
+        }
+        fn create_exclusive(&self, _: &Path, _: &[u8]) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn seeded_faults_follow_the_record_not_the_operation_order() {
+        let dir = Path::new("cache");
+        let records: Vec<String> = (1..=48u64)
+            .map(|i| format!("{:016x}", splitmix64(i)))
+            .collect();
+        // Per record, what a cold and a warm pass issue: a load, a store's
+        // tmp write and rename, and a second load. `step` keeps each
+        // record's own order; the two runs interleave records differently.
+        let run = |order: &[(usize, u8)]| -> BTreeMap<(usize, u8), bool> {
+            let io = FaultyIo::new(Arc::new(NullIo), FaultPlan::new().seeded(42, 300));
+            order
+                .iter()
+                .enumerate()
+                .map(|(seq, &(r, step))| {
+                    let record = dir.join(format!("{}.wpsim", records[r]));
+                    // Tmp names carry a pid and sequence number that differ
+                    // from run to run; only the digest part keys a fault.
+                    let tmp = dir.join(format!("{}.wpsim.tmp{}.{seq}", records[r], 100 + step));
+                    let ok = match step {
+                        0 | 3 => io.read(&record).is_ok(),
+                        1 => io.write_file(&tmp, b"record").is_ok(),
+                        _ => io.rename(&tmp, &record).is_ok(),
+                    };
+                    ((r, step), ok)
+                })
+                .collect()
+        };
+        let record_major: Vec<(usize, u8)> = (0..records.len())
+            .flat_map(|r| (0..4).map(move |step| (r, step)))
+            .collect();
+        let step_major: Vec<(usize, u8)> = (0..4)
+            .flat_map(|step| (0..records.len()).rev().map(move |r| (r, step)))
+            .collect();
+        let a = run(&record_major);
+        let b = run(&step_major);
+        assert_eq!(a, b, "each record sees the same faults in either order");
+        let injected = a.values().filter(|ok| !**ok).count();
+        assert!(
+            injected > 0 && injected < a.len(),
+            "the plan must both pass and fail operations ({injected} of {} failed)",
+            a.len()
+        );
+    }
+
     #[test]
     fn scripted_faults_hit_their_operation_and_tear_writes() {
         let dir = temp_dir("scripted");
-        FsIo.create_dir_all(&dir).expect("mkdir");
+        std::fs::create_dir_all(&dir).expect("mkdir");
         let io = FaultyIo::with_plan(FaultPlan::new().fail_nth(1, FaultKind::Enospc).tear_write(
             2,
             3,
@@ -549,7 +669,7 @@ mod tests {
     #[test]
     fn abort_fails_everything_from_the_abort_point() {
         let dir = temp_dir("abort");
-        FsIo.create_dir_all(&dir).expect("mkdir");
+        std::fs::create_dir_all(&dir).expect("mkdir");
         let io = FaultyIo::with_plan(FaultPlan::new().abort_at(1, 2));
         io.write_file(&dir.join("before.bin"), b"abcd")
             .expect("op 0");
@@ -573,7 +693,7 @@ mod tests {
     #[test]
     fn read_only_fails_mutations_but_allows_reads() {
         let dir = temp_dir("readonly");
-        FsIo.create_dir_all(&dir).expect("mkdir");
+        std::fs::create_dir_all(&dir).expect("mkdir");
         std::fs::write(dir.join("existing.bin"), b"data").expect("seed file");
         let io = FaultyIo::read_only();
         assert_eq!(

@@ -32,6 +32,7 @@ pub mod client;
 pub mod protocol;
 pub mod server;
 pub mod signal;
+mod warm;
 
 pub use client::Client;
 pub use server::{start, Listen, RunningServer, ServerConfig};

@@ -23,7 +23,9 @@
 //! [`SimResult::fields`] name → IEEE-754-bit map, the crate's canonical
 //! exact-equality contract. Those two responses are the hot path and are
 //! written straight into one buffer; every rarer response is rendered
-//! through a [`Value`] tree.
+//! through a [`Value`] tree. Both end with the same result body, so a body
+//! rendered once can be spliced behind any later request's envelope, as
+//! the daemon's warm-point index does.
 
 use std::io::{self, Read, Write};
 
@@ -612,6 +614,23 @@ fn envelope(v: u64, id: u64, ok: bool) -> Vec<(String, Value)> {
     ]
 }
 
+/// The envelope of a successful `simulate` response, up to its result body.
+macro_rules! ok_head {
+    ($v:expr, $id:expr) => {
+        format_args!("{{\"v\":{},\"id\":{},\"ok\":true,", $v, $id)
+    };
+}
+
+/// The envelope of a v2 sweep point frame, up to its result body.
+macro_rules! stream_point_head {
+    ($id:expr, $index:expr) => {
+        format_args!(
+            "{{\"v\":{},\"id\":{},\"ok\":true,\"stream\":\"point\",\"index\":{},",
+            PROTOCOL_V2, $id, $index
+        )
+    };
+}
+
 /// Renders a successful simulation response: the [`SimResult::fields`]
 /// name → u64-bits map, in the canonical field order. Deterministic down
 /// to the byte for equal results — the property the soak harness diffs.
@@ -623,13 +642,42 @@ pub fn ok_response(id: u64, result: &SimResult) -> String {
 
 /// [`ok_response`] with an explicit envelope version.
 pub fn ok_response_for(v: u64, id: u64, result: &SimResult) -> String {
-    render_result(format_args!("{{\"v\":{v},\"id\":{id},\"ok\":true,"), result)
+    render_result(ok_head!(v, id), result)
 }
 
-/// Writes `head`, then `"result":` and the [`SimResult::fields`] map, then
-/// the closing braces, into one pre-sized buffer. The bytes are those the
-/// [`Value`] renderer gives the same object (field names need no escaping),
-/// without building the tree.
+/// The result body every successful point response ends with: `"result":`,
+/// the [`SimResult::fields`] map, and the envelope's closing brace. Spliced
+/// behind an envelope ([`ok_response_with_body`],
+/// [`stream_point_response_with_body`]), a rendered body gives the bytes
+/// [`ok_response_for`] and [`stream_point_response`] render from the
+/// result.
+pub(crate) fn result_body(result: &SimResult) -> String {
+    render_result(format_args!(""), result)
+}
+
+/// [`ok_response_for`] around a body [`result_body`] rendered.
+pub(crate) fn ok_response_with_body(v: u64, id: u64, body: &str) -> String {
+    splice_body(ok_head!(v, id), body)
+}
+
+/// [`stream_point_response`] around a body [`result_body`] rendered.
+pub(crate) fn stream_point_response_with_body(id: u64, index: usize, body: &str) -> String {
+    splice_body(stream_point_head!(id, index), body)
+}
+
+/// Writes `head`, then `body`, into one pre-sized buffer.
+fn splice_body(head: std::fmt::Arguments<'_>, body: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(96 + body.len());
+    let _ = out.write_fmt(head);
+    out.push_str(body);
+    out
+}
+
+/// Writes `head`, then the body [`result_body`] describes, into one
+/// pre-sized buffer: the one renderer of a result. The bytes are those the
+/// [`Value`] renderer gives the same object (field names need no
+/// escaping), without building the tree.
 fn render_result(head: std::fmt::Arguments<'_>, result: &SimResult) -> String {
     use std::fmt::Write as _;
     let fields = result.fields();
@@ -721,12 +769,7 @@ pub fn deadline_response(v: u64, id: u64, ops_completed: u64, ops_requested: u64
 /// rendering of the same result. Frames arrive in completion order; the
 /// `index` is authoritative, not the arrival position.
 pub fn stream_point_response(id: u64, index: usize, result: &SimResult) -> String {
-    render_result(
-        format_args!(
-            "{{\"v\":{PROTOCOL_V2},\"id\":{id},\"ok\":true,\"stream\":\"point\",\"index\":{index},"
-        ),
-        result,
-    )
+    render_result(stream_point_head!(id, index), result)
 }
 
 /// Renders the v2 sweep terminator: every point frame has been sent.
@@ -1612,6 +1655,20 @@ mod tests {
                 "{{\"v\":2,\"id\":9,\"ok\":true,\"stream\":\"point\",\"index\":41,\
                  \"result\":{FROZEN_RESULT}}}"
             )
+        );
+        let body = result_body(&result);
+        assert_eq!(body, format!("\"result\":{FROZEN_RESULT}}}"));
+        assert_eq!(
+            ok_response_with_body(PROTOCOL_VERSION, 7, &body),
+            ok_response(7, &result)
+        );
+        assert_eq!(
+            ok_response_with_body(PROTOCOL_V2, 8, &body),
+            ok_response_for(PROTOCOL_V2, 8, &result)
+        );
+        assert_eq!(
+            stream_point_response_with_body(9, 41, &body),
+            stream_point_response(9, 41, &result)
         );
     }
 

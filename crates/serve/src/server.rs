@@ -15,7 +15,9 @@
 //!    answers `shutting_down`, and a connection past its request budget
 //!    is shed with `overloaded`; both close the connection. A `simulate`
 //!    request whose point is in the matrix cache is then answered on the
-//!    handler thread, before admission, like a sweep's warm points. A
+//!    handler thread, before admission, like a sweep's warm points; both
+//!    read through the warm-point index, so a point answered warm once is
+//!    answered from memory after that. A
 //!    cold one joins the [`PointService`] flight table *before* touching
 //!    the queue: followers of an in-flight point consume **no** queue
 //!    slot — a stampede of N identical requests occupies one slot and
@@ -51,11 +53,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wp_cpu::SimResult;
 use wp_experiments::service::{FlightOutcome, Join, PointService, SweepReport};
 use wp_experiments::{CancelToken, LeaderTicket, SimPoint};
 
 use crate::protocol::{self, ErrorCode, HistogramSnapshot, MetricsSnapshot, Request};
+use crate::warm::WarmIndex;
 
 /// An idle connection handler blocks in a read for ten of these, then
 /// re-checks the shutdown flag. (The accept loop does not poll: shutdown
@@ -504,6 +506,8 @@ impl Metrics {
 /// Shared state every handler and worker sees.
 struct Shared {
     service: PointService,
+    /// The rendered bodies of points the matrix cache already answered.
+    warm: WarmIndex,
     scheduler: LaneScheduler,
     /// `Arc` so sweep cancel tokens can watch it directly.
     shutdown: Arc<AtomicBool>,
@@ -823,6 +827,7 @@ pub fn start(config: ServerConfig) -> io::Result<RunningServer> {
     let workers = config.workers.max(1);
     let shared = Arc::new(Shared {
         service: config.service,
+        warm: WarmIndex::new(),
         scheduler: LaneScheduler::new(config.queue_depth.max(1), config.lane_depth.max(1), workers),
         shutdown: Arc::new(AtomicBool::new(false)),
         wake,
@@ -1049,9 +1054,9 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
             // Warm pre-pass *before* admission, as for sweeps: a cached
             // point is answered here, with no flight, queue slot or worker
             // hand-off.
-            if let Some(result) = shared.service.load_cached(&point) {
+            if let Some(body) = shared.warm.body(&shared.service, &point) {
                 shared.metrics.point_latency.record(started.elapsed());
-                return (protocol::ok_response_for(v, id, &result), false);
+                return (protocol::ok_response_with_body(v, id, &body), false);
             }
             let deadline_ms = deadline_ms.unwrap_or(shared.default_deadline_ms);
             let deadline = started + Duration::from_millis(deadline_ms);
@@ -1153,11 +1158,11 @@ fn handle_sweep(
     // and cost no queue slot, and a shed sweep is a clean `overloaded`
     // error rather than a half-streamed plan.
     let total = points.len();
-    let mut warm: Vec<(usize, SimResult)> = Vec::new();
+    let mut warm = Vec::new();
     let mut pending: Vec<usize> = Vec::new();
     for (index, point) in points.iter().enumerate() {
-        match shared.service.load_cached(point) {
-            Some(result) => warm.push((index, result)),
+        match shared.warm.body(&shared.service, point) {
+            Some(body) => warm.push((index, body)),
             None => pending.push(index),
         }
     }
@@ -1183,10 +1188,10 @@ fn handle_sweep(
         .sweeps_started
         .fetch_add(1, Ordering::Relaxed);
     let mut streamed: usize = 0;
-    for (index, result) in &warm {
+    for (index, body) in &warm {
         protocol::write_frame(
             conn,
-            protocol::stream_point_response(id, *index, result).as_bytes(),
+            protocol::stream_point_response_with_body(id, *index, body).as_bytes(),
         )?;
         streamed += 1;
     }

@@ -159,9 +159,6 @@ impl CountingIo {
 }
 
 impl CacheIo for CountingIo {
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        FsIo.create_dir_all(path)
-    }
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         FsIo.read(path)
     }

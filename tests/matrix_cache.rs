@@ -188,10 +188,10 @@ fn enospc_mid_store_loses_one_record_but_no_results() {
 
     // Operation schedule for two missing points on a serial engine:
     // recovery list(0), load read(1), load read(2), then per store
-    // mkdir/write/rename. Op 4 is the FIRST point's record write — fail it
+    // write/rename. Op 3 is the FIRST point's record write — fail it
     // ENOSPC with a torn 10-byte prefix.
     let dir = temp_dir("enospc");
-    let plan_faults = FaultPlan::new().tear_write(4, 10, FaultKind::Enospc);
+    let plan_faults = FaultPlan::new().tear_write(3, 10, FaultKind::Enospc);
     let cache = MatrixCache::with_io(&dir, Arc::new(FaultyIo::with_plan(plan_faults)));
     let engine = SimEngine::serial().with_matrix_cache(cache);
 

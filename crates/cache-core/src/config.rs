@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wp_mem::{CacheGeometry, GeometryError};
 
 /// Error returned when an [`L1Config`] cannot be realised.
@@ -44,7 +44,7 @@ impl From<GeometryError> for ConfigError {
 /// with a 1-cycle access; Section 4.4 also evaluates a 2-cycle base latency.
 /// Mispredicted and sequential accesses pay one extra data-array probe
 /// (Section 2.1), modelled by [`L1Config::extra_probe_latency`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct L1Config {
     /// Total capacity in bytes.
     pub size_bytes: usize,

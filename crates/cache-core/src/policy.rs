@@ -1,13 +1,13 @@
 //! The design options the paper evaluates, as data.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How d-cache loads are accessed (Sections 2.1–2.2, Figures 4–6, 9).
 ///
 /// Stores always check the tag array first and write only the matching way,
 /// in every policy (end of Section 2.1), so the policy applies to loads
 /// only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DCachePolicy {
     /// Conventional parallel access: all ways probed, 1-cycle — the energy
     /// baseline every figure normalises to.
@@ -190,7 +190,7 @@ macro_rules! with_dpolicy_kernel {
 }
 
 /// How i-cache fetches are accessed (Section 2.3, Figure 10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ICachePolicy {
     /// Conventional parallel access.
     Parallel,

@@ -38,7 +38,7 @@
 //! distances are masked rather than tested, commit is a pair of selects, and
 //! "no fetch block" and "no pending redirect" are sentinels, not `Option`s.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wp_cache::{
     ConfigError, DAccessOutcome, DCacheController, DCachePolicy, DCacheStats, FetchKind,
     ICacheController, ICachePolicy, L1Config, MAX_LANES,
@@ -51,7 +51,7 @@ use wp_workloads::{BranchClass, IterBlockSource, MicroOp, OpBlockSource, OpBuffe
 use crate::result::SimResult;
 
 /// Microarchitectural parameters of the modelled core (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct CpuConfig {
     /// Instructions fetched per cycle (Table 1: 8).
     pub fetch_width: usize,

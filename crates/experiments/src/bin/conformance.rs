@@ -33,8 +33,10 @@ use std::path::PathBuf;
 
 use wp_cache::DCachePolicy;
 use wp_experiments::conformance::{self, check_plan, random_points, GoldenDrift, GOLDEN_OPTIONS};
-use wp_experiments::engine::{available_threads, SimEngine, SimPlan, SimPoint};
-use wp_experiments::runner::{options_from_args, CliError, MachineConfig, RunOptions};
+use wp_experiments::engine::{SimEngine, SimPlan, SimPoint};
+use wp_experiments::runner::{
+    exit_usage, options_from_args, parse_value, MachineConfig, RunOptions,
+};
 use wp_experiments::storage::FaultyIo;
 use wp_experiments::MatrixCache;
 use wp_workloads::WorkloadSpec;
@@ -61,7 +63,7 @@ struct Cli {
     faulty_cache: Option<u64>,
 }
 
-fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     // Split off the conformance-specific flags, then hand the rest to the
     // shared experiment-options parser so the common flags (and their
     // error messages) can never diverge from the other binaries.
@@ -71,34 +73,13 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let mut golden_dir: Option<PathBuf> = None;
     let mut faulty_cache: Option<u64> = None;
     let mut shared = Vec::new();
-    let mut args = args;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--random" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| CliError::MissingValue("--random").to_string())?;
-                random = value
-                    .parse()
-                    .map_err(|_| CliError::InvalidValue("--random", value).to_string())?;
-            }
+            "--random" => random = parse_value("--random", args.next())?,
             "--bless" => bless = true,
             "--skip-sweep" => skip_sweep = true,
-            "--golden-dir" => {
-                golden_dir =
-                    Some(PathBuf::from(args.next().ok_or_else(|| {
-                        CliError::MissingValue("--golden-dir").to_string()
-                    })?));
-            }
-            "--faulty-cache" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| CliError::MissingValue("--faulty-cache").to_string())?;
-                faulty_cache =
-                    Some(value.parse().map_err(|_| {
-                        CliError::InvalidValue("--faulty-cache", value).to_string()
-                    })?);
-            }
+            "--golden-dir" => golden_dir = Some(parse_value("--golden-dir", args.next())?),
+            "--faulty-cache" => faulty_cache = Some(parse_value("--faulty-cache", args.next())?),
             // Shared flags conformance cannot honour must be rejected, not
             // silently ignored — a user asking for `--json` output or a
             // matrix-cache-backed run would otherwise get false assurance.
@@ -109,17 +90,16 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
             _ => shared.push(arg),
         }
     }
-    let options = options_from_args(shared.into_iter()).map_err(|e| e.to_string())?;
+    let mut options = options_from_args(shared.into_iter())?;
     let profile = options.load_profile().map_err(|e| e.to_string())?;
-    let threads = options.threads.unwrap_or_else(available_threads);
-    let mut engine = SimEngine::new(threads);
-    if let Some(cap) = options.stream_cap {
-        engine = engine.with_stream_memory_cap(cap);
-    }
+    // The optimized side runs on the requested threads and stream cap,
+    // without a matrix cache: conformance compares executors, not caches.
+    options.no_matrix_cache = true;
+    let engine = options.engine();
     Ok(Cli {
-        run: options.run,
+        run: options.run(),
+        threads: engine.threads(),
         engine,
-        threads,
         random,
         bless,
         golden_dir: golden_dir.unwrap_or_else(conformance::default_golden_dir),
@@ -152,14 +132,7 @@ fn tally(section: &str, reports: &[conformance::PointReport]) -> usize {
 }
 
 fn main() {
-    let cli = match parse_args(std::env::args().skip(1)) {
-        Ok(cli) => cli,
-        Err(error) => {
-            eprintln!("error: {error}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let cli = parse_args(std::env::args().skip(1)).unwrap_or_else(|error| exit_usage(USAGE, error));
     let mut failures = 0usize;
 
     // ---- 1. the full run_all sweep ----

@@ -20,14 +20,13 @@ use wp_experiments::coverage::{self, check_designed_cells, check_taxonomy, Cover
 use wp_experiments::runner::CliOptions;
 
 fn main() {
+    let cli = CliOptions::from_env_or_exit();
     // The shared parser defaults to the full 400 k-op experiment length;
     // coverage runs at the pinned golden options unless the command line
     // says otherwise, so the default invocation reproduces the committed
     // snapshot.
-    let explicit_run = std::env::args().any(|a| a == "--ops" || a == "--seed" || a == "--quick");
-    let cli = CliOptions::from_env_or_exit();
-    let options = if explicit_run {
-        cli.run
+    let options = if cli.quick || cli.ops.is_some() || cli.seed.is_some() {
+        cli.run()
     } else {
         GOLDEN_OPTIONS
     };

@@ -27,7 +27,7 @@ use wp_experiments::ARTEFACTS;
 
 fn main() {
     let cli = CliOptions::from_env_or_exit();
-    let options = cli.run;
+    let options = cli.run();
     let engine = cli.engine();
     // Fail fast on a bad profile file, before any simulation runs.
     let profile = cli.profile_or_exit();

@@ -21,7 +21,7 @@
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
-use wp_experiments::runner::{parse_positive, parse_value, RunOptions};
+use wp_experiments::runner::{exit_usage, parse_value, CliError, CliOptions, RunOptions};
 use wp_workloads::{capture_to_file, ProfileSpec, TextTraceWriter, WorkloadSpec};
 
 const USAGE: &str = "usage: trace_capture (--workload NAME | --profile FILE) --out PATH \
@@ -43,18 +43,14 @@ struct Cli {
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let mut workload: Option<WorkloadSpec> = None;
-    let mut profile: Option<PathBuf> = None;
     let mut out: Option<PathBuf> = None;
-    let mut run = RunOptions::default();
-    let mut quick = false;
-    let mut ops: Option<usize> = None;
-    let mut seed: Option<u64> = None;
     let mut text = false;
+    let mut shared = CliOptions::default();
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workload" => {
-                let name = args.next().ok_or("flag `--workload` requires a value")?;
+                let name: String = parse_value("--workload", args.next())?;
                 workload = Some(WorkloadSpec::parse(&name).ok_or_else(|| {
                     format!(
                         "unknown workload `{name}` (expected one of: {})",
@@ -62,48 +58,24 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
                     )
                 })?);
             }
-            "--profile" => {
-                profile = Some(PathBuf::from(
-                    args.next().ok_or("flag `--profile` requires a value")?,
-                ));
-            }
-            "--out" => {
-                out = Some(PathBuf::from(
-                    args.next().ok_or("flag `--out` requires a value")?,
-                ))
-            }
-            "--quick" => quick = true,
-            "--ops" => {
-                ops = Some(parse_positive("--ops", args.next()).map_err(|e| e.to_string())?);
-            }
-            "--seed" => {
-                seed = Some(parse_value("--seed", args.next()).map_err(|e| e.to_string())?);
-            }
+            "--out" => out = Some(parse_value("--out", args.next())?),
             "--text" => text = true,
-            other => return Err(format!("unknown flag `{other}`")),
+            "--quick" | "--ops" | "--seed" | "--profile" => shared.parse_flag(&arg, &mut args)?,
+            other => return Err(CliError::UnknownFlag(other.to_string()).into()),
         }
     }
-    if quick {
-        run = RunOptions::quick();
+    if workload.is_some() && shared.profile.is_some() {
+        return Err("flags `--workload` and `--profile` are mutually exclusive".into());
     }
-    if let Some(ops) = ops {
-        run.ops = ops;
-    }
-    if let Some(seed) = seed {
-        run.seed = seed;
-    }
-    let source = match (workload, profile) {
-        (Some(_), Some(_)) => {
-            return Err("flags `--workload` and `--profile` are mutually exclusive".into())
-        }
-        (Some(workload), None) => Source::Workload(workload),
-        (None, Some(path)) => Source::Profile(ProfileSpec::load(&path).map_err(|e| e.to_string())?),
+    let source = match (workload, shared.load_profile().map_err(|e| e.to_string())?) {
+        (Some(workload), _) => Source::Workload(workload),
+        (None, Some(profile)) => Source::Profile(profile),
         (None, None) => return Err("missing required flag `--workload` (or `--profile`)".into()),
     };
     Ok(Cli {
         source,
         out: out.ok_or("missing required flag `--out`")?,
-        run,
+        run: shared.run(),
         text,
     })
 }
@@ -150,14 +122,7 @@ fn capture_one(workload: &WorkloadSpec, out: &Path, run: &RunOptions, text: bool
 }
 
 fn main() {
-    let cli = match parse_args(std::env::args().skip(1)) {
-        Ok(cli) => cli,
-        Err(error) => {
-            eprintln!("error: {error}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let cli = parse_args(std::env::args().skip(1)).unwrap_or_else(|error| exit_usage(USAGE, error));
 
     let ok = match &cli.source {
         Source::Workload(workload) => capture_one(workload, &cli.out, &cli.run, cli.text),

@@ -21,7 +21,9 @@ use serde::Serialize;
 use wp_cache::DCachePolicy;
 use wp_experiments::engine::{SimPlan, SimPoint};
 use wp_experiments::report::{ratio, TextTable};
-use wp_experiments::runner::{parse_positive, CliOptions, MachineConfig, RunOptions};
+use wp_experiments::runner::{
+    exit_usage, parse_value, CliError, CliOptions, MachineConfig, RunOptions,
+};
 use wp_workloads::WorkloadSpec;
 
 const USAGE: &str = "usage: trace_replay --trace PATH [--ops N] [--threads N] [--json] \
@@ -35,63 +37,20 @@ const POLICIES: [DCachePolicy; 4] = [
     DCachePolicy::SelDmWayPredict,
 ];
 
-struct Cli {
-    trace: PathBuf,
-    ops: Option<usize>,
-    threads: Option<usize>,
-    json: bool,
-    no_matrix_cache: bool,
-    matrix_cache_dir: Option<PathBuf>,
-    matrix_cache_cap: Option<u64>,
-}
-
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
+/// Parses the command line into the trace path and the shared flags
+/// replay honours.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(PathBuf, CliOptions), String> {
     let mut trace: Option<PathBuf> = None;
-    let mut ops: Option<usize> = None;
-    let mut threads: Option<usize> = None;
-    let mut json = false;
-    let mut no_matrix_cache = false;
-    let mut matrix_cache_dir: Option<PathBuf> = None;
-    let mut matrix_cache_cap: Option<u64> = None;
+    let mut cli = CliOptions::default();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--no-matrix-cache" => no_matrix_cache = true,
-            "--matrix-cache-dir" => {
-                matrix_cache_dir = Some(PathBuf::from(
-                    args.next()
-                        .ok_or("flag `--matrix-cache-dir` requires a value")?,
-                ))
-            }
-            "--matrix-cache-cap" => {
-                matrix_cache_cap = Some(
-                    parse_positive("--matrix-cache-cap", args.next()).map_err(|e| e.to_string())?,
-                );
-            }
-            "--trace" => {
-                trace = Some(PathBuf::from(
-                    args.next().ok_or("flag `--trace` requires a value")?,
-                ))
-            }
-            "--ops" => {
-                ops = Some(parse_positive("--ops", args.next()).map_err(|e| e.to_string())?);
-            }
-            "--threads" => {
-                threads =
-                    Some(parse_positive("--threads", args.next()).map_err(|e| e.to_string())?);
-            }
-            "--json" => json = true,
-            other => return Err(format!("unknown flag `{other}`")),
+            "--trace" => trace = Some(parse_value("--trace", args.next())?),
+            "--ops" | "--threads" | "--json" | "--no-matrix-cache" | "--matrix-cache-dir"
+            | "--matrix-cache-cap" => cli.parse_flag(&arg, &mut args)?,
+            other => return Err(CliError::UnknownFlag(other.to_string()).into()),
         }
     }
-    Ok(Cli {
-        trace: trace.ok_or("missing required flag `--trace`")?,
-        ops,
-        threads,
-        json,
-        no_matrix_cache,
-        matrix_cache_dir,
-        matrix_cache_cap,
-    })
+    Ok((trace.ok_or("missing required flag `--trace`")?, cli))
 }
 
 /// One policy's results over the replayed stream.
@@ -117,19 +76,13 @@ struct ReplayResult {
 }
 
 fn main() {
-    let cli = match parse_args(std::env::args().skip(1)) {
-        Ok(cli) => cli,
-        Err(error) => {
-            eprintln!("error: {error}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let (trace, cli) =
+        parse_args(std::env::args().skip(1)).unwrap_or_else(|error| exit_usage(USAGE, error));
 
-    let workload = match WorkloadSpec::from_trace_file(&cli.trace) {
+    let workload = match WorkloadSpec::from_trace_file(&trace) {
         Ok(workload) => workload,
         Err(error) => {
-            eprintln!("error: cannot open trace {}: {error}", cli.trace.display());
+            eprintln!("error: cannot open trace {}: {error}", trace.display());
             std::process::exit(1);
         }
     };
@@ -138,7 +91,7 @@ fn main() {
         _ => unreachable!("from_trace_file returns a trace workload"),
     };
     if records == 0 {
-        eprintln!("error: trace {} holds no ops", cli.trace.display());
+        eprintln!("error: trace {} holds no ops", trace.display());
         std::process::exit(1);
     }
     // The stream truncates at the recording's end, so never report more
@@ -155,22 +108,9 @@ fn main() {
             options,
         ));
     }
-    // Reuse the shared engine/cache assembly from the common CLI options,
-    // so replay and the artefact binaries can never diverge on cache
-    // behaviour.
-    let engine = CliOptions {
-        run: options,
-        json: cli.json,
-        threads: cli.threads,
-        no_matrix_cache: cli.no_matrix_cache,
-        matrix_cache_dir: cli.matrix_cache_dir.clone(),
-        matrix_cache_cap: cli.matrix_cache_cap,
-        stream_cap: None,
-        profile: None,
-        health_json: None,
-    }
-    .engine();
-    let matrix = engine.run(&plan);
+    // The shared engine/cache assembly, so replay and the artefact
+    // binaries can never diverge on cache behaviour.
+    let matrix = cli.engine().run(&plan);
     eprintln!(
         "trace_replay: {} gangs, {} streams materialized, \
          {} ops generated for {} ops consumed ({:.2}x stream dedup); \
@@ -207,7 +147,7 @@ fn main() {
         .collect();
 
     let report = ReplayResult {
-        trace: cli.trace.display().to_string(),
+        trace: trace.display().to_string(),
         source,
         records,
         replayed_ops,

@@ -2,7 +2,7 @@
 //! parallel-access baseline across all benchmarks and collect the metrics
 //! the paper's figures plot.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wp_cache::{DCachePolicy, L1Config};
 use wp_workloads::Benchmark;
 
@@ -12,7 +12,7 @@ use crate::runner::{MachineConfig, RunOptions};
 /// The metrics the paper's d-cache figures plot for one (benchmark, policy)
 /// pair, relative to the parallel-access baseline of the same cache
 /// configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PolicyComparison {
     /// Benchmark name.
     pub benchmark: String,
@@ -133,7 +133,7 @@ pub fn average_for(
 
 /// A complete d-cache figure: per-benchmark rows, per-policy averages, and
 /// the paper's reference averages for comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DcacheFigure {
     /// Title used when rendering.
     pub title: String,

@@ -7,7 +7,7 @@
 //! average energy-delay savings of 39 %, 64 % and 72 % for 2-, 4- and 8-way
 //! i-caches with negligible performance degradation.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wp_cache::{ICachePolicy, L1Config};
 use wp_workloads::Benchmark;
 
@@ -16,7 +16,7 @@ use crate::report::TextTable;
 use crate::runner::{MachineConfig, RunOptions};
 
 /// One (benchmark, associativity) measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig10Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -35,7 +35,7 @@ pub struct Fig10Row {
 }
 
 /// The regenerated Figure 10.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig10Result {
     /// Per-(benchmark, associativity) rows.
     pub rows: Vec<Fig10Row>,

@@ -6,7 +6,7 @@
 //! overall energy savings and 8 % energy-delay savings, against a 10 % bound
 //! for perfect way-prediction with no performance degradation.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wp_cache::{DCachePolicy, ICachePolicy};
 use wp_energy::{EnergyDelay, ProcessorEnergyModel};
 use wp_workloads::Benchmark;
@@ -16,7 +16,7 @@ use crate::report::TextTable;
 use crate::runner::{MachineConfig, RunOptions};
 
 /// One benchmark's overall-processor measurements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig11Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -34,7 +34,7 @@ pub struct Fig11Row {
 }
 
 /// The regenerated Figure 11.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig11Result {
     /// Per-benchmark rows.
     pub rows: Vec<Fig11Row>,

@@ -7,7 +7,7 @@
 //! performance degradation — good energy, unacceptable performance for an
 //! L1.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wp_cache::{DCachePolicy, L1Config};
 
 use crate::compare::DcacheFigure;
@@ -15,7 +15,7 @@ use crate::engine::{SimMatrix, SimPlan};
 use crate::runner::RunOptions;
 
 /// The regenerated Figure 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig4Result {
     /// The underlying comparison (sequential vs. 1-cycle parallel).
     pub figure: DcacheFigure,

@@ -7,7 +7,7 @@
 //! path, which is why it ultimately rejects the scheme. Energy-delay
 //! reductions are 63 % (PC) and 64 % (XOR) at 2.9 % / 2.3 % degradation.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wp_cache::{DCachePolicy, L1Config};
 
 use crate::compare::DcacheFigure;
@@ -15,7 +15,7 @@ use crate::engine::{SimMatrix, SimPlan};
 use crate::runner::RunOptions;
 
 /// The regenerated Figure 5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig5Result {
     /// The underlying comparison (PC and XOR way-prediction vs. parallel).
     pub figure: DcacheFigure,

@@ -8,7 +8,7 @@
 //! 3.4 % performance degradation, against 63 % / 2.9 % for pure PC
 //! way-prediction and 68 % / 11 % for a sequential cache.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wp_cache::{DCachePolicy, L1Config};
 
 use crate::compare::DcacheFigure;
@@ -16,7 +16,7 @@ use crate::engine::{SimMatrix, SimPlan};
 use crate::runner::RunOptions;
 
 /// The regenerated Figure 6.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig6Result {
     /// The underlying comparison across the five schemes the figure plots.
     pub figure: DcacheFigure,

@@ -7,7 +7,7 @@
 //! ~2 % performance degradation at both sizes and no need to grow the
 //! 1024-entry prediction table.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wp_cache::{DCachePolicy, L1Config};
 
 use crate::compare::DcacheFigure;
@@ -15,7 +15,7 @@ use crate::engine::{SimMatrix, SimPlan};
 use crate::runner::RunOptions;
 
 /// The regenerated Figure 7.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig7Result {
     /// Selective-DM + way-prediction on the 16 KB cache.
     pub size_16k: DcacheFigure,

@@ -6,7 +6,7 @@
 //! 82 % energy-delay savings for 2-, 4- and 8-way 16 KB caches, each against
 //! a parallel baseline of the same associativity.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wp_cache::{DCachePolicy, L1Config};
 
 use crate::compare::DcacheFigure;
@@ -14,7 +14,7 @@ use crate::engine::{SimMatrix, SimPlan};
 use crate::runner::RunOptions;
 
 /// The regenerated Figure 8.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig8Result {
     /// One entry per associativity: (ways, figure).
     pub by_associativity: Vec<(usize, DcacheFigure)>,

@@ -6,7 +6,7 @@
 //! 3.1 % degradation) but not the third cycle on *every* access of a
 //! sequential cache (~13 % degradation).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wp_cache::{DCachePolicy, L1Config};
 
 use crate::compare::DcacheFigure;
@@ -14,7 +14,7 @@ use crate::engine::{SimMatrix, SimPlan};
 use crate::runner::RunOptions;
 
 /// The regenerated Figure 9.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig9Result {
     /// The comparison on the 2-cycle cache (against a 2-cycle parallel
     /// baseline).

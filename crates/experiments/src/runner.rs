@@ -7,12 +7,14 @@
 //! engine schedules ([`simulate_workload_shared_lanes`]), the per-point
 //! [`simulate_workload`] reference (that executor over a live stream), the
 //! [`MachineConfig`] key type, the [`CancelToken`], and the command line
-//! the binaries share, including [`engine_from_flags`], the engine wiring
-//! of the batch binaries and the `wp-serve` daemon.
+//! the binaries share: [`CliOptions`], which parses each shared flag in one
+//! place ([`CliOptions::parse_flag`]) and builds the engine of the batch
+//! binaries and the `wp-serve` daemon ([`CliOptions::engine`]), and
+//! [`exit_usage`], how every binary refuses a bad command line.
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wp_cache::{DCachePolicy, ICachePolicy, L1Config};
 use wp_cpu::{run_lane_batch, CpuConfig, LaneMember, Processor, SimResult};
 use wp_workloads::{MicroOp, OpBlockSource, OpBuffer, SharedStream, StreamKey, WorkloadSpec};
@@ -21,7 +23,7 @@ use crate::engine::SimEngine;
 use crate::matrix_cache::MatrixCache;
 
 /// Options shared by every experiment runner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct RunOptions {
     /// Micro-ops simulated per benchmark per configuration.
     pub ops: usize,
@@ -68,7 +70,7 @@ impl Default for RunOptions {
 
 /// The complete hardware configuration of one simulation. `Hash`/`Eq` make
 /// it usable as (part of) the [`crate::engine::SimMatrix`] key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct MachineConfig {
     /// L1 d-cache configuration.
     pub l1d: L1Config,
@@ -357,11 +359,18 @@ pub(crate) fn simulate_workload_shared_lanes_cancellable(
     Ok(results)
 }
 
-/// Command-line options shared by every experiment binary.
+/// The flags the experiment binaries and the `wp-serve` daemon share, as
+/// the command line gave them. Each binary hands [`CliOptions::parse_flag`]
+/// only the shared flags it honours.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CliOptions {
-    /// Simulation length and seed.
-    pub run: RunOptions,
+    /// `--quick`: the short configuration ([`RunOptions::quick`]) for
+    /// whatever `--ops` and `--seed` leave unset.
+    pub quick: bool,
+    /// Micro-ops per simulation (`--ops N`), if given.
+    pub ops: Option<usize>,
+    /// Trace seed (`--seed N`), if given.
+    pub seed: Option<u64>,
     /// Print machine-readable JSON instead of text tables.
     pub json: bool,
     /// Worker threads for the engine (`None` = all available cores).
@@ -404,16 +413,58 @@ pub struct CliOptions {
 }
 
 impl CliOptions {
-    /// Parses `std::env::args()`, printing the error and usage to stderr and
-    /// exiting with status 2 on a bad command line.
+    /// Parses `std::env::args()` with [`options_from_args`], exiting through
+    /// [`exit_usage`] on a bad command line.
     pub fn from_env_or_exit() -> Self {
-        match options_from_args(std::env::args().skip(1)) {
-            Ok(options) => options,
-            Err(error) => {
-                eprintln!("error: {error}");
-                eprintln!("{USAGE}");
-                std::process::exit(2);
+        options_from_args(std::env::args().skip(1)).unwrap_or_else(|error| exit_usage(USAGE, error))
+    }
+
+    /// Applies the shared flag `flag`, taking its value (for a flag that
+    /// has one) from `args`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError::UnknownFlag`] if `flag` is not a shared flag,
+    /// and the [`CliError`] for a missing, unparsable or (for `--ops`,
+    /// `--threads` and `--matrix-cache-cap`) zero value.
+    pub fn parse_flag(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<(), CliError> {
+        match flag {
+            "--quick" => self.quick = true,
+            "--ops" => self.ops = Some(parse_positive("--ops", args.next())?),
+            "--seed" => self.seed = Some(parse_value("--seed", args.next())?),
+            "--json" => self.json = true,
+            "--threads" => self.threads = Some(parse_positive("--threads", args.next())?),
+            "--stream-cap" => self.stream_cap = Some(parse_value("--stream-cap", args.next())?),
+            "--profile" => self.profile = Some(parse_value("--profile", args.next())?),
+            "--no-matrix-cache" => self.no_matrix_cache = true,
+            "--matrix-cache-dir" => {
+                self.matrix_cache_dir = Some(parse_value("--matrix-cache-dir", args.next())?);
             }
+            "--matrix-cache-cap" => {
+                self.matrix_cache_cap = Some(parse_positive("--matrix-cache-cap", args.next())?);
+            }
+            "--health-json" => self.health_json = Some(parse_value("--health-json", args.next())?),
+            other => return Err(CliError::UnknownFlag(other.to_string())),
+        }
+        Ok(())
+    }
+
+    /// The run the flags ask for: [`RunOptions::quick`] with `--quick`,
+    /// else the defaults, with an explicit `--ops` or `--seed` applied on
+    /// top whatever the flag order.
+    pub fn run(&self) -> RunOptions {
+        let base = if self.quick {
+            RunOptions::quick()
+        } else {
+            RunOptions::default()
+        };
+        RunOptions {
+            ops: self.ops.unwrap_or(base.ops),
+            seed: self.seed.unwrap_or(base.seed),
         }
     }
 
@@ -432,73 +483,49 @@ impl CliOptions {
             .transpose()
     }
 
-    /// [`CliOptions::load_profile`], printing the error plus usage to
-    /// stderr and exiting with status 2 on a bad profile file — the same
-    /// contract as a bad command line ([`CliOptions::from_env_or_exit`]).
+    /// [`CliOptions::load_profile`], exiting through [`exit_usage`] on a
+    /// bad profile file — the same contract as a bad command line.
     pub fn profile_or_exit(&self) -> Option<wp_workloads::ProfileSpec> {
-        match self.load_profile() {
-            Ok(profile) => profile,
-            Err(error) => {
-                eprintln!("error: {error}");
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
+        self.load_profile()
+            .unwrap_or_else(|error| exit_usage(USAGE, error))
     }
 
-    /// The engine the options ask for: the requested thread count, with the
-    /// persistent matrix cache attached unless `--no-matrix-cache` was
-    /// given (results served from the cache are bit-identical to
-    /// simulating, so the flag exists for determinism auditing and CI,
-    /// not correctness).
+    /// The engine the options ask for, built the same way for the batch
+    /// binaries and the `wp-serve` daemon, so both share one on-disk cache
+    /// and one fault seed: `--threads` workers (every core if unset), the
+    /// `--stream-cap`, and, unless `--no-matrix-cache`, the persistent
+    /// matrix cache rooted at `--matrix-cache-dir` (else
+    /// [`MatrixCache::default_dir`]) and capped at `--matrix-cache-cap`
+    /// (else the `WPSDM_MATRIX_CACHE_CAP` override, else unbounded).
+    /// Results served from the cache are bit-identical to simulating, so
+    /// the cache flags exist for determinism auditing and CI, not
+    /// correctness.
     pub fn engine(&self) -> SimEngine {
-        let engine = engine_from_flags(
-            self.threads,
-            self.no_matrix_cache,
-            self.matrix_cache_dir.as_deref(),
-            self.matrix_cache_cap,
+        let mut engine = SimEngine::new(
+            self.threads
+                .unwrap_or_else(crate::engine::available_threads),
         );
-        match self.stream_cap {
-            Some(cap) => engine.with_stream_memory_cap(cap),
-            None => engine,
+        if let Some(cap) = self.stream_cap {
+            engine = engine.with_stream_memory_cap(cap);
         }
+        if self.no_matrix_cache {
+            return engine;
+        }
+        let mut cache = match &self.matrix_cache_dir {
+            Some(dir) => MatrixCache::new(dir),
+            None => MatrixCache::at_default_dir(),
+        };
+        if self.matrix_cache_cap.is_some() {
+            cache = cache.with_cap(self.matrix_cache_cap);
+        }
+        if let Some(io) = crate::storage::FaultyIo::from_env() {
+            // The fault-injection knob (`WPSDM_MATRIX_CACHE_FAULT_SEED`):
+            // CI's reliability job runs the real binaries over a faulty
+            // cache and asserts byte-identical output.
+            cache = cache.with_io_backend(io);
+        }
+        engine.with_matrix_cache(cache)
     }
-}
-
-/// The engine a worker count and the three cache flags describe, built the
-/// same way for the batch binaries ([`CliOptions::engine`]) and the
-/// `wp-serve` daemon, so both share one on-disk cache and one fault seed:
-/// `threads` workers (every core if `None`) and, unless `no_matrix_cache`,
-/// the persistent matrix cache rooted at `matrix_cache_dir` (else
-/// [`MatrixCache::default_dir`]) and capped at `matrix_cache_cap` (else
-/// the `WPSDM_MATRIX_CACHE_CAP` override, else unbounded).
-pub fn engine_from_flags(
-    threads: Option<usize>,
-    no_matrix_cache: bool,
-    matrix_cache_dir: Option<&std::path::Path>,
-    matrix_cache_cap: Option<u64>,
-) -> SimEngine {
-    let engine = match threads {
-        Some(threads) => SimEngine::new(threads),
-        None => SimEngine::default(),
-    };
-    if no_matrix_cache {
-        return engine;
-    }
-    let mut cache = match matrix_cache_dir {
-        Some(dir) => MatrixCache::new(dir),
-        None => MatrixCache::at_default_dir(),
-    };
-    if matrix_cache_cap.is_some() {
-        cache = cache.with_cap(matrix_cache_cap);
-    }
-    if let Some(io) = crate::storage::FaultyIo::from_env() {
-        // The fault-injection knob (`WPSDM_MATRIX_CACHE_FAULT_SEED`):
-        // CI's reliability job runs the real binaries over a faulty
-        // cache and asserts byte-identical output.
-        cache = cache.with_io_backend(io);
-    }
-    engine.with_matrix_cache(cache)
 }
 
 /// Usage text shared by the binaries.
@@ -506,6 +533,14 @@ pub const USAGE: &str = "usage: <experiment> [--quick] [--ops N] [--seed N] [--t
                          [--json] [--profile FILE] [--stream-cap BYTES] [--no-matrix-cache] \
                          [--matrix-cache-dir PATH] [--matrix-cache-cap BYTES] \
                          [--health-json PATH]";
+
+/// Prints `error: {error}` and then `usage` to stderr and exits with
+/// status 2: how every binary refuses a bad command line.
+pub fn exit_usage(usage: &str, error: impl fmt::Display) -> ! {
+    eprintln!("error: {error}");
+    eprintln!("{usage}");
+    std::process::exit(2);
+}
 
 /// Shared body of the single-artefact binaries: parse the command line,
 /// execute the plan of the [`crate::ARTEFACTS`] row called `name` on the
@@ -525,11 +560,13 @@ pub fn artefact_main(name: &str) {
         // Profiles describe whole workload mixes; the single-artefact
         // binaries render fixed paper figures and must not silently ignore
         // a request to run something else.
-        eprintln!("error: flag `--profile` is not supported by single-artefact binaries");
-        eprintln!("{USAGE}");
-        std::process::exit(2);
+        exit_usage(
+            USAGE,
+            "flag `--profile` is not supported by single-artefact binaries",
+        );
     }
-    let matrix = cli.engine().run(&(artefact.plan)(&cli.run));
+    let run = cli.run();
+    let matrix = cli.engine().run(&(artefact.plan)(&run));
     if matrix.cache_hits() > 0 {
         // Make cached sweeps impossible to mistake for fresh ones: the
         // cache is keyed by configuration, not by code, so after a
@@ -543,10 +580,10 @@ pub fn artefact_main(name: &str) {
         );
     }
     if cli.json {
-        let json = crate::report::to_json_with(|| (artefact.json)(&matrix, &cli.run));
+        let json = crate::report::to_json_with(|| (artefact.json)(&matrix, &run));
         println!("{json}");
     } else {
-        println!("{}", (artefact.table)(&matrix, &cli.run));
+        println!("{}", (artefact.table)(&matrix, &run));
     }
 }
 
@@ -575,62 +612,24 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// Parses the command-line arguments shared by every experiment binary:
-/// `--quick` for the short configuration, `--ops N` and `--seed N` for the
-/// trace, `--threads N` for the engine's worker count, `--json` for
-/// machine-readable output, and `--no-matrix-cache` /
-/// `--matrix-cache-dir PATH` to control the persistent result cache (CI
-/// and trace_replay use `--no-matrix-cache` to force every point to
-/// simulate).
-/// Unknown flags are reported as errors rather than silently
-/// ignored, a zero `--ops`, `--threads` or `--matrix-cache-cap` is an
-/// invalid value, and explicit `--ops`/`--seed` always override `--quick`
-/// regardless of flag order.
-pub fn options_from_args(args: impl Iterator<Item = String>) -> Result<CliOptions, CliError> {
+/// The message a binary whose parser reports plain strings prints.
+impl From<CliError> for String {
+    fn from(error: CliError) -> String {
+        error.to_string()
+    }
+}
+
+/// Parses a command line of shared flags only (see
+/// [`CliOptions::parse_flag`]): unknown flags are errors rather than
+/// silently ignored.
+///
+/// # Errors
+///
+/// Returns the first flag's [`CliError`].
+pub fn options_from_args(mut args: impl Iterator<Item = String>) -> Result<CliOptions, CliError> {
     let mut options = CliOptions::default();
-    let mut quick = false;
-    let mut ops: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => options.json = true,
-            "--quick" => quick = true,
-            "--ops" => ops = Some(parse_positive("--ops", args.next())?),
-            "--seed" => seed = Some(parse_value("--seed", args.next())?),
-            "--threads" => options.threads = Some(parse_positive("--threads", args.next())?),
-            "--stream-cap" => {
-                options.stream_cap = Some(parse_value("--stream-cap", args.next())?);
-            }
-            "--profile" => {
-                let file = args.next().ok_or(CliError::MissingValue("--profile"))?;
-                options.profile = Some(file.into());
-            }
-            "--no-matrix-cache" => options.no_matrix_cache = true,
-            "--matrix-cache-dir" => {
-                let dir = args
-                    .next()
-                    .ok_or(CliError::MissingValue("--matrix-cache-dir"))?;
-                options.matrix_cache_dir = Some(dir.into());
-            }
-            "--health-json" => {
-                let path = args.next().ok_or(CliError::MissingValue("--health-json"))?;
-                options.health_json = Some(path.into());
-            }
-            "--matrix-cache-cap" => {
-                options.matrix_cache_cap = Some(parse_positive("--matrix-cache-cap", args.next())?);
-            }
-            other => return Err(CliError::UnknownFlag(other.to_string())),
-        }
-    }
-    if quick {
-        options.run = RunOptions::quick();
-    }
-    if let Some(ops) = ops {
-        options.run.ops = ops;
-    }
-    if let Some(seed) = seed {
-        options.run.seed = seed;
+    while let Some(flag) = args.next() {
+        options.parse_flag(&flag, &mut args)?;
     }
     Ok(options)
 }
@@ -733,8 +732,8 @@ mod tests {
             "--json",
         ])
         .expect("valid command line");
-        assert_eq!(options.run.ops, 1234);
-        assert_eq!(options.run.seed, 9);
+        assert_eq!(options.run().ops, 1234);
+        assert_eq!(options.run().seed, 9);
         assert_eq!(options.threads, Some(3));
         assert!(options.json);
         assert_eq!(options.engine().threads(), 3);
@@ -744,10 +743,10 @@ mod tests {
     fn explicit_ops_and_seed_override_quick_in_any_order() {
         let before = parse(&["--ops", "200000", "--quick"]).expect("valid");
         let after = parse(&["--quick", "--ops", "200000"]).expect("valid");
-        assert_eq!(before.run.ops, 200_000);
-        assert_eq!(before.run, after.run);
+        assert_eq!(before.run().ops, 200_000);
+        assert_eq!(before.run(), after.run());
         // --quick still applies to whatever was not explicitly set.
-        assert_eq!(before.run.seed, RunOptions::quick().seed);
+        assert_eq!(before.run().seed, RunOptions::quick().seed);
     }
 
     #[test]

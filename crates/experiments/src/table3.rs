@@ -4,7 +4,7 @@
 //! the energy of every access type relative to a parallel read. This module
 //! regenerates the table from the analytic energy model.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wp_cache::L1Config;
 use wp_energy::{CacheEnergyModel, RelativeEnergyTable};
 
@@ -13,7 +13,7 @@ use crate::report::TextTable;
 use crate::runner::RunOptions;
 
 /// One row of Table 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table3Row {
     /// Description of the access type.
     pub component: String,
@@ -25,7 +25,7 @@ pub struct Table3Row {
 }
 
 /// The regenerated Table 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table3Result {
     /// Rows in the paper's order.
     pub rows: Vec<Table3Row>,

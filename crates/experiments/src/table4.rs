@@ -13,7 +13,7 @@
 //! 4-way column is the baseline that Figures 4–6 and Table 5 already
 //! declare.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wp_cache::L1Config;
 use wp_workloads::Benchmark;
 
@@ -22,7 +22,7 @@ use crate::report::TextTable;
 use crate::runner::{MachineConfig, RunOptions};
 
 /// One row of Table 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table4Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -37,7 +37,7 @@ pub struct Table4Row {
 }
 
 /// The regenerated Table 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table4Result {
     /// One row per benchmark.
     pub rows: Vec<Table4Row>,

@@ -5,7 +5,7 @@
 //! conclusion that selective-DM plus way-prediction or sequential access
 //! dominates the alternatives.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wp_cache::{DCachePolicy, L1Config};
 
 use crate::compare::{average_by_policy, compare_dcache_policies_in, dcache_policy_plan};
@@ -14,7 +14,7 @@ use crate::report::TextTable;
 use crate::runner::RunOptions;
 
 /// One row of Table 5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table5Row {
     /// Technique label.
     pub technique: String,
@@ -31,7 +31,7 @@ pub struct Table5Row {
 }
 
 /// The regenerated Table 5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table5Result {
     /// One row per d-cache design option.
     pub rows: Vec<Table5Row>,

@@ -6,7 +6,7 @@
 //! `trace_replay`, `conformance`, `coverage_report`). A trace with no ops
 //! is a runtime error of `trace_replay` (exit 1).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Runs a binary with `args`; returns `(exit_code, stderr)`.
@@ -181,12 +181,14 @@ fn trace_replay_rejects_bad_command_lines_with_exact_messages() {
 
     // A trace with no ops has nothing to replay: an error, like a trace
     // that cannot be opened, not a usage error.
-    let empty = temp_file("empty.wptr");
+    let dir = temp_dir("replay");
+    let empty = dir.join("empty.wptr");
     wp_workloads::capture_to_file(std::iter::empty(), &empty, "empty").expect("write trace");
     let (code, stderr) = run(
         bin,
         &["--trace", empty.to_str().unwrap(), "--no-matrix-cache"],
     );
+    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(code, 1, "an empty trace must exit 1; stderr: {stderr}");
     assert_eq!(
         stderr.lines().next().unwrap_or_default(),
@@ -194,16 +196,18 @@ fn trace_replay_rejects_bad_command_lines_with_exact_messages() {
     );
 }
 
-/// A path called `name` in a fresh per-process temp directory.
-fn temp_file(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wpsdm-cli-errors-{}", std::process::id()));
+/// A fresh temp directory for one test, named by `tag`; the test removes
+/// it when done.
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("wpsdm-cli-errors-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(name)
+    dir
 }
 
-/// Writes `text` to a fresh temp file and returns its path.
-fn temp_profile(name: &str, text: &str) -> PathBuf {
-    let path = temp_file(name);
+/// Writes `text` to the file `name` in `dir` and returns its path.
+fn temp_profile(dir: &Path, name: &str, text: &str) -> PathBuf {
+    let path = dir.join(name);
     std::fs::write(&path, text).expect("temp profile");
     path
 }
@@ -223,7 +227,8 @@ fn profile_flag_rejects_broken_files_with_exact_messages() {
         "cannot read profile `/nonexistent/profile.json`: file not found",
     );
 
-    let bad_version = temp_profile("bad_version.json", r#"{ "version": 9 }"#);
+    let dir = temp_dir("profile");
+    let bad_version = temp_profile(&dir, "bad_version.json", r#"{ "version": 9 }"#);
     assert_cli_error(
         coverage,
         &["--profile", bad_version.to_str().unwrap()],
@@ -234,6 +239,7 @@ fn profile_flag_rejects_broken_files_with_exact_messages() {
     );
 
     let unknown_field = temp_profile(
+        &dir,
         "unknown_field.json",
         r#"{ "version": 1, "tier": "stress", "bogus": 3 }"#,
     );
@@ -245,6 +251,7 @@ fn profile_flag_rejects_broken_files_with_exact_messages() {
             unknown_field.display()
         ),
     );
+    let _ = std::fs::remove_dir_all(&dir);
 
     // Single-artefact binaries reject the flag outright rather than
     // silently ignoring a workload the artefact cannot honour.

@@ -14,8 +14,8 @@
 use std::io::Write;
 use std::time::Duration;
 
-use wp_experiments::runner::{engine_from_flags, parse_positive};
-use wp_experiments::{CliError, PointService};
+use wp_experiments::runner::{exit_usage, parse_positive, parse_value};
+use wp_experiments::{CliError, CliOptions, PointService};
 use wp_serve::server::{self, Listen, ServerConfig};
 use wp_serve::signal;
 
@@ -36,22 +36,20 @@ struct ServeOptions {
     workers: Option<usize>,
     queue_depth: Option<usize>,
     lane_depth: Option<usize>,
-    sweep_threads: Option<usize>,
     default_deadline_ms: Option<u64>,
     max_conn_requests: Option<u64>,
-    no_matrix_cache: bool,
-    matrix_cache_dir: Option<std::path::PathBuf>,
-    matrix_cache_cap: Option<u64>,
+    /// `--sweep-threads` and the cache flags, which build the engine the
+    /// way the batch binaries build theirs ([`CliOptions::engine`]), so
+    /// warm daemon responses and `run_all` share one on-disk cache and one
+    /// fault seed (`WPSDM_MATRIX_CACHE_FAULT_SEED`).
+    engine: CliOptions,
 }
 
-fn parse_args(args: impl Iterator<Item = String>) -> Result<ServeOptions, CliError> {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<ServeOptions, CliError> {
     let mut options = ServeOptions::default();
-    let mut args = args.peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--listen" => {
-                options.listen = Some(args.next().ok_or(CliError::MissingValue("--listen"))?);
-            }
+            "--listen" => options.listen = Some(parse_value("--listen", args.next())?),
             "--workers" => options.workers = Some(parse_positive("--workers", args.next())?),
             "--queue-depth" => {
                 options.queue_depth = Some(parse_positive("--queue-depth", args.next())?);
@@ -60,7 +58,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<ServeOptions, CliErr
                 options.lane_depth = Some(parse_positive("--lane-depth", args.next())?);
             }
             "--sweep-threads" => {
-                options.sweep_threads = Some(parse_positive("--sweep-threads", args.next())?);
+                options.engine.threads = Some(parse_positive("--sweep-threads", args.next())?);
             }
             "--default-deadline-ms" => {
                 options.default_deadline_ms =
@@ -70,15 +68,8 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<ServeOptions, CliErr
                 options.max_conn_requests =
                     Some(parse_positive("--max-conn-requests", args.next())?);
             }
-            "--no-matrix-cache" => options.no_matrix_cache = true,
-            "--matrix-cache-dir" => {
-                let dir = args
-                    .next()
-                    .ok_or(CliError::MissingValue("--matrix-cache-dir"))?;
-                options.matrix_cache_dir = Some(std::path::PathBuf::from(dir));
-            }
-            "--matrix-cache-cap" => {
-                options.matrix_cache_cap = Some(parse_positive("--matrix-cache-cap", args.next())?);
+            "--no-matrix-cache" | "--matrix-cache-dir" | "--matrix-cache-cap" => {
+                options.engine.parse_flag(&arg, &mut args)?;
             }
             other => return Err(CliError::UnknownFlag(other.to_string())),
         }
@@ -86,36 +77,16 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<ServeOptions, CliErr
     Ok(options)
 }
 
-/// The shared service the options describe: one engine of
-/// `--sweep-threads` workers that runs every point and sweep, with the same
-/// cache wiring as the batch binaries ([`engine_from_flags`]), so warm
-/// daemon responses and `run_all` share one on-disk cache and one fault
-/// seed (`WPSDM_MATRIX_CACHE_FAULT_SEED`).
-fn service_from(options: &ServeOptions) -> PointService {
-    PointService::new(engine_from_flags(
-        options.sweep_threads,
-        options.no_matrix_cache,
-        options.matrix_cache_dir.as_deref(),
-        options.matrix_cache_cap,
-    ))
-}
-
 fn main() {
-    let options = match parse_args(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(error) => {
-            eprintln!("error: {error}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let options =
+        parse_args(std::env::args().skip(1)).unwrap_or_else(|error| exit_usage(USAGE, error));
     let listen_spec = options.listen.as_deref().unwrap_or(DEFAULT_LISTEN);
     let listen = Listen::parse(listen_spec);
     let scheme = match listen {
         Listen::Unix(_) => "unix",
         Listen::Tcp(_) => "tcp",
     };
-    let mut config = ServerConfig::new(listen, service_from(&options));
+    let mut config = ServerConfig::new(listen, PointService::new(options.engine.engine()));
     config.workers = options.workers.unwrap_or(config.workers);
     config.queue_depth = options.queue_depth.unwrap_or(config.queue_depth);
     config.lane_depth = options.lane_depth.unwrap_or(config.lane_depth);

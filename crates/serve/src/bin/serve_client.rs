@@ -14,20 +14,23 @@
 //! sends a v2 streaming sweep — `PLAN` is `run_all` or the path of a
 //! profile-spec JSON file — and prints the streamed point frames sorted by
 //! plan index, then the terminal frame. `--metrics` prints the daemon's v2
-//! metrics snapshot. `--batch` skips the daemon entirely: it simulates the
-//! same point (or whole sweep plan) in-process and renders it through the
+//! metrics snapshot. `--batch` skips the daemon entirely: it builds the
+//! request the daemon would receive, parses it with the daemon's own
+//! [`wp_serve::protocol::parse_request`], simulates the point (or every
+//! point of the expanded sweep plan) in-process and renders it through the
 //! same [`wp_serve::protocol`] functions — so
 //! `diff <(serve_client --batch ...) <(serve_client --connect ...)` is the
 //! byte-identity check CI runs, for single points and sweeps alike. A
-//! machine the daemon rejects (`--assoc 3`, say) prints the daemon's
-//! `bad_request` response in both modes.
+//! machine or a plan the daemon rejects (`--assoc 3`, or a plan of more
+//! than 4,096 unique points) prints the daemon's `bad_request` response in
+//! both modes.
 
 use std::time::Duration;
 
 use serde::Value;
-use wp_experiments::runner::{parse_positive, parse_value};
+use wp_experiments::runner::{exit_usage, parse_positive, parse_value};
 use wp_experiments::{simulate_workload, CliError, MachineConfig, RunOptions, SimPoint};
-use wp_serve::protocol::{self, ErrorCode, Request, SweepPlanSpec};
+use wp_serve::protocol::{self, ErrorCode, Request, SweepPlanSpec, SweepRequest};
 use wp_serve::Client;
 use wp_workloads::{ProfileSpec, WorkloadSpec};
 
@@ -84,21 +87,13 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<ClientOptions, CliEr
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--connect" => {
-                options.connect = Some(args.next().ok_or(CliError::MissingValue("--connect"))?);
-            }
+            "--connect" => options.connect = Some(parse_value("--connect", args.next())?),
             "--batch" => options.batch = true,
-            "--workload" => {
-                options.workload = args.next().ok_or(CliError::MissingValue("--workload"))?;
-            }
+            "--workload" => options.workload = parse_value("--workload", args.next())?,
             "--ops" => options.ops = parse_positive("--ops", args.next())?,
             "--seed" => options.seed = parse_value("--seed", args.next())?,
-            "--dpolicy" => {
-                options.dpolicy = Some(args.next().ok_or(CliError::MissingValue("--dpolicy"))?);
-            }
-            "--ipolicy" => {
-                options.ipolicy = Some(args.next().ok_or(CliError::MissingValue("--ipolicy"))?);
-            }
+            "--dpolicy" => options.dpolicy = Some(parse_value("--dpolicy", args.next())?),
+            "--ipolicy" => options.ipolicy = Some(parse_value("--ipolicy", args.next())?),
             "--assoc" => options.assoc = Some(parse_positive("--assoc", args.next())?),
             "--deadline-ms" => {
                 options.deadline_ms = Some(parse_positive("--deadline-ms", args.next())?)
@@ -115,9 +110,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<ClientOptions, CliEr
                 }
             }
             "--repeat" => options.repeat = parse_positive("--repeat", args.next())?,
-            "--sweep" => {
-                options.sweep = Some(args.next().ok_or(CliError::MissingValue("--sweep"))?);
-            }
+            "--sweep" => options.sweep = Some(parse_value("--sweep", args.next())?),
             "--health" => options.action = Action::Health,
             "--metrics" => options.action = Action::Metrics,
             "--shutdown" => options.action = Action::Shutdown,
@@ -164,59 +157,64 @@ fn fail(message: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-fn usage_fail(message: impl std::fmt::Display) -> ! {
-    eprintln!("error: {message}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
+/// The v2 `sweep` request for `--sweep PLAN`, where `PLAN` is the literal
+/// `run_all` or the path of a profile-spec JSON file.
+fn sweep_request(options: &ClientOptions, plan: &str) -> String {
+    let spec = if plan == "run_all" {
+        SweepPlanSpec::RunAll
+    } else {
+        let text = std::fs::read_to_string(plan).unwrap_or_else(|e| {
+            exit_usage(USAGE, format!("cannot read profile spec `{plan}`: {e}"))
+        });
+        SweepPlanSpec::Profile(
+            ProfileSpec::from_json(&text, plan).unwrap_or_else(|e| exit_usage(USAGE, e)),
+        )
+    };
+    protocol::sweep_request(
+        1,
+        &spec,
+        options.ops,
+        options.seed,
+        options.deadline_ms,
+        options.priority,
+    )
 }
 
-/// Resolves `--sweep PLAN`: the literal `run_all`, or the path of a
-/// profile-spec JSON file.
-fn sweep_spec(plan: &str) -> Result<SweepPlanSpec, String> {
-    if plan == "run_all" {
-        return Ok(SweepPlanSpec::RunAll);
-    }
-    let text = std::fs::read_to_string(plan)
-        .map_err(|e| format!("cannot read profile spec `{plan}`: {e}"))?;
-    let profile = ProfileSpec::from_json(&text, plan).map_err(|e| format!("{e}"))?;
-    Ok(SweepPlanSpec::Profile(profile))
-}
-
-/// The sweep plan the daemon will expand for `spec` — the same expansion
-/// [`wp_serve::protocol::parse_request`] performs, so the batch rendering
-/// and the daemon's stream are byte-comparable per point.
-fn sweep_plan(spec: &SweepPlanSpec, ops: u64, seed: u64) -> wp_experiments::SimPlan {
-    let options = RunOptions::default().with_ops(ops as usize).with_seed(seed);
-    match spec {
-        SweepPlanSpec::RunAll => wp_experiments::run_all_plan(&options),
-        SweepPlanSpec::Profile(profile) => {
-            wp_experiments::coverage::profile_plan(profile, &options)
+/// The batch reference: answers `request` in-process as the daemon would,
+/// through the daemon's own parser ([`protocol::parse_request`]) and
+/// renderers, so a request the daemon refuses prints its `bad_request`
+/// bytes here too. A sweep prints its point frames in plan order, then the
+/// summary.
+fn run_batch(request: &str) {
+    let simulate =
+        |point: &SimPoint| simulate_workload(&point.workload, &point.machine, &point.options);
+    match protocol::parse_request(request.as_bytes()) {
+        Ok(Request::Simulate { v, id, point, .. }) => {
+            println!("{}", protocol::ok_response_for(v, id, &simulate(&point)));
         }
-        SweepPlanSpec::Points(points) => {
-            let mut plan = wp_experiments::SimPlan::new();
-            for point in points {
-                plan.add(point.clone());
+        Ok(Request::Sweep(SweepRequest {
+            id,
+            points,
+            requested,
+            ..
+        })) => {
+            for (index, point) in points.iter().enumerate() {
+                println!(
+                    "{}",
+                    protocol::stream_point_response(id, index, &simulate(point))
+                );
             }
-            plan
+            println!(
+                "{}",
+                protocol::sweep_summary_response(id, requested, points.len(), points.len())
+            );
         }
+        Ok(_) => unreachable!("the batch path builds only simulate and sweep requests"),
+        Err((v, id, message)) => println!(
+            "{}",
+            protocol::error_response(v, id, ErrorCode::BadRequest, &message)
+        ),
     }
-}
-
-/// Simulates the whole sweep plan locally and prints the same frames the
-/// daemon would stream (sorted by plan index) plus the summary — the batch
-/// half of the CI sweep byte-identity check.
-fn run_batch_sweep(spec: &SweepPlanSpec, ops: u64, seed: u64) {
-    let plan = sweep_plan(spec, ops, seed);
-    let requested = plan.len();
-    let points = plan.unique_points();
-    for (index, point) in points.iter().enumerate() {
-        let result = simulate_workload(&point.workload, &point.machine, &point.options);
-        println!("{}", protocol::stream_point_response(1, index, &result));
-    }
-    println!(
-        "{}",
-        protocol::sweep_summary_response(1, requested, points.len(), points.len())
-    );
 }
 
 /// Streams one sweep through the daemon, printing point frames sorted by
@@ -244,59 +242,28 @@ fn run_daemon_sweep(connect: &str, request: &str) {
 }
 
 fn main() {
-    let options = match parse_args(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(error) => {
-            eprintln!("error: {error}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
-
+    let options =
+        parse_args(std::env::args().skip(1)).unwrap_or_else(|error| exit_usage(USAGE, error));
     if options.batch {
-        // The local reference path: same simulation, same renderer, no
-        // daemon — what daemon responses are diffed against.
-        if let Some(plan) = &options.sweep {
-            let spec = sweep_spec(plan).unwrap_or_else(|e| usage_fail(e));
-            run_batch_sweep(&spec, options.ops, options.seed);
-            return;
-        }
-        let point = match point_from(&options) {
-            Ok(point) => point,
-            Err(error) => usage_fail(error),
-        };
-        // Through the daemon's own parser, so a machine the daemon rejects
-        // prints its `bad_request` bytes here instead of panicking.
-        let request = protocol::simulate_request(1, &point, None);
-        match protocol::parse_request(request.as_bytes()) {
-            Ok(Request::Simulate { point, .. }) => {
-                let result = simulate_workload(&point.workload, &point.machine, &point.options);
-                println!("{}", protocol::ok_response(1, &result));
+        // The local reference path: the request the daemon would receive,
+        // answered in-process — what daemon responses are diffed against.
+        let request = match &options.sweep {
+            Some(plan) => sweep_request(&options, plan),
+            None => {
+                let point = point_from(&options).unwrap_or_else(|e| exit_usage(USAGE, e));
+                protocol::simulate_request(1, &point, None)
             }
-            Ok(_) => unreachable!("a simulate request parses as simulate"),
-            Err((v, id, message)) => println!(
-                "{}",
-                protocol::error_response(v, id, ErrorCode::BadRequest, &message)
-            ),
-        }
+        };
+        run_batch(&request);
         return;
     }
 
     let Some(connect) = options.connect.clone() else {
-        usage_fail("flag `--connect` (or `--batch`) is required");
+        exit_usage(USAGE, "flag `--connect` (or `--batch`) is required");
     };
 
     if let Some(plan) = &options.sweep {
-        let spec = sweep_spec(plan).unwrap_or_else(|e| usage_fail(e));
-        let request = protocol::sweep_request(
-            1,
-            &spec,
-            options.ops,
-            options.seed,
-            options.deadline_ms,
-            options.priority,
-        );
-        run_daemon_sweep(&connect, &request);
+        run_daemon_sweep(&connect, &sweep_request(&options, plan));
         return;
     }
 
@@ -305,10 +272,7 @@ fn main() {
         Action::Metrics => protocol::metrics_request(1),
         Action::Shutdown => "{\"v\":1,\"id\":1,\"type\":\"shutdown\"}".to_string(),
         Action::Simulate => {
-            let point = match point_from(&options) {
-                Ok(point) => point,
-                Err(error) => usage_fail(error),
-            };
+            let point = point_from(&options).unwrap_or_else(|e| exit_usage(USAGE, e));
             match options.priority {
                 // A priority makes it a v2 request; without one the frozen
                 // v1 bytes are sent, which CI's compat step relies on.

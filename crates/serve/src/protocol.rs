@@ -9,27 +9,32 @@
 //! to the PR 9 wire format. See `docs/SERVICE.md` for the full
 //! request/response taxonomy.
 //!
-//! Frame *reads* go through [`FrameReader`], which keeps persistent decode
-//! state: a read timeout mid-frame (slow or dribbling sender) resumes where
-//! it left off instead of discarding the bytes already read and re-parsing
-//! the stream mid-frame. Only a timeout before byte 0 of a frame means
-//! "idle connection".
+//! Every frame read goes through a [`FrameReader`] — the daemon's
+//! handlers, the [`crate::Client`] and the tests alike — which keeps
+//! persistent decode state: a read timeout mid-frame (slow or dribbling
+//! sender) resumes where it left off instead of discarding the bytes
+//! already read and re-parsing the stream mid-frame. Only a timeout before
+//! byte 0 of a frame means "idle connection".
 //!
-//! Response rendering is centralised here — the daemon and the
-//! `serve_client --batch` local path call the same [`ok_response`] (and the
-//! v2 sweep path the same [`stream_point_response`]), so "daemon bytes
-//! equal batch bytes for the same point" is a property of this module, not
-//! of two renderers kept manually in sync. Simulation results travel as the
+//! Request parsing and response rendering are centralised here. The
+//! `serve_client --batch` local path parses the request the daemon would
+//! receive with the same [`parse_request`], so both validate a machine and
+//! expand a sweep plan the same way, and calls the same [`ok_response`]
+//! (and, for a sweep, the same [`stream_point_response`]), so "daemon bytes
+//! equal batch bytes for the same request" is a property of this module,
+//! not of two copies kept manually in sync. Simulation results travel as the
 //! [`SimResult::fields`] name → IEEE-754-bit map, the crate's canonical
 //! exact-equality contract. Those two responses are the hot path and are
 //! written straight into one buffer; every rarer response is rendered
-//! through a [`Value`] tree. Both end with the same result body, so a body
-//! rendered once can be spliced behind any later request's envelope, as
-//! the daemon's warm-point index does.
+//! through a [`Value`] tree, the `metrics` response through the
+//! [`Serialize`] derived on [`MetricsSnapshot`]. Both hot responses end
+//! with the same result body, so a body rendered once can be spliced
+//! behind any later request's envelope, as the daemon's warm-point index
+//! does.
 
 use std::io::{self, Read, Write};
 
-use serde::Value;
+use serde::{Serialize, Value};
 use wp_cpu::SimResult;
 use wp_experiments::matrix_cache::CacheHealth;
 use wp_experiments::{MachineConfig, RunOptions, SimPlan, SimPoint};
@@ -68,19 +73,6 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     frame.extend_from_slice(payload);
     writer.write_all(&frame)?;
     writer.flush()
-}
-
-/// Reads one length-prefixed frame. `Ok(None)` is a clean end-of-stream
-/// (EOF before any length byte); EOF mid-frame is an error.
-///
-/// This one-shot form keeps **no** partial-read state across calls — it is
-/// only correct on readers that never time out mid-frame (in-memory
-/// buffers, blocking sockets without read timeouts). Connection handlers
-/// and clients with read timeouts must hold a [`FrameReader`] instead: a
-/// `WouldBlock`/`TimedOut` here after the first byte would lose the bytes
-/// already consumed and desynchronize the stream.
-pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    FrameReader::new().read(reader)
 }
 
 /// Resumable frame decoding: the persistent per-connection state that makes
@@ -227,19 +219,7 @@ pub enum Request {
     },
     /// Simulate a whole plan and stream one frame per completed point
     /// (protocol v2 only).
-    Sweep {
-        /// Client-chosen request id, echoed in every stream frame.
-        id: u64,
-        /// The deduplicated points, in first-seen plan order; stream frame
-        /// indices refer to positions in this list.
-        points: Vec<SimPoint>,
-        /// Points the plan requested, duplicates included.
-        requested: usize,
-        /// Deadline override in milliseconds for the whole sweep.
-        deadline_ms: Option<u64>,
-        /// Fairness-lane priority for the sweep job.
-        priority: u8,
-    },
+    Sweep(SweepRequest),
     /// Report the daemon's health counters.
     Health {
         /// The negotiated protocol version of this request.
@@ -260,6 +240,22 @@ pub enum Request {
         /// Client-chosen request id, echoed in the response.
         id: u64,
     },
+}
+
+/// A parsed v2 `sweep` request.
+#[derive(Debug, Clone)]
+pub struct SweepRequest {
+    /// Client-chosen request id, echoed in every stream frame.
+    pub id: u64,
+    /// The deduplicated points, in first-seen plan order; stream frame
+    /// indices refer to positions in this list.
+    pub points: Vec<SimPoint>,
+    /// Points the plan requested, duplicates included.
+    pub requested: usize,
+    /// Deadline override in milliseconds for the whole sweep.
+    pub deadline_ms: Option<u64>,
+    /// Fairness-lane priority for the sweep job.
+    pub priority: u8,
 }
 
 /// Parses and validates one request payload. On error, returns the
@@ -455,13 +451,13 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, (u64, u64, String)> {
                     points.len()
                 ));
             }
-            Ok(Request::Sweep {
+            Ok(Request::Sweep(SweepRequest {
                 id,
                 requested: plan.len(),
                 points,
                 deadline_ms,
                 priority,
-            })
+            }))
         }
         _ => unreachable!("type was matched against the allowed list"),
     }
@@ -596,7 +592,7 @@ fn parse_machine(value: &Value) -> Result<MachineConfig, String> {
 /// A hand-built [`Value`] serialised as-is.
 struct Raw(Value);
 
-impl serde::Serialize for Raw {
+impl Serialize for Raw {
     fn to_value(&self) -> Value {
         self.0.clone()
     }
@@ -717,7 +713,7 @@ pub fn health_response(
     shutting_down: bool,
 ) -> String {
     let health = vec![
-        ("cache".to_string(), serde::Serialize::to_value(cache)),
+        ("cache".to_string(), cache.to_value()),
         ("degraded".to_string(), Value::Bool(cache.degraded)),
         ("executed".to_string(), Value::UInt(executed)),
         ("cache_hits".to_string(), Value::UInt(cache_hits)),
@@ -810,32 +806,20 @@ pub fn sweep_deadline_response(id: u64, streamed: usize, total: usize) -> String
 /// One latency histogram in a [`MetricsSnapshot`]: log2 buckets of
 /// milliseconds (bucket 0 is `< 1 ms`, bucket `i` is `[2^(i-1), 2^i) ms`,
 /// the last bucket collects everything slower).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct HistogramSnapshot {
-    /// Completed requests per log2-millisecond bucket.
-    pub buckets: Vec<u64>,
     /// Total completed requests observed.
     pub count: u64,
     /// The slowest observed latency in milliseconds.
     pub max_ms: u64,
+    /// Completed requests per log2-millisecond bucket.
+    pub buckets: Vec<u64>,
 }
 
-impl HistogramSnapshot {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("count".to_string(), Value::UInt(self.count)),
-            ("max_ms".to_string(), Value::UInt(self.max_ms)),
-            (
-                "buckets".to_string(),
-                Value::Array(self.buckets.iter().map(|&c| Value::UInt(c)).collect()),
-            ),
-        ])
-    }
-}
-
-/// Everything the v2 `metrics` response reports; the daemon fills one from
-/// its live counters and [`metrics_response`] renders it deterministically.
-#[derive(Debug, Clone, Default)]
+/// Everything the v2 `metrics` response reports, nested and ordered as the
+/// response is; the daemon fills one from its live counters and
+/// [`metrics_response`] renders it through the derived [`Serialize`].
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct MetricsSnapshot {
     /// Milliseconds since the daemon started.
     pub uptime_ms: u64,
@@ -851,85 +835,58 @@ pub struct MetricsSnapshot {
     /// Followers that re-led a fresh flight after inheriting a shorter
     /// deadline's cancellation (the deadline-inheritance fix at work).
     pub releads: u64,
+    /// The fairness lanes and the admission queue.
+    pub lanes: LaneMetrics,
+    /// Sweep counters.
+    pub sweeps: SweepMetrics,
+    /// `(ms since start, jobs queued)` samples, oldest first — recorded at
+    /// every admission and dispatch, bounded to the most recent window.
+    pub queue_depth_series: Vec<(u64, u64)>,
+    /// Request latency histograms.
+    pub latency_ms: LatencyMetrics,
+}
+
+/// The `metrics.lanes` section of a [`MetricsSnapshot`].
+#[derive(Debug, Clone, Default, Serialize)]
+pub struct LaneMetrics {
     /// Fairness lanes currently holding queued jobs.
-    pub lanes_active: u64,
+    pub active: u64,
     /// Jobs currently queued across all lanes.
-    pub jobs_queued: u64,
+    pub queued: u64,
     /// The global queued-job cap (`--queue-depth`).
     pub queue_cap: u64,
     /// The per-lane queued-job cap (`--lane-depth`).
     pub lane_cap: u64,
+}
+
+/// The `metrics.sweeps` section of a [`MetricsSnapshot`].
+#[derive(Debug, Clone, Default, Serialize)]
+pub struct SweepMetrics {
     /// Sweep jobs admitted.
-    pub sweeps_started: u64,
+    pub started: u64,
     /// Sweeps that streamed every point.
-    pub sweeps_completed: u64,
+    pub completed: u64,
     /// Sweeps cancelled by deadline or shutdown.
-    pub sweeps_cancelled: u64,
+    pub cancelled: u64,
     /// Point frames streamed by sweeps.
-    pub sweep_points_streamed: u64,
+    pub points_streamed: u64,
     /// Gang-scheduled engine passes run on behalf of sweeps.
     pub engine_passes: u64,
-    /// `(ms since start, jobs queued)` samples, oldest first — recorded at
-    /// every admission and dispatch, bounded to the most recent window.
-    pub depth_series: Vec<(u64, u64)>,
+}
+
+/// The `metrics.latency_ms` section of a [`MetricsSnapshot`].
+#[derive(Debug, Clone, Default, Serialize)]
+pub struct LatencyMetrics {
     /// Latency histogram for `simulate` requests.
-    pub point_latency: HistogramSnapshot,
+    pub point: HistogramSnapshot,
     /// Latency histogram for `sweep` requests (admission to terminator).
-    pub sweep_latency: HistogramSnapshot,
+    pub sweep: HistogramSnapshot,
 }
 
 /// Renders the v2 `metrics` response.
 pub fn metrics_response(id: u64, snapshot: &MetricsSnapshot) -> String {
-    let lanes = Value::Object(vec![
-        ("active".to_string(), Value::UInt(snapshot.lanes_active)),
-        ("queued".to_string(), Value::UInt(snapshot.jobs_queued)),
-        ("queue_cap".to_string(), Value::UInt(snapshot.queue_cap)),
-        ("lane_cap".to_string(), Value::UInt(snapshot.lane_cap)),
-    ]);
-    let sweeps = Value::Object(vec![
-        ("started".to_string(), Value::UInt(snapshot.sweeps_started)),
-        (
-            "completed".to_string(),
-            Value::UInt(snapshot.sweeps_completed),
-        ),
-        (
-            "cancelled".to_string(),
-            Value::UInt(snapshot.sweeps_cancelled),
-        ),
-        (
-            "points_streamed".to_string(),
-            Value::UInt(snapshot.sweep_points_streamed),
-        ),
-        (
-            "engine_passes".to_string(),
-            Value::UInt(snapshot.engine_passes),
-        ),
-    ]);
-    let depth_series = Value::Array(
-        snapshot
-            .depth_series
-            .iter()
-            .map(|&(ms, depth)| Value::Array(vec![Value::UInt(ms), Value::UInt(depth)]))
-            .collect(),
-    );
-    let latency = Value::Object(vec![
-        ("point".to_string(), snapshot.point_latency.to_value()),
-        ("sweep".to_string(), snapshot.sweep_latency.to_value()),
-    ]);
-    let metrics = vec![
-        ("uptime_ms".to_string(), Value::UInt(snapshot.uptime_ms)),
-        ("executed".to_string(), Value::UInt(snapshot.executed)),
-        ("cache_hits".to_string(), Value::UInt(snapshot.cache_hits)),
-        ("coalesced".to_string(), Value::UInt(snapshot.coalesced)),
-        ("shed".to_string(), Value::UInt(snapshot.shed)),
-        ("releads".to_string(), Value::UInt(snapshot.releads)),
-        ("lanes".to_string(), lanes),
-        ("sweeps".to_string(), sweeps),
-        ("queue_depth_series".to_string(), depth_series),
-        ("latency_ms".to_string(), latency),
-    ];
     let mut response = envelope(PROTOCOL_V2, id, true);
-    response.push(("metrics".to_string(), Value::Object(metrics)));
+    response.push(("metrics".to_string(), snapshot.to_value()));
     render(Value::Object(response))
 }
 
@@ -1037,7 +994,7 @@ pub fn sweep_request(
             request.push(("plan".to_string(), Value::Str("run_all".to_string())));
         }
         SweepPlanSpec::Profile(profile) => {
-            request.push(("profile".to_string(), serde::Serialize::to_value(profile)));
+            request.push(("profile".to_string(), profile.to_value()));
         }
         SweepPlanSpec::Points(points) => {
             let items = points
@@ -1137,30 +1094,31 @@ mod tests {
         write_frame(&mut wire, b"{\"v\":1}").expect("write");
         write_frame(&mut wire, b"").expect("write");
         let mut reader = wire.as_slice();
+        let mut frames = FrameReader::new();
         assert_eq!(
-            read_frame(&mut reader).expect("read"),
+            frames.read(&mut reader).expect("read"),
             Some(b"{\"v\":1}".to_vec())
         );
-        assert_eq!(read_frame(&mut reader).expect("read"), Some(Vec::new()));
-        assert_eq!(read_frame(&mut reader).expect("read"), None);
+        assert_eq!(frames.read(&mut reader).expect("read"), Some(Vec::new()));
+        assert_eq!(frames.read(&mut reader).expect("read"), None);
     }
 
     #[test]
     fn oversized_and_truncated_frames_are_errors() {
         let mut wire = Vec::new();
         wire.extend_from_slice(&(MAX_FRAME_BYTES as u32 + 1).to_le_bytes());
-        assert!(read_frame(&mut wire.as_slice()).is_err());
+        assert!(FrameReader::new().read(&mut wire.as_slice()).is_err());
         let mut truncated = Vec::new();
         truncated.extend_from_slice(&8u32.to_le_bytes());
         truncated.extend_from_slice(b"abc");
-        assert!(read_frame(&mut truncated.as_slice()).is_err());
+        assert!(FrameReader::new().read(&mut truncated.as_slice()).is_err());
     }
 
     #[test]
     fn frame_reader_resumes_across_mid_frame_timeouts() {
         // Two frames dribbled one byte at a time with a WouldBlock between
-        // every byte: the one-shot read_frame would lose state at the first
-        // timeout, the resumable reader decodes both frames losslessly.
+        // every byte: the reader keeps its state across each timeout and
+        // decodes both frames losslessly.
         let mut wire = Vec::new();
         write_frame(&mut wire, b"{\"v\":1,\"id\":7}").expect("write");
         write_frame(&mut wire, b"{\"v\":2}").expect("write");
@@ -1268,13 +1226,13 @@ mod tests {
             Some(10_000),
             Some(6),
         );
-        let Request::Sweep {
+        let Request::Sweep(SweepRequest {
             id,
             points,
             requested,
             deadline_ms,
             priority,
-        } = parse(&json).expect("sweep round trip")
+        }) = parse(&json).expect("sweep round trip")
         else {
             panic!("a sweep request parses as sweep");
         };
@@ -1288,9 +1246,9 @@ mod tests {
     #[test]
     fn named_plan_sweeps_expand_to_the_run_all_plan() {
         let json = sweep_request(1, &SweepPlanSpec::RunAll, 4_000, 42, None, None);
-        let Request::Sweep {
+        let Request::Sweep(SweepRequest {
             points, requested, ..
-        } = parse(&json).expect("run_all sweep parses")
+        }) = parse(&json).expect("run_all sweep parses")
         else {
             panic!("a plan sweep parses as sweep");
         };
@@ -1316,12 +1274,12 @@ mod tests {
             None,
             None,
         );
-        let Request::Sweep { points, .. } = parse(&json).expect("profile sweep parses") else {
+        let Request::Sweep(sweep) = parse(&json).expect("profile sweep parses") else {
             panic!("a profile sweep parses as sweep");
         };
         let options = RunOptions::default().with_ops(2_000).with_seed(7);
         let plan = wp_experiments::coverage::profile_plan(&profile, &options);
-        assert_eq!(points, plan.unique_points());
+        assert_eq!(sweep.points, plan.unique_points());
     }
 
     #[test]
@@ -1674,29 +1632,49 @@ mod tests {
 
     #[test]
     fn metrics_responses_render_every_section() {
-        let snapshot = MetricsSnapshot {
-            uptime_ms: 1_500,
-            executed: 3,
-            shed: 1,
-            releads: 2,
-            queue_cap: 128,
-            lane_cap: 32,
-            depth_series: vec![(10, 1), (20, 0)],
-            point_latency: HistogramSnapshot {
-                buckets: vec![1, 0, 2],
-                count: 3,
-                max_ms: 4,
-            },
-            ..MetricsSnapshot::default()
+        // Every field holds its own value, so a field that moved or was
+        // renamed in the snapshot shows in the bytes.
+        let histogram = |first: u64, buckets: usize| HistogramSnapshot {
+            count: first,
+            max_ms: first + 1,
+            buckets: (first + 2..).take(buckets).collect(),
         };
-        let rendered = metrics_response(5, &snapshot);
-        assert!(rendered.starts_with("{\"v\":2,\"id\":5,\"ok\":true,\"metrics\":{"));
-        assert!(rendered.contains("\"uptime_ms\":1500"));
-        assert!(rendered.contains("\"releads\":2"));
-        assert!(rendered
-            .contains("\"lanes\":{\"active\":0,\"queued\":0,\"queue_cap\":128,\"lane_cap\":32}"));
-        assert!(rendered.contains("\"queue_depth_series\":[[10,1],[20,0]]"));
-        assert!(rendered.contains("\"point\":{\"count\":3,\"max_ms\":4,\"buckets\":[1,0,2]}"));
+        let snapshot = MetricsSnapshot {
+            uptime_ms: 1,
+            executed: 2,
+            cache_hits: 3,
+            coalesced: 4,
+            shed: 5,
+            releads: 6,
+            lanes: LaneMetrics {
+                active: 7,
+                queued: 8,
+                queue_cap: 9,
+                lane_cap: 10,
+            },
+            sweeps: SweepMetrics {
+                started: 11,
+                completed: 12,
+                cancelled: 13,
+                points_streamed: 14,
+                engine_passes: 15,
+            },
+            queue_depth_series: vec![(16, 17), (18, 19)],
+            latency_ms: LatencyMetrics {
+                point: histogram(20, 3),
+                sweep: histogram(25, 2),
+            },
+        };
+        assert_eq!(
+            metrics_response(29, &snapshot),
+            "{\"v\":2,\"id\":29,\"ok\":true,\"metrics\":{\"uptime_ms\":1,\"executed\":2,\
+             \"cache_hits\":3,\"coalesced\":4,\"shed\":5,\"releads\":6,\"lanes\":{\"active\":7,\
+             \"queued\":8,\"queue_cap\":9,\"lane_cap\":10},\"sweeps\":{\"started\":11,\
+             \"completed\":12,\"cancelled\":13,\"points_streamed\":14,\"engine_passes\":15},\
+             \"queue_depth_series\":[[16,17],[18,19]],\"latency_ms\":{\"point\":{\"count\":20,\
+             \"max_ms\":21,\"buckets\":[22,23,24]},\"sweep\":{\"count\":25,\"max_ms\":26,\
+             \"buckets\":[27,28]}}}}"
+        );
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! 2. A handler parses one frame at a time through a persistent
 //!    [`protocol::FrameReader`], so a read timeout mid-frame pauses the
 //!    decode instead of discarding the bytes already received — only a
-//!    timeout *between* frames counts as idleness.
+//!    timeout *between* frames counts as idleness. It reads and writes
+//!    through `Conn`, the one connection type of the crate, which
+//!    [`crate::Client`] dials too, and answers each request in one
+//!    dispatch that hands a `sweep` to the streaming path.
 //! 3. `simulate` and `sweep` pass one gate first: a draining daemon
 //!    answers `shutting_down`, and a connection past its request budget
 //!    is shed with `overloaded`; both close the connection. A `simulate`
@@ -56,7 +59,10 @@ use std::time::{Duration, Instant};
 use wp_experiments::service::{FlightOutcome, Join, PointService, SweepReport};
 use wp_experiments::{CancelToken, LeaderTicket, SimPoint};
 
-use crate::protocol::{self, ErrorCode, HistogramSnapshot, MetricsSnapshot, Request};
+use crate::protocol::{
+    self, ErrorCode, HistogramSnapshot, LaneMetrics, LatencyMetrics, MetricsSnapshot, Request,
+    SweepMetrics, SweepRequest,
+};
 use crate::warm::WarmIndex;
 
 /// An idle connection handler blocks in a read for ten of these, then
@@ -594,33 +600,39 @@ impl Rejection {
 }
 
 fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
-    let (lanes_active, jobs_queued) = shared.scheduler.depths();
+    let (active, queued) = shared.scheduler.depths();
+    let metrics = &shared.metrics;
     MetricsSnapshot {
-        uptime_ms: shared.metrics.uptime_ms(),
+        uptime_ms: metrics.uptime_ms(),
         executed: shared.service.executed(),
         cache_hits: shared.service.cache_hits(),
         coalesced: shared.service.coalesced(),
         shed: shared.shed.load(Ordering::Relaxed),
-        releads: shared.metrics.releads.load(Ordering::Relaxed),
-        lanes_active,
-        jobs_queued,
-        queue_cap: shared.scheduler.queue_depth as u64,
-        lane_cap: shared.scheduler.lane_depth as u64,
-        sweeps_started: shared.metrics.sweeps_started.load(Ordering::Relaxed),
-        sweeps_completed: shared.metrics.sweeps_completed.load(Ordering::Relaxed),
-        sweeps_cancelled: shared.metrics.sweeps_cancelled.load(Ordering::Relaxed),
-        sweep_points_streamed: shared.metrics.sweep_points_streamed.load(Ordering::Relaxed),
-        engine_passes: shared.metrics.engine_passes.load(Ordering::Relaxed),
-        depth_series: shared
-            .metrics
+        releads: metrics.releads.load(Ordering::Relaxed),
+        lanes: LaneMetrics {
+            active,
+            queued,
+            queue_cap: shared.scheduler.queue_depth as u64,
+            lane_cap: shared.scheduler.lane_depth as u64,
+        },
+        sweeps: SweepMetrics {
+            started: metrics.sweeps_started.load(Ordering::Relaxed),
+            completed: metrics.sweeps_completed.load(Ordering::Relaxed),
+            cancelled: metrics.sweeps_cancelled.load(Ordering::Relaxed),
+            points_streamed: metrics.sweep_points_streamed.load(Ordering::Relaxed),
+            engine_passes: metrics.engine_passes.load(Ordering::Relaxed),
+        },
+        queue_depth_series: metrics
             .depth_series
             .lock()
             .expect("depth series poisoned")
             .iter()
             .copied()
             .collect(),
-        point_latency: shared.metrics.point_latency.snapshot(),
-        sweep_latency: shared.metrics.sweep_latency.snapshot(),
+        latency_ms: LatencyMetrics {
+            point: metrics.point_latency.snapshot(),
+            sweep: metrics.sweep_latency.snapshot(),
+        },
     }
 }
 
@@ -644,10 +656,7 @@ impl Listener {
                 Ok(Listener::Unix(listener, path.clone()))
             }
             #[cfg(not(unix))]
-            Listen::Unix(_) => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "unix sockets are not supported on this platform",
-            )),
+            Listen::Unix(_) => Err(unix_unsupported()),
         }
     }
 
@@ -726,15 +735,36 @@ impl Drop for Listener {
     }
 }
 
-/// One accepted connection.
-enum Conn {
+/// The error a Unix socket address gives on a platform without them.
+#[cfg(not(unix))]
+fn unix_unsupported() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::Unsupported,
+        "unix sockets are not supported on this platform",
+    )
+}
+
+/// One connection to the daemon: accepted by a handler, or dialled by a
+/// [`crate::Client`].
+pub(crate) enum Conn {
     Tcp(TcpStream),
     #[cfg(unix)]
     Unix(std::os::unix::net::UnixStream),
 }
 
 impl Conn {
-    fn set_read_timeout(&self, timeout: Duration) -> io::Result<()> {
+    /// Dials the daemon listening at `listen`.
+    pub(crate) fn dial(listen: &Listen) -> io::Result<Conn> {
+        match listen {
+            Listen::Tcp(addr) => TcpStream::connect(addr).map(Conn::Tcp),
+            #[cfg(unix)]
+            Listen::Unix(path) => std::os::unix::net::UnixStream::connect(path).map(Conn::Unix),
+            #[cfg(not(unix))]
+            Listen::Unix(_) => Err(unix_unsupported()),
+        }
+    }
+
+    pub(crate) fn set_read_timeout(&self, timeout: Duration) -> io::Result<()> {
         match self {
             Conn::Tcp(stream) => stream.set_read_timeout(Some(timeout)),
             #[cfg(unix)]
@@ -970,43 +1000,23 @@ fn handle_connection(mut conn: Conn, shared: &Shared) {
                 continue;
             }
         };
-        match request {
-            Request::Sweep {
-                id,
-                points,
-                requested,
-                deadline_ms,
-                priority,
-            } => {
-                let params = SweepParams {
-                    id,
-                    points,
-                    requested,
-                    deadline_ms,
-                    priority,
-                };
-                match handle_sweep(&mut conn, params, lane, &mut served, shared) {
-                    Ok(false) => {}
-                    Ok(true) | Err(_) => return,
-                }
-            }
-            other => {
-                let (response, close) = respond(other, &mut served, lane, shared);
-                if protocol::write_frame(&mut conn, response.as_bytes()).is_err() {
-                    return;
-                }
-                if close {
-                    return;
-                }
-            }
+        match respond(&mut conn, request, &mut served, lane, shared) {
+            Ok(false) => {}
+            Ok(true) | Err(_) => return,
         }
     }
 }
 
-/// Produces the response for one non-streaming request, and whether the
-/// connection should close after sending it.
-fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (String, bool) {
-    match request {
+/// Answers one request on `conn`, and says whether the connection should
+/// close after it; an `Err` means the socket died.
+fn respond(
+    conn: &mut Conn,
+    request: Request,
+    served: &mut u64,
+    lane: u64,
+    shared: &Shared,
+) -> io::Result<bool> {
+    let (response, close) = match request {
         Request::Health { v, id } => {
             let service = &shared.service;
             (
@@ -1030,72 +1040,75 @@ fn respond(request: Request, served: &mut u64, lane: u64, shared: &Shared) -> (S
             shared.request_shutdown();
             (protocol::ack_response(v, id), true)
         }
-        // Sweeps stream; they never come through this path.
-        Request::Sweep { id, .. } => (
-            protocol::error_response(
-                protocol::PROTOCOL_V2,
-                id,
-                ErrorCode::Internal,
-                "sweep requests are handled by the streaming path",
-            ),
-            false,
-        ),
         Request::Simulate {
             v,
             id,
             point,
             deadline_ms,
             priority,
-        } => {
-            if let Err(rejection) = shared.gate(served) {
-                return (rejection.response(v, id), rejection.close);
-            }
-            let started = Instant::now();
-            // Warm pre-pass *before* admission, as for sweeps: a cached
-            // point is answered here, with no flight, queue slot or worker
-            // hand-off.
-            if let Some(body) = shared.warm.body(&shared.service, &point) {
-                shared.metrics.point_latency.record(started.elapsed());
-                return (protocol::ok_response_with_body(v, id, &body), false);
-            }
-            let deadline_ms = deadline_ms.unwrap_or(shared.default_deadline_ms);
-            let deadline = started + Duration::from_millis(deadline_ms);
-            // Join → wait, re-joining when a *followed* flight dies under
-            // its own leader's budget: another request's shorter deadline
-            // (or a shed sweep ticket) must not be inherited by this one.
-            // A led flight's cancellation IS this request's own deadline,
-            // so leaders never loop.
-            let response = loop {
-                let (flight, led) = match shared.service.join(&point) {
-                    Join::Leader(ticket, flight) => {
-                        let token = CancelToken::never().with_deadline(deadline);
-                        let job = Job::Point(PointJob {
-                            ticket,
-                            token,
-                            priority,
-                        });
-                        if let Err(rejection) = shared.admit(lane, job) {
-                            break (rejection.response(v, id), rejection.close);
-                        }
-                        (flight, true)
-                    }
-                    Join::Follower(flight) => (flight, false),
-                };
-                let outcome = flight.wait(Some(deadline + WAIT_GRACE));
-                let inherited = matches!(
-                    outcome,
-                    Some(FlightOutcome::Cancelled { .. } | FlightOutcome::Shed)
-                );
-                if !led && inherited && Instant::now() < deadline {
-                    shared.metrics.releads.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                break (point_response(v, id, outcome, &point), false);
-            };
-            shared.metrics.point_latency.record(started.elapsed());
-            response
-        }
+        } => match shared.gate(served) {
+            Err(rejection) => (rejection.response(v, id), rejection.close),
+            Ok(()) => simulate(v, id, &point, deadline_ms, priority, lane, shared),
+        },
+        Request::Sweep(sweep) => return handle_sweep(conn, sweep, lane, served, shared),
+    };
+    protocol::write_frame(conn, response.as_bytes())?;
+    Ok(close)
+}
+
+/// The response to a `simulate` that passed the gate, and whether the
+/// connection should close after it.
+fn simulate(
+    v: u64,
+    id: u64,
+    point: &SimPoint,
+    deadline_ms: Option<u64>,
+    priority: u8,
+    lane: u64,
+    shared: &Shared,
+) -> (String, bool) {
+    let started = Instant::now();
+    // Warm pre-pass *before* admission, as for sweeps: a cached point is
+    // answered here, with no flight, queue slot or worker hand-off.
+    if let Some(body) = shared.warm.body(&shared.service, point) {
+        shared.metrics.point_latency.record(started.elapsed());
+        return (protocol::ok_response_with_body(v, id, &body), false);
     }
+    let deadline_ms = deadline_ms.unwrap_or(shared.default_deadline_ms);
+    let deadline = started + Duration::from_millis(deadline_ms);
+    // Join → wait, re-joining when a *followed* flight dies under its own
+    // leader's budget: another request's shorter deadline (or a shed sweep
+    // ticket) must not be inherited by this one. A led flight's
+    // cancellation IS this request's own deadline, so leaders never loop.
+    let response = loop {
+        let (flight, led) = match shared.service.join(point) {
+            Join::Leader(ticket, flight) => {
+                let token = CancelToken::never().with_deadline(deadline);
+                let job = Job::Point(PointJob {
+                    ticket,
+                    token,
+                    priority,
+                });
+                if let Err(rejection) = shared.admit(lane, job) {
+                    break (rejection.response(v, id), rejection.close);
+                }
+                (flight, true)
+            }
+            Join::Follower(flight) => (flight, false),
+        };
+        let outcome = flight.wait(Some(deadline + WAIT_GRACE));
+        let inherited = matches!(
+            outcome,
+            Some(FlightOutcome::Cancelled { .. } | FlightOutcome::Shed)
+        );
+        if !led && inherited && Instant::now() < deadline {
+            shared.metrics.releads.fetch_add(1, Ordering::Relaxed);
+            continue;
+        }
+        break (point_response(v, id, outcome, point), false);
+    };
+    shared.metrics.point_latency.record(started.elapsed());
+    response
 }
 
 /// The response to a `simulate` whose flight ended with `outcome`, or
@@ -1117,32 +1130,23 @@ fn point_response(v: u64, id: u64, outcome: Option<FlightOutcome>, point: &SimPo
     }
 }
 
-/// A parsed sweep request, regrouped for [`handle_sweep`].
-struct SweepParams {
-    id: u64,
-    points: Vec<SimPoint>,
-    requested: usize,
-    deadline_ms: Option<u64>,
-    priority: u8,
-}
-
 /// Runs one `sweep` request end to end: warm pre-pass, admission, stream,
 /// terminator. Returns whether the connection should close; an `Err` means
 /// the socket died mid-stream.
 fn handle_sweep(
     conn: &mut Conn,
-    params: SweepParams,
+    sweep: SweepRequest,
     lane: u64,
     served: &mut u64,
     shared: &Shared,
 ) -> io::Result<bool> {
-    let SweepParams {
+    let SweepRequest {
         id,
         points,
         requested,
         deadline_ms,
         priority,
-    } = params;
+    } = sweep;
     let refuse = |conn: &mut Conn, rejection: Rejection| -> io::Result<bool> {
         let response = rejection.response(protocol::PROTOCOL_V2, id);
         protocol::write_frame(conn, response.as_bytes())?;

@@ -200,6 +200,52 @@ fn serve_client_batch_prints_the_daemons_bad_request_for_a_rejected_machine() {
     );
 }
 
+#[test]
+fn serve_client_batch_refuses_a_sweep_plan_the_daemon_refuses() {
+    // 149 conflict_chase scenarios expand to more unique points than one
+    // sweep may submit; the batch reference must print the daemon's
+    // `bad_request`, not simulate the plan.
+    let dir = std::env::temp_dir().join(format!("wpsdm-serve-oversized-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let profile = dir.join("oversized.json");
+    let scenarios: Vec<String> = (2..=150)
+        .map(|blocks| format!("{{\"scenario\":\"conflict_chase\",\"blocks\":{blocks}}}"))
+        .collect();
+    std::fs::write(
+        &profile,
+        format!(
+            "{{\"version\":1,\"name\":\"oversized\",\"tier\":\"stress\",\"scenarios\":[{}]}}",
+            scenarios.join(",")
+        ),
+    )
+    .expect("profile written");
+    let output = Command::new(env!("CARGO_BIN_EXE_serve_client"))
+        .args([
+            "--batch",
+            "--sweep",
+            profile.to_str().unwrap(),
+            "--ops",
+            "1",
+        ])
+        .output()
+        .expect("serve_client spawns");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    assert_eq!(
+        String::from_utf8_lossy(&output.stdout),
+        format!(
+            "{}\n",
+            protocol::error_response(
+                protocol::PROTOCOL_V2,
+                1,
+                protocol::ErrorCode::BadRequest,
+                "sweep exceeds 4096 unique points (4172 requested)"
+            )
+        )
+    );
+}
+
 /// A scripted stand-in daemon: accepts one connection and plays back the
 /// given `(delay, response payload)` script after reading one request per
 /// entry.
@@ -208,8 +254,10 @@ fn fake_daemon(script: Vec<(Duration, Vec<String>)>) -> (String, std::thread::Jo
     let addr = listener.local_addr().expect("bound address").to_string();
     let handle = std::thread::spawn(move || {
         let (mut conn, _) = listener.accept().expect("client connects");
+        let mut frames = protocol::FrameReader::new();
         for (delay, responses) in script {
-            protocol::read_frame(&mut conn)
+            frames
+                .read(&mut conn)
                 .expect("request frame arrives")
                 .expect("request frame is not EOF");
             std::thread::sleep(delay);
@@ -278,6 +326,60 @@ fn a_late_response_after_a_timeout_is_drained_not_misdelivered() {
     assert_eq!(
         response, "{\"v\":1,\"id\":2,\"ok\":true}",
         "the stale id-1 frame must be drained, not delivered"
+    );
+    daemon.join().expect("fake daemon panicked");
+}
+
+#[test]
+fn a_timed_out_sweeps_late_frames_are_drained_and_a_foreign_id_is_refused() {
+    // Sweep 1 gets no answer and times out with its frames still owed;
+    // they arrive ahead of sweep 2's own and must be drained, not streamed
+    // or returned. Sweep 3 is answered under an id no request carried.
+    let point =
+        |id: u64| format!("{{\"v\":2,\"id\":{id},\"ok\":true,\"stream\":\"point\",\"index\":0}}");
+    let summary = |id: u64| format!("{{\"v\":2,\"id\":{id},\"ok\":true,\"stream\":\"summary\"}}");
+    let (addr, daemon) = fake_daemon(vec![
+        (Duration::ZERO, Vec::new()),
+        (
+            Duration::ZERO,
+            vec![point(1), point(1), summary(1), point(2), summary(2)],
+        ),
+        (Duration::ZERO, vec![point(999)]),
+    ]);
+    let sweep = |id: u64| {
+        format!("{{\"v\":2,\"id\":{id},\"type\":\"sweep\",\"plan\":\"run_all\",\"ops\":1}}")
+    };
+    let mut client = Client::connect(&addr).expect("client connects");
+    client
+        .set_timeout(Duration::from_millis(250))
+        .expect("short timeout set");
+    let err = client
+        .sweep(&sweep(1), |frame| panic!("sweep 1 streamed {frame}"))
+        .expect_err("sweep 1 times out");
+    assert!(
+        err.kind() == std::io::ErrorKind::WouldBlock || err.kind() == std::io::ErrorKind::TimedOut,
+        "unexpected error: {err}"
+    );
+    client
+        .set_timeout(Duration::from_secs(10))
+        .expect("timeout restored");
+    let mut streamed = Vec::new();
+    let terminal = client
+        .sweep(&sweep(2), |frame| streamed.push(frame.to_string()))
+        .expect("sweep 2 gets its own frames");
+    assert_eq!(
+        streamed,
+        vec![point(2)],
+        "sweep 1's late frames are drained"
+    );
+    assert_eq!(terminal, summary(2));
+    let err = client
+        .sweep(&sweep(3), |frame| panic!("sweep 3 streamed {frame}"))
+        .expect_err("a frame for no request must not be delivered");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(
+        err.to_string(),
+        "response id 999 does not match request id 3"
     );
     daemon.join().expect("fake daemon panicked");
 }

@@ -10,10 +10,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use serde::Value;
-use wp_experiments::runner::engine_from_flags;
 use wp_experiments::storage::{CacheIo, FaultKind, FaultPlan, FaultyIo};
 use wp_experiments::{
-    simulate_workload, MachineConfig, MatrixCache, PointService, RunOptions, SimEngine, SimPoint,
+    simulate_workload, CliOptions, MachineConfig, MatrixCache, PointService, RunOptions, SimEngine,
+    SimPoint,
 };
 use wp_serve::protocol::{self, SweepPlanSpec, PROTOCOL_V2, PROTOCOL_VERSION};
 use wp_serve::server::{self, Listen, RunningServer, ServerConfig};
@@ -183,12 +183,14 @@ fn sweep_frames_from_the_index_match_disk_hits_cold_frames_and_the_batch_rendere
 #[test]
 fn a_daemon_without_a_matrix_cache_executes_a_repeated_point_every_time() {
     // The engine `serve --no-matrix-cache` builds.
-    let server = start(PointService::new(engine_from_flags(
-        Some(2),
-        true,
-        None,
-        None,
-    )));
+    let server = start(PointService::new(
+        CliOptions {
+            threads: Some(2),
+            no_matrix_cache: true,
+            ..CliOptions::default()
+        }
+        .engine(),
+    ));
     let mut client = client(&server);
     let point = point(Benchmark::Go);
     let local = simulate_workload(&point.workload, &point.machine, &point.options);

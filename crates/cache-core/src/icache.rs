@@ -14,7 +14,7 @@
 
 use wp_energy::{Energy, PredictionTableEnergy};
 use wp_mem::{Placement, SetAssocCache, WayIndex};
-use wp_predictors::{Btb, ReturnAddressStack, Sawp};
+use wp_predictors::{Btb, PcWayPredictor, ReturnAddressStack};
 
 use crate::access::{
     AccessCore, CoreAccess, Observation, ProbeOutcome, Selection, WaySelect, WaySelection,
@@ -135,7 +135,9 @@ pub struct IWaySelect {
     /// is too slow to evaluate per fetch).
     way_field_energy: Energy,
     btb: Btb,
-    sawp: Sawp,
+    /// Section 2.3's Sequential Address Way-Predictor (SAWP): a PC-indexed
+    /// way table predicting the way of the fetch that follows each PC.
+    sawp: PcWayPredictor,
     ras: ReturnAddressStack,
 }
 
@@ -146,11 +148,11 @@ impl IWaySelect {
             policy,
             way_field_energy: PredictionTableEnergy::new(
                 config.prediction_table_entries,
-                Sawp::bits_per_entry(config.associativity),
+                PcWayPredictor::bits_per_entry(config.associativity),
             )
             .access_energy(),
             btb: Btb::new(BTB_ENTRIES),
-            sawp: Sawp::new(config.prediction_table_entries),
+            sawp: PcWayPredictor::new(config.prediction_table_entries),
             ras: ReturnAddressStack::new(RAS_DEPTH),
         }
     }

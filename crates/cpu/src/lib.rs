@@ -14,7 +14,7 @@
 //! load but cannot hide an extra cycle on *every* load (sequential access).
 //!
 //! The model also counts per-unit activity for the Wattch-style
-//! [`wp_energy::ProcessorEnergyModel`].
+//! [`wp_energy::ProcessorEnergyBreakdown`].
 //!
 //! One scheduling loop runs every simulation: a walker that, per op,
 //! updates the branch predictor once, services a load or store once for

@@ -2,7 +2,7 @@
 //! statistics, and helpers for computing the paper's relative metrics.
 
 use wp_cache::{DCacheStats, ICacheStats};
-use wp_energy::{ActivityCounts, Energy, EnergyDelay, ProcessorEnergyModel, RelativeMetrics};
+use wp_energy::{ActivityCounts, Energy, EnergyDelay, ProcessorEnergyBreakdown, RelativeMetrics};
 
 /// Everything measured by one simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,22 +43,26 @@ impl SimResult {
         EnergyDelay::new(self.icache_energy(), self.cycles)
     }
 
-    /// Overall processor energy under a Wattch-style model (Figure 11).
-    pub fn processor_energy(&self, model: &ProcessorEnergyModel) -> Energy {
-        model.total_energy(&self.activity, self.icache_energy(), self.dcache_energy())
+    /// The Wattch-style breakdown: the core and L2 from this run's
+    /// activity, plus both L1 energies.
+    fn processor_energy_breakdown(&self) -> ProcessorEnergyBreakdown {
+        ProcessorEnergyBreakdown::new(&self.activity, self.icache_energy(), self.dcache_energy())
+    }
+
+    /// Overall processor energy under the Wattch-style model (Figure 11).
+    pub fn processor_energy(&self) -> Energy {
+        self.processor_energy_breakdown().total()
     }
 
     /// Overall processor energy-delay point (Figure 11).
-    pub fn processor_energy_delay(&self, model: &ProcessorEnergyModel) -> EnergyDelay {
-        EnergyDelay::new(self.processor_energy(model), self.cycles)
+    pub fn processor_energy_delay(&self) -> EnergyDelay {
+        EnergyDelay::new(self.processor_energy(), self.cycles)
     }
 
     /// Fraction of overall processor energy dissipated in the two L1 caches
     /// (the paper reports 10–16 %).
-    pub fn l1_energy_fraction(&self, model: &ProcessorEnergyModel) -> f64 {
-        model
-            .breakdown(&self.activity, self.icache_energy(), self.dcache_energy())
-            .l1_fraction()
+    pub fn l1_energy_fraction(&self) -> f64 {
+        self.processor_energy_breakdown().l1_fraction()
     }
 
     /// D-cache relative metrics against a baseline run (typically the
@@ -75,13 +79,9 @@ impl SimResult {
     }
 
     /// Overall processor relative metrics against a baseline run.
-    pub fn processor_relative_to(
-        &self,
-        baseline: &SimResult,
-        model: &ProcessorEnergyModel,
-    ) -> RelativeMetrics {
-        self.processor_energy_delay(model)
-            .relative_to(&baseline.processor_energy_delay(model))
+    pub fn processor_relative_to(&self, baseline: &SimResult) -> RelativeMetrics {
+        self.processor_energy_delay()
+            .relative_to(&baseline.processor_energy_delay())
     }
 
     /// Performance degradation relative to a baseline run (positive means
@@ -250,10 +250,9 @@ mod tests {
 
     #[test]
     fn processor_energy_includes_l1_contributions() {
-        let model = ProcessorEnergyModel::default();
         let small = synthetic(500, 10_000.0);
         let large = synthetic(500, 300_000.0);
-        assert!(large.processor_energy(&model) > small.processor_energy(&model));
-        assert!(large.l1_energy_fraction(&model) > small.l1_energy_fraction(&model));
+        assert!(large.processor_energy() > small.processor_energy());
+        assert!(large.l1_energy_fraction() > small.l1_energy_fraction());
     }
 }

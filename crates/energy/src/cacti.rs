@@ -5,9 +5,10 @@
 //! module re-creates the *component structure* of a CACTI read/write:
 //! address decode and routing, wordline drive, bitline swing, sense
 //! amplification, way-select multiplexing and output drive, the tag array,
-//! and tag comparators. The per-component coefficients
-//! ([`ProcessParameters`]) are calibrated so a 16 KB, 4-way, 32-byte-block
-//! cache reproduces the paper's Table 3:
+//! and tag comparators. The per-component coefficients are constants of
+//! one 0.25 µm-like process, in model energy units (≈ 1/1000 of a 16 KB
+//! 4-way parallel read), calibrated so a 16 KB, 4-way, 32-byte-block cache
+//! reproduces the paper's Table 3:
 //!
 //! | access | relative energy |
 //! |---|---|
@@ -31,59 +32,32 @@ use crate::Energy;
 /// containing the addressed set; this constant models that.
 const MAX_ROWS_PER_SUBARRAY: usize = 64;
 
-/// Per-component energy coefficients of the analytic model.
-///
-/// All values are in model energy units (≈ 1/1000 of a 16 KB 4-way parallel
-/// read). The defaults are the 0.25 µm-like calibration described in the
-/// module documentation; construct a custom value to explore other process
-/// points.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProcessParameters {
-    /// Bitline energy per cell (per row × column) on a read.
-    pub bitline_read_per_cell: f64,
-    /// Bitline energy per cell on a write (full-swing, higher than read).
-    pub bitline_write_per_cell: f64,
-    /// Sense-amplifier energy per column.
-    pub sense_amp_per_column: f64,
-    /// Wordline drive energy per column.
-    pub wordline_per_column: f64,
-    /// Write-driver energy per column.
-    pub write_driver_per_column: f64,
-    /// Way-select multiplexor and output-drive energy per column, per level
-    /// of the select tree. Only parallel accesses pay this for every way;
-    /// an access that knows its way drives a single, narrower path.
-    pub way_mux_per_column_per_level: f64,
-    /// Output drive energy per column for a way-known (single-way) access.
-    pub single_way_output_per_column: f64,
-    /// Tag-array bitline derating relative to the data array (the tag array
-    /// is a much smaller structure with shorter, lightly loaded bitlines).
-    pub tag_bitline_factor: f64,
-    /// Tag comparator energy per tag bit per way.
-    pub tag_compare_per_bit: f64,
-    /// Address-decoder energy per index bit.
-    pub decode_per_index_bit: f64,
-    /// Address-routing energy per sqrt(KB) of capacity (wire length grows
-    /// with the array footprint).
-    pub route_per_sqrt_kb: f64,
-}
-
-impl Default for ProcessParameters {
-    fn default() -> Self {
-        Self {
-            bitline_read_per_cell: 0.005,
-            bitline_write_per_cell: 0.0075,
-            sense_amp_per_column: 0.2,
-            wordline_per_column: 0.066,
-            write_driver_per_column: 0.157,
-            way_mux_per_column_per_level: 0.166,
-            single_way_output_per_column: 0.02,
-            tag_bitline_factor: 0.095,
-            tag_compare_per_bit: 0.03,
-            decode_per_index_bit: 1.0,
-            route_per_sqrt_kb: 1.5,
-        }
-    }
-}
+/// Bitline energy per cell (per row × column) on a read.
+const BITLINE_READ_PER_CELL: f64 = 0.005;
+/// Bitline energy per cell on a write (full-swing, higher than read).
+const BITLINE_WRITE_PER_CELL: f64 = 0.0075;
+/// Sense-amplifier energy per column.
+const SENSE_AMP_PER_COLUMN: f64 = 0.2;
+/// Wordline drive energy per column.
+const WORDLINE_PER_COLUMN: f64 = 0.066;
+/// Write-driver energy per column.
+const WRITE_DRIVER_PER_COLUMN: f64 = 0.157;
+/// Way-select multiplexor and output-drive energy per column, per level of
+/// the select tree. Only parallel accesses pay this for every way; an
+/// access that knows its way drives a single, narrower path.
+const WAY_MUX_PER_COLUMN_PER_LEVEL: f64 = 0.166;
+/// Output drive energy per column for a way-known (single-way) access.
+const SINGLE_WAY_OUTPUT_PER_COLUMN: f64 = 0.02;
+/// Tag-array bitline derating relative to the data array (the tag array is
+/// a much smaller structure with shorter, lightly loaded bitlines).
+const TAG_BITLINE_FACTOR: f64 = 0.095;
+/// Tag comparator energy per tag bit per way.
+const TAG_COMPARE_PER_BIT: f64 = 0.03;
+/// Address-decoder energy per index bit.
+const DECODE_PER_INDEX_BIT: f64 = 1.0;
+/// Address-routing energy per sqrt(KB) of capacity (wire length grows with
+/// the array footprint).
+const ROUTE_PER_SQRT_KB: f64 = 1.5;
 
 /// Analytic energy model for one set-associative cache.
 ///
@@ -103,29 +77,17 @@ impl Default for ProcessParameters {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheEnergyModel {
     geometry: CacheGeometry,
-    params: ProcessParameters,
 }
 
 impl CacheEnergyModel {
-    /// Builds a model for `geometry` with the default 0.25 µm-like
-    /// calibration.
+    /// Builds a model for `geometry` with the 0.25 µm-like calibration.
     pub fn new(geometry: CacheGeometry) -> Self {
-        Self::with_parameters(geometry, ProcessParameters::default())
-    }
-
-    /// Builds a model for `geometry` with custom process parameters.
-    pub fn with_parameters(geometry: CacheGeometry, params: ProcessParameters) -> Self {
-        Self { geometry, params }
+        Self { geometry }
     }
 
     /// The geometry this model describes.
     pub fn geometry(&self) -> &CacheGeometry {
         &self.geometry
-    }
-
-    /// The process parameters in use.
-    pub fn parameters(&self) -> &ProcessParameters {
-        &self.params
     }
 
     fn rows_per_subarray(&self) -> usize {
@@ -145,20 +107,19 @@ impl CacheEnergyModel {
     /// Energy of the address decoder and routing, paid once per access.
     pub fn decode_energy(&self) -> Energy {
         let size_kb = self.geometry.size_bytes() as f64 / 1024.0;
-        self.params.decode_per_index_bit * self.geometry.index_bits() as f64
-            + self.params.route_per_sqrt_kb * size_kb.sqrt()
+        DECODE_PER_INDEX_BIT * self.geometry.index_bits() as f64
+            + ROUTE_PER_SQRT_KB * size_kb.sqrt()
     }
 
     /// Energy of probing the tag array (all ways; the paper never optimises
     /// the tag array) plus the comparators, *excluding* decode.
     pub fn tag_array_energy(&self) -> Energy {
-        let p = &self.params;
         let tag_bits = self.geometry.tag_bits() as f64;
         let rows = self.rows_per_subarray() as f64;
-        let per_way = p.wordline_per_column * tag_bits
-            + p.bitline_read_per_cell * rows * tag_bits * p.tag_bitline_factor
-            + p.sense_amp_per_column * tag_bits
-            + p.tag_compare_per_bit * tag_bits;
+        let per_way = WORDLINE_PER_COLUMN * tag_bits
+            + BITLINE_READ_PER_CELL * rows * tag_bits * TAG_BITLINE_FACTOR
+            + SENSE_AMP_PER_COLUMN * tag_bits
+            + TAG_COMPARE_PER_BIT * tag_bits;
         per_way * self.geometry.associativity() as f64
     }
 
@@ -172,34 +133,31 @@ impl CacheEnergyModel {
     /// (sequential access, a correct way-prediction, or a direct-mapping
     /// probe). Excludes the tag array.
     pub fn data_way_read_energy(&self) -> Energy {
-        let p = &self.params;
         let cols = self.data_columns_per_way() as f64;
         let rows = self.rows_per_subarray() as f64;
-        p.wordline_per_column * cols
-            + p.bitline_read_per_cell * rows * cols
-            + p.sense_amp_per_column * cols
-            + p.single_way_output_per_column * cols
+        WORDLINE_PER_COLUMN * cols
+            + BITLINE_READ_PER_CELL * rows * cols
+            + SENSE_AMP_PER_COLUMN * cols
+            + SINGLE_WAY_OUTPUT_PER_COLUMN * cols
     }
 
     /// Energy of reading one data way as part of a parallel read: the core
     /// way read plus this way's share of the way-select multiplexor and the
     /// full-width output drive.
     pub fn data_way_parallel_read_energy(&self) -> Energy {
-        let p = &self.params;
         let cols = self.data_columns_per_way() as f64;
-        self.data_way_read_energy() - p.single_way_output_per_column * cols
-            + p.way_mux_per_column_per_level * cols * self.way_select_levels()
+        self.data_way_read_energy() - SINGLE_WAY_OUTPUT_PER_COLUMN * cols
+            + WAY_MUX_PER_COLUMN_PER_LEVEL * cols * self.way_select_levels()
     }
 
     /// Energy of writing one data way (stores probe the tag first and write
     /// only the matching way, in every design option).
     pub fn data_way_write_energy(&self) -> Energy {
-        let p = &self.params;
         let cols = self.data_columns_per_way() as f64;
         let rows = self.rows_per_subarray() as f64;
-        p.wordline_per_column * cols
-            + p.bitline_write_per_cell * rows * cols
-            + p.write_driver_per_column * cols
+        WORDLINE_PER_COLUMN * cols
+            + BITLINE_WRITE_PER_CELL * rows * cols
+            + WRITE_DRIVER_PER_COLUMN * cols
     }
 
     /// Total energy of a conventional parallel read: tag array + decode +
@@ -249,27 +207,14 @@ impl CacheEnergyModel {
 pub struct PredictionTableEnergy {
     entries: usize,
     bits_per_entry: usize,
-    params: ProcessParameters,
 }
 
 impl PredictionTableEnergy {
-    /// A table of `entries` rows of `bits_per_entry` bits, with the default
-    /// process calibration.
+    /// A table of `entries` rows of `bits_per_entry` bits.
     pub fn new(entries: usize, bits_per_entry: usize) -> Self {
-        Self::with_parameters(entries, bits_per_entry, ProcessParameters::default())
-    }
-
-    /// Same as [`PredictionTableEnergy::new`] with explicit process
-    /// parameters.
-    pub fn with_parameters(
-        entries: usize,
-        bits_per_entry: usize,
-        params: ProcessParameters,
-    ) -> Self {
         Self {
             entries,
             bits_per_entry,
-            params,
         }
     }
 
@@ -289,13 +234,12 @@ impl PredictionTableEnergy {
     /// the bitline length is bounded by the same subarray limit as the
     /// caches.
     pub fn access_energy(&self) -> Energy {
-        let p = &self.params;
         let rows = self.entries.min(4 * MAX_ROWS_PER_SUBARRAY) as f64;
         let cols = self.bits_per_entry as f64;
-        let decode = p.decode_per_index_bit * (self.entries as f64).log2().max(1.0) * 0.25;
-        p.wordline_per_column * cols
-            + p.bitline_read_per_cell * rows * cols
-            + p.sense_amp_per_column * cols
+        let decode = DECODE_PER_INDEX_BIT * (self.entries as f64).log2().max(1.0) * 0.25;
+        WORDLINE_PER_COLUMN * cols
+            + BITLINE_READ_PER_CELL * rows * cols
+            + SENSE_AMP_PER_COLUMN * cols
             + decode
     }
 }
@@ -409,12 +353,36 @@ mod tests {
     }
 
     #[test]
-    fn custom_parameters_are_respected() {
-        let geom = CacheGeometry::new(16 * 1024, 32, 4).expect("valid geometry");
-        let mut params = ProcessParameters::default();
-        params.bitline_read_per_cell *= 2.0;
-        let base = CacheEnergyModel::new(geom);
-        let scaled = CacheEnergyModel::with_parameters(geom, params);
-        assert!(scaled.data_way_read_energy() > base.data_way_read_energy());
+    fn paper_l1_energies_are_pinned_to_the_bit() {
+        // The calibration's exact output for the paper's 16 KB 4-way L1:
+        // any change to a coefficient or to the evaluation order moves a
+        // bit here before it moves a simulated result.
+        let m = paper_l1();
+        let table = PredictionTableEnergy::new(1024, 4);
+        for (name, energy, bits) in [
+            (
+                "parallel read",
+                m.parallel_read_energy(),
+                0x408f_4044_d013_a92c,
+            ),
+            (
+                "single-way read",
+                m.single_way_read_energy(),
+                0x406a_e467_381d_7dc0,
+            ),
+            ("write", m.write_energy(), 0x406d_ff06_f694_4674),
+            (
+                "tag + decode",
+                m.tag_and_decode_energy(),
+                0x404e_0034_6dc5_d639,
+            ),
+            (
+                "1024 x 4 table",
+                table.access_energy(),
+                0x4021_5e35_3f7c_ed92,
+            ),
+        ] {
+            assert_eq!(energy.to_bits(), bits, "{name}: {energy}");
+        }
     }
 }

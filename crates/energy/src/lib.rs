@@ -10,10 +10,13 @@
 //!   bitlines, sense amplifiers, way-select multiplexor, tag array) and is
 //!   calibrated so a 16 KB 4-way 32 B-block cache reproduces the paper's
 //!   Table 3 relative energies.
-//! * [`ProcessorEnergyModel`] — a Wattch-style activity-based model of the
-//!   rest of the out-of-order processor, calibrated so the two L1 caches
+//! * [`ProcessorEnergyBreakdown`] — a Wattch-style activity-based model of
+//!   the rest of the out-of-order processor, calibrated so the two L1 caches
 //!   dissipate 10–16 % of overall processor energy as the paper reports in
 //!   Section 4.6.
+//!
+//! Both calibrations are constants: the paper measures one process and one
+//! core, and every experiment here reproduces that machine.
 //!
 //! Energies are reported in arbitrary *energy units* (1 unit ≈ 1/1000 of a
 //! 16 KB 4-way parallel read); every figure in the paper uses relative
@@ -45,9 +48,9 @@ mod metrics;
 mod processor;
 mod table;
 
-pub use cacti::{CacheEnergyModel, PredictionTableEnergy, ProcessParameters};
+pub use cacti::{CacheEnergyModel, PredictionTableEnergy};
 pub use metrics::{average, EnergyDelay, RelativeMetrics};
-pub use processor::{ActivityCounts, ProcessorEnergyConfig, ProcessorEnergyModel};
+pub use processor::{ActivityCounts, ProcessorEnergyBreakdown};
 pub use table::RelativeEnergyTable;
 
 /// Energy in arbitrary model units (≈ 1/1000 of a 16 KB 4-way parallel read).

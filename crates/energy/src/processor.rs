@@ -5,65 +5,42 @@
 //! total, which bounds the overall energy-delay reduction achievable by the
 //! cache techniques to about 10 % (Section 4.6 / Figure 11).
 //!
-//! [`ProcessorEnergyModel`] charges a fixed energy per microarchitectural
-//! event (decode, rename, issue-window operation, register-file access,
-//! functional-unit operation, reorder-buffer and load/store-queue traffic,
-//! result-bus drive, L2 access) plus a per-cycle clock-tree cost, and adds
-//! the L1 energies computed by the cache controllers. The per-event
-//! constants are calibrated so the L1 share lands in the paper's 10–16 %
-//! band for the simulated workloads.
+//! [`ProcessorEnergyBreakdown::new`] charges a fixed energy per
+//! microarchitectural event (decode, rename, issue-window operation,
+//! register-file access, functional-unit operation, reorder-buffer and
+//! load/store-queue traffic, result-bus drive, L2 access) plus a per-cycle
+//! clock-tree cost, and adds the L1 energies computed by the cache
+//! controllers. The per-event energies are constants, in the same units as
+//! [`crate::CacheEnergyModel`] (≈ 1/1000 of a 16 KB 4-way parallel read),
+//! calibrated so the L1 share lands in the paper's 10–16 % band for the
+//! simulated workloads.
 
 use crate::Energy;
 
-/// Per-event energy costs of the non-cache parts of the processor, in the
-/// same units as [`crate::CacheEnergyModel`] (≈ 1/1000 of a 16 KB 4-way
-/// parallel read).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProcessorEnergyConfig {
-    /// Fetch-stage (excluding i-cache) plus decode energy per instruction.
-    pub decode_per_instruction: Energy,
-    /// Rename and dependence-check energy per instruction.
-    pub rename_per_instruction: Energy,
-    /// Issue-window insertion, wakeup and select energy per instruction.
-    pub window_per_instruction: Energy,
-    /// Register-file read/write energy per instruction.
-    pub regfile_per_instruction: Energy,
-    /// Integer ALU operation energy.
-    pub int_alu_per_op: Energy,
-    /// Floating-point unit operation energy.
-    pub fp_alu_per_op: Energy,
-    /// Reorder-buffer energy per instruction (dispatch + commit).
-    pub rob_per_instruction: Energy,
-    /// Load/store-queue energy per memory operation.
-    pub lsq_per_mem_op: Energy,
-    /// Result-bus drive energy per completing instruction.
-    pub result_bus_per_instruction: Energy,
-    /// Clock-tree energy per cycle.
-    pub clock_per_cycle: Energy,
-    /// L2 cache access energy (reads and writes).
-    pub l2_per_access: Energy,
-    /// Branch-predictor access energy per fetched branch.
-    pub branch_predictor_per_branch: Energy,
-}
-
-impl Default for ProcessorEnergyConfig {
-    fn default() -> Self {
-        Self {
-            decode_per_instruction: 350.0,
-            rename_per_instruction: 350.0,
-            window_per_instruction: 650.0,
-            regfile_per_instruction: 500.0,
-            int_alu_per_op: 500.0,
-            fp_alu_per_op: 800.0,
-            rob_per_instruction: 300.0,
-            lsq_per_mem_op: 350.0,
-            result_bus_per_instruction: 200.0,
-            clock_per_cycle: 1500.0,
-            l2_per_access: 3000.0,
-            branch_predictor_per_branch: 120.0,
-        }
-    }
-}
+/// Fetch-stage (excluding i-cache) plus decode energy per instruction.
+const DECODE_PER_INSTRUCTION: Energy = 350.0;
+/// Rename and dependence-check energy per instruction.
+const RENAME_PER_INSTRUCTION: Energy = 350.0;
+/// Issue-window insertion, wakeup and select energy per instruction.
+const WINDOW_PER_INSTRUCTION: Energy = 650.0;
+/// Register-file read/write energy per instruction.
+const REGFILE_PER_INSTRUCTION: Energy = 500.0;
+/// Integer ALU operation energy.
+const INT_ALU_PER_OP: Energy = 500.0;
+/// Floating-point unit operation energy.
+const FP_ALU_PER_OP: Energy = 800.0;
+/// Reorder-buffer energy per instruction (dispatch + commit).
+const ROB_PER_INSTRUCTION: Energy = 300.0;
+/// Load/store-queue energy per memory operation.
+const LSQ_PER_MEM_OP: Energy = 350.0;
+/// Result-bus drive energy per completing instruction.
+const RESULT_BUS_PER_INSTRUCTION: Energy = 200.0;
+/// Clock-tree energy per cycle.
+const CLOCK_PER_CYCLE: Energy = 1500.0;
+/// L2 cache access energy (reads and writes).
+const L2_PER_ACCESS: Energy = 3000.0;
+/// Branch-predictor access energy per fetched branch.
+const BRANCH_PREDICTOR_PER_BRANCH: Energy = 120.0;
 
 /// Activity counts produced by one run of the processor timing model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -103,6 +80,26 @@ impl ActivityCounts {
 }
 
 /// Breakdown of overall processor energy for one run.
+///
+/// # Example
+///
+/// ```
+/// use wp_energy::{ActivityCounts, ProcessorEnergyBreakdown};
+///
+/// let counts = ActivityCounts {
+///     cycles: 500,
+///     instructions: 1000,
+///     int_ops: 500,
+///     fp_ops: 100,
+///     loads: 250,
+///     stores: 120,
+///     branches: 150,
+///     l2_accesses: 20,
+/// };
+/// let breakdown = ProcessorEnergyBreakdown::new(&counts, 210_000.0, 280_000.0);
+/// // The L1 caches sit in the paper's 10-16 % band for this activity mix.
+/// assert!(breakdown.l1_fraction() > 0.08 && breakdown.l1_fraction() < 0.20);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessorEnergyBreakdown {
     /// Energy of the non-cache core (pipeline, register file, ALUs, clock…).
@@ -116,6 +113,30 @@ pub struct ProcessorEnergyBreakdown {
 }
 
 impl ProcessorEnergyBreakdown {
+    /// Full breakdown, combining core activity with the externally computed
+    /// L1 energies (the cache controllers account for those, including
+    /// prediction-table overheads).
+    pub fn new(counts: &ActivityCounts, l1_icache: Energy, l1_dcache: Energy) -> Self {
+        let per_instruction = DECODE_PER_INSTRUCTION
+            + RENAME_PER_INSTRUCTION
+            + WINDOW_PER_INSTRUCTION
+            + REGFILE_PER_INSTRUCTION
+            + ROB_PER_INSTRUCTION
+            + RESULT_BUS_PER_INSTRUCTION;
+        let core = per_instruction * counts.instructions as f64
+            + INT_ALU_PER_OP * counts.int_ops as f64
+            + FP_ALU_PER_OP * counts.fp_ops as f64
+            + LSQ_PER_MEM_OP * counts.mem_ops() as f64
+            + BRANCH_PREDICTOR_PER_BRANCH * counts.branches as f64
+            + CLOCK_PER_CYCLE * counts.cycles as f64;
+        Self {
+            core,
+            l2: L2_PER_ACCESS * counts.l2_accesses as f64,
+            l1_icache,
+            l1_dcache,
+        }
+    }
+
     /// Total processor energy.
     pub fn total(&self) -> Energy {
         self.core + self.l2 + self.l1_icache + self.l1_dcache
@@ -130,95 +151,6 @@ impl ProcessorEnergyBreakdown {
         } else {
             (self.l1_icache + self.l1_dcache) / total
         }
-    }
-}
-
-/// Wattch-style processor energy model.
-///
-/// # Example
-///
-/// ```
-/// use wp_energy::{ActivityCounts, ProcessorEnergyModel};
-///
-/// let model = ProcessorEnergyModel::default();
-/// let counts = ActivityCounts {
-///     cycles: 500,
-///     instructions: 1000,
-///     int_ops: 500,
-///     fp_ops: 100,
-///     loads: 250,
-///     stores: 120,
-///     branches: 150,
-///     l2_accesses: 20,
-/// };
-/// let breakdown = model.breakdown(&counts, 210_000.0, 280_000.0);
-/// // The L1 caches sit in the paper's 10-16 % band for this activity mix.
-/// assert!(breakdown.l1_fraction() > 0.08 && breakdown.l1_fraction() < 0.20);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ProcessorEnergyModel {
-    config: ProcessorEnergyConfig,
-}
-
-impl ProcessorEnergyModel {
-    /// Builds a model with custom per-event energies.
-    pub fn new(config: ProcessorEnergyConfig) -> Self {
-        Self { config }
-    }
-
-    /// The per-event energy configuration.
-    pub fn config(&self) -> &ProcessorEnergyConfig {
-        &self.config
-    }
-
-    /// Energy of the non-cache core for the given activity.
-    pub fn core_energy(&self, counts: &ActivityCounts) -> Energy {
-        let c = &self.config;
-        let per_instruction = c.decode_per_instruction
-            + c.rename_per_instruction
-            + c.window_per_instruction
-            + c.regfile_per_instruction
-            + c.rob_per_instruction
-            + c.result_bus_per_instruction;
-        per_instruction * counts.instructions as f64
-            + c.int_alu_per_op * counts.int_ops as f64
-            + c.fp_alu_per_op * counts.fp_ops as f64
-            + c.lsq_per_mem_op * counts.mem_ops() as f64
-            + c.branch_predictor_per_branch * counts.branches as f64
-            + c.clock_per_cycle * counts.cycles as f64
-    }
-
-    /// Energy of the L2 for the given activity.
-    pub fn l2_energy(&self, counts: &ActivityCounts) -> Energy {
-        self.config.l2_per_access * counts.l2_accesses as f64
-    }
-
-    /// Full breakdown, combining core activity with the externally computed
-    /// L1 energies (the cache controllers account for those, including
-    /// prediction-table overheads).
-    pub fn breakdown(
-        &self,
-        counts: &ActivityCounts,
-        l1_icache_energy: Energy,
-        l1_dcache_energy: Energy,
-    ) -> ProcessorEnergyBreakdown {
-        ProcessorEnergyBreakdown {
-            core: self.core_energy(counts),
-            l2: self.l2_energy(counts),
-            l1_icache: l1_icache_energy,
-            l1_dcache: l1_dcache_energy,
-        }
-    }
-
-    /// Total processor energy (convenience over [`Self::breakdown`]).
-    pub fn total_energy(
-        &self,
-        counts: &ActivityCounts,
-        l1_icache_energy: Energy,
-        l1_dcache_energy: Energy,
-    ) -> Energy {
-        self.breakdown(counts, l1_icache_energy, l1_dcache_energy)
-            .total()
     }
 }
 
@@ -251,28 +183,32 @@ mod tests {
 
     #[test]
     fn l1_fraction_in_paper_band() {
-        let model = ProcessorEnergyModel::default();
         let (icache, dcache) = baseline_l1_energies();
-        let b = model.breakdown(&typical_counts(), icache, dcache);
+        let b = ProcessorEnergyBreakdown::new(&typical_counts(), icache, dcache);
         let f = b.l1_fraction();
         assert!(f > 0.10 && f < 0.16, "L1 fraction {f}");
     }
 
     #[test]
     fn total_is_sum_of_parts() {
-        let model = ProcessorEnergyModel::default();
-        let b = model.breakdown(&typical_counts(), 100.0, 200.0);
+        let b = ProcessorEnergyBreakdown::new(&typical_counts(), 100.0, 200.0);
         assert!((b.total() - (b.core + b.l2 + b.l1_icache + b.l1_dcache)).abs() < 1e-9);
     }
 
     #[test]
     fn core_energy_scales_with_activity() {
-        let model = ProcessorEnergyModel::default();
         let mut more = typical_counts();
         more.instructions *= 2;
         more.cycles *= 2;
         more.int_ops *= 2;
-        assert!(model.core_energy(&more) > model.core_energy(&typical_counts()));
+        let core = |counts| ProcessorEnergyBreakdown::new(&counts, 0.0, 0.0).core;
+        assert!(core(more) > core(typical_counts()));
+    }
+
+    #[test]
+    fn core_energy_is_pinned_to_the_bit() {
+        let core = ProcessorEnergyBreakdown::new(&typical_counts(), 0.0, 0.0).core;
+        assert_eq!(core.to_bits(), 0x414b_4b4e_0000_0000, "core energy {core}");
     }
 
     #[test]
@@ -297,10 +233,10 @@ mod tests {
     fn reducing_cache_energy_reduces_total_by_bounded_fraction() {
         // The headline result structure: even a 70 % cut of L1 energy can
         // only move overall energy by roughly the L1 fraction times 70 %.
-        let model = ProcessorEnergyModel::default();
         let (icache, dcache) = baseline_l1_energies();
-        let base = model.total_energy(&typical_counts(), icache, dcache);
-        let improved = model.total_energy(&typical_counts(), icache * 0.36, dcache * 0.31);
+        let total = |i, d| ProcessorEnergyBreakdown::new(&typical_counts(), i, d).total();
+        let base = total(icache, dcache);
+        let improved = total(icache * 0.36, dcache * 0.31);
         let savings = 1.0 - improved / base;
         assert!(
             savings > 0.05 && savings < 0.15,

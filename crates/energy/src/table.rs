@@ -26,7 +26,7 @@ impl RelativeEnergyTable {
     /// Derives the table from a cache energy model.
     pub fn from_model(model: &CacheEnergyModel) -> Self {
         let base = model.parallel_read_energy();
-        let table = PredictionTableEnergy::with_parameters(1024, 4, *model.parameters());
+        let table = PredictionTableEnergy::new(1024, 4);
         Self {
             parallel_read: 1.0,
             single_way_read: model.single_way_read_energy() / base,
@@ -35,30 +35,6 @@ impl RelativeEnergyTable {
             tag_array: model.tag_and_decode_energy() / base,
             prediction_table: table.access_energy() / base,
         }
-    }
-
-    /// Rows of the table in the order the paper prints them, as
-    /// `(description, relative energy)` pairs.
-    pub fn rows(&self) -> Vec<(&'static str, f64)> {
-        vec![
-            (
-                "Parallel access cache read (all ways read)",
-                self.parallel_read,
-            ),
-            (
-                "Sequential-access, way-predicted, or direct-mapping access (1 way read)",
-                self.single_way_read,
-            ),
-            ("Cache write", self.write),
-            (
-                "Tag array energy (also included in all above rows)",
-                self.tag_array,
-            ),
-            (
-                "1024 entry x 4 bit prediction table read/write",
-                self.prediction_table,
-            ),
-        ]
     }
 }
 
@@ -79,17 +55,5 @@ mod tests {
         assert!((t.prediction_table - 0.007).abs() < 0.004);
         assert!(t.mispredicted_read > t.single_way_read);
         assert!(t.mispredicted_read < 1.0);
-    }
-
-    #[test]
-    fn rows_match_fields() {
-        let model =
-            CacheEnergyModel::new(CacheGeometry::new(16 * 1024, 32, 4).expect("valid geometry"));
-        let t = RelativeEnergyTable::from_model(&model);
-        let rows = t.rows();
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows[0].1, t.parallel_read);
-        assert_eq!(rows[1].1, t.single_way_read);
-        assert_eq!(rows[2].1, t.write);
     }
 }

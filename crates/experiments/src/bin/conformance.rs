@@ -25,9 +25,10 @@
 //! Exits non-zero on any mismatch or drift. See `docs/VALIDATION.md`.
 //!
 //! Usage: `cargo run --release -p wp-experiments --bin conformance --
-//! [--quick] [--ops N] [--seed N] [--threads N] [--stream-cap BYTES]
-//! [--random N] [--bless] [--golden-dir PATH] [--skip-sweep]
-//! [--profile FILE] [--faulty-cache SEED]`
+//! [--quick] [--ops N] [--seed N] [--threads N] [--random N] [--bless]
+//! [--golden-dir PATH] [--skip-sweep] [--profile FILE]
+//! [--faulty-cache SEED]`. `WPSDM_STREAM_MEMORY_CAP` sets the optimized
+//! engine's stream spill cap, as for every engine.
 
 use std::path::PathBuf;
 
@@ -42,13 +43,13 @@ use wp_experiments::MatrixCache;
 use wp_workloads::WorkloadSpec;
 
 const USAGE: &str = "usage: conformance [--quick] [--ops N] [--seed N] [--threads N] \
-                     [--stream-cap BYTES] [--random N] [--bless] [--golden-dir PATH] \
-                     [--skip-sweep] [--profile FILE] [--faulty-cache SEED]";
+                     [--random N] [--bless] [--golden-dir PATH] [--skip-sweep] \
+                     [--profile FILE] [--faulty-cache SEED]";
 
 struct Cli {
     run: RunOptions,
-    /// The optimized-side engine (threads, stream cap); the oracle walks
-    /// each point from its source on as many threads.
+    /// The optimized-side engine; the oracle walks each point from its
+    /// source on as many threads.
     engine: SimEngine,
     threads: usize,
     random: usize,
@@ -92,8 +93,8 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     }
     let mut options = options_from_args(shared.into_iter())?;
     let profile = options.load_profile().map_err(|e| e.to_string())?;
-    // The optimized side runs on the requested threads and stream cap,
-    // without a matrix cache: conformance compares executors, not caches.
+    // The optimized side runs on the requested threads, without a matrix
+    // cache: conformance compares executors, not caches.
     options.no_matrix_cache = true;
     let engine = options.engine();
     Ok(Cli {

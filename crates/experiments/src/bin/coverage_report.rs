@@ -13,7 +13,7 @@
 //!
 //! Usage: `cargo run --release -p wp-experiments --bin coverage_report --
 //! [--quick] [--ops N] [--seed N] [--threads N] [--json] [--profile FILE]
-//! [--stream-cap BYTES] [--no-matrix-cache] [--matrix-cache-dir PATH]`
+//! [--no-matrix-cache] [--matrix-cache-dir PATH]`
 
 use wp_experiments::conformance::GOLDEN_OPTIONS;
 use wp_experiments::coverage::{self, check_designed_cells, check_taxonomy, CoverageArtefact};

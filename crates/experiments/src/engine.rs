@@ -429,11 +429,6 @@ impl SimEngine {
         self
     }
 
-    /// The configured per-stream memory cap in bytes.
-    pub fn stream_memory_cap(&self) -> usize {
-        self.stream_memory_cap
-    }
-
     /// The configured worker-thread count.
     pub fn threads(&self) -> usize {
         self.threads

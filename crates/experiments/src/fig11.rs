@@ -8,7 +8,7 @@
 
 use serde::Serialize;
 use wp_cache::{DCachePolicy, ICachePolicy};
-use wp_energy::{EnergyDelay, ProcessorEnergyModel};
+use wp_energy::{EnergyDelay, ProcessorEnergyBreakdown};
 use wp_workloads::Benchmark;
 
 use crate::engine::{SimMatrix, SimPlan};
@@ -63,7 +63,6 @@ pub fn plan(options: &RunOptions) -> SimPlan {
 
 /// Renders Figure 11 from an executed matrix containing [`plan`]'s points.
 pub fn from_matrix(matrix: &SimMatrix, options: &RunOptions) -> Fig11Result {
-    let model = ProcessorEnergyModel::default();
     let baseline_machine = MachineConfig::baseline();
     let technique_machine = technique_machine();
 
@@ -73,7 +72,7 @@ pub fn from_matrix(matrix: &SimMatrix, options: &RunOptions) -> Fig11Result {
             let baseline = matrix.require(benchmark, &baseline_machine, options);
             let technique = matrix.require(benchmark, &technique_machine, options);
 
-            let metrics = technique.processor_relative_to(baseline, &model);
+            let metrics = technique.processor_relative_to(baseline);
 
             // Perfect way-prediction bound: every L1 read costs a single-way
             // probe, stores and refills are unchanged, and performance is
@@ -90,9 +89,10 @@ pub fn from_matrix(matrix: &SimMatrix, options: &RunOptions) -> Fig11Result {
                 + base.dcache.misses() as f64 * d_model.data_way_write_energy();
             let perfect_i = base.icache.fetches as f64 * i_model.single_way_read_energy()
                 + base.icache.fetch_misses as f64 * i_model.data_way_write_energy();
-            let perfect_energy = model.total_energy(&base.activity, perfect_i, perfect_d);
+            let perfect_energy =
+                ProcessorEnergyBreakdown::new(&base.activity, perfect_i, perfect_d).total();
             let perfect = EnergyDelay::new(perfect_energy, base.cycles)
-                .relative_to(&base.processor_energy_delay(&model));
+                .relative_to(&base.processor_energy_delay());
 
             Fig11Row {
                 benchmark: benchmark.name().to_string(),
@@ -100,7 +100,7 @@ pub fn from_matrix(matrix: &SimMatrix, options: &RunOptions) -> Fig11Result {
                 relative_energy_delay: metrics.relative_energy_delay,
                 performance_degradation: technique.performance_degradation_vs(baseline),
                 perfect_relative_energy_delay: perfect.relative_energy_delay,
-                baseline_l1_fraction: base.l1_energy_fraction(&model),
+                baseline_l1_fraction: base.l1_energy_fraction(),
             }
         })
         .collect();

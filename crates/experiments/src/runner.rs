@@ -13,6 +13,7 @@
 //! [`exit_usage`], how every binary refuses a bad command line.
 
 use core::fmt;
+use std::sync::Arc;
 
 use serde::Serialize;
 use wp_cache::{DCachePolicy, ICachePolicy, L1Config};
@@ -21,6 +22,7 @@ use wp_workloads::{MicroOp, OpBlockSource, OpBuffer, SharedStream, StreamKey, Wo
 
 use crate::engine::SimEngine;
 use crate::matrix_cache::MatrixCache;
+use crate::storage::{FaultyIo, FsIo};
 
 /// Options shared by every experiment runner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
@@ -383,10 +385,9 @@ pub struct CliOptions {
     pub matrix_cache_dir: Option<std::path::PathBuf>,
     /// Cap the matrix cache directory at this many bytes
     /// (`--matrix-cache-cap BYTES`): stores beyond the cap evict
-    /// oldest-mtime records first (see `docs/RELIABILITY.md`). Defaults to
-    /// the `WPSDM_MATRIX_CACHE_CAP` environment override, else unbounded.
-    /// Zero is rejected at parse time — a cache that can hold nothing is a
-    /// misconfiguration, not a policy.
+    /// oldest-mtime records first (see `docs/RELIABILITY.md`). Unbounded if
+    /// unset. Zero is rejected at parse time — a cache that can hold
+    /// nothing is a misconfiguration, not a policy.
     pub matrix_cache_cap: Option<u64>,
     /// Path of a workload-profile file (`--profile FILE`): a versioned
     /// JSON description of an adversarial scenario mix (see
@@ -395,15 +396,6 @@ pub struct CliOptions {
     /// `run_all`, `conformance`, `trace_capture`, and `coverage_report` —
     /// the single-artefact binaries reject it.
     pub profile: Option<std::path::PathBuf>,
-    /// Cap the resident bytes of one materialized gang stream
-    /// (`--stream-cap BYTES`); longer streams spill to the `WPTR` codec on
-    /// disk. Results are bit-identical at any cap — this is a memory knob
-    /// and the tests' lever for exercising the spill path — so it lives
-    /// here rather than in [`RunOptions`], which is the simulation *dedup
-    /// key*: a field there would split identical results into distinct
-    /// matrix/cache entries. Defaults to the `WPSDM_STREAM_MEMORY_CAP`
-    /// environment override, else 64 MiB.
-    pub stream_cap: Option<usize>,
     /// Write the cache-health counters ([`crate::CacheHealth`]) as JSON to
     /// this path after the run (`--health-json PATH`) — the machine-readable
     /// twin of the stderr health line, and the same struct the `wp-serve`
@@ -438,7 +430,6 @@ impl CliOptions {
             "--seed" => self.seed = Some(parse_value("--seed", args.next())?),
             "--json" => self.json = true,
             "--threads" => self.threads = Some(parse_positive("--threads", args.next())?),
-            "--stream-cap" => self.stream_cap = Some(parse_value("--stream-cap", args.next())?),
             "--profile" => self.profile = Some(parse_value("--profile", args.next())?),
             "--no-matrix-cache" => self.no_matrix_cache = true,
             "--matrix-cache-dir" => {
@@ -492,47 +483,36 @@ impl CliOptions {
 
     /// The engine the options ask for, built the same way for the batch
     /// binaries and the `wp-serve` daemon, so both share one on-disk cache
-    /// and one fault seed: `--threads` workers (every core if unset), the
-    /// `--stream-cap`, and, unless `--no-matrix-cache`, the persistent
-    /// matrix cache rooted at `--matrix-cache-dir` (else
-    /// [`MatrixCache::default_dir`]) and capped at `--matrix-cache-cap`
-    /// (else the `WPSDM_MATRIX_CACHE_CAP` override, else unbounded).
-    /// Results served from the cache are bit-identical to simulating, so
-    /// the cache flags exist for determinism auditing and CI, not
-    /// correctness.
+    /// and one fault seed: `--threads` workers (every core if unset) and,
+    /// unless `--no-matrix-cache`, the persistent matrix cache rooted at
+    /// `--matrix-cache-dir` (else [`MatrixCache::default_dir`]) and capped
+    /// at `--matrix-cache-cap` (else unbounded). Results served from the
+    /// cache are bit-identical to simulating, so the cache flags exist for
+    /// determinism auditing and CI, not correctness.
     pub fn engine(&self) -> SimEngine {
-        let mut engine = SimEngine::new(
+        let engine = SimEngine::new(
             self.threads
                 .unwrap_or_else(crate::engine::available_threads),
         );
-        if let Some(cap) = self.stream_cap {
-            engine = engine.with_stream_memory_cap(cap);
-        }
         if self.no_matrix_cache {
             return engine;
         }
-        let mut cache = match &self.matrix_cache_dir {
-            Some(dir) => MatrixCache::new(dir),
-            None => MatrixCache::at_default_dir(),
-        };
-        if self.matrix_cache_cap.is_some() {
-            cache = cache.with_cap(self.matrix_cache_cap);
-        }
-        if let Some(io) = crate::storage::FaultyIo::from_env() {
-            // The fault-injection knob (`WPSDM_MATRIX_CACHE_FAULT_SEED`):
-            // CI's reliability job runs the real binaries over a faulty
-            // cache and asserts byte-identical output.
-            cache = cache.with_io_backend(io);
-        }
-        engine.with_matrix_cache(cache)
+        let dir = self
+            .matrix_cache_dir
+            .clone()
+            .unwrap_or_else(MatrixCache::default_dir);
+        // The fault-injection knob (`WPSDM_MATRIX_CACHE_FAULT_SEED`): CI's
+        // reliability job runs the real binaries over a faulty cache and
+        // asserts byte-identical output.
+        let io = FaultyIo::from_env().unwrap_or_else(|| Arc::new(FsIo));
+        engine.with_matrix_cache(MatrixCache::with_io(dir, io).with_cap(self.matrix_cache_cap))
     }
 }
 
 /// Usage text shared by the binaries.
 pub const USAGE: &str = "usage: <experiment> [--quick] [--ops N] [--seed N] [--threads N] \
-                         [--json] [--profile FILE] [--stream-cap BYTES] [--no-matrix-cache] \
-                         [--matrix-cache-dir PATH] [--matrix-cache-cap BYTES] \
-                         [--health-json PATH]";
+                         [--json] [--profile FILE] [--no-matrix-cache] [--matrix-cache-dir PATH] \
+                         [--matrix-cache-cap BYTES] [--health-json PATH]";
 
 /// Prints `error: {error}` and then `usage` to stderr and exits with
 /// status 2: how every binary refuses a bad command line.
@@ -801,23 +781,6 @@ mod tests {
                 "--matrix-cache-cap",
                 "0".to_string()
             ))
-        );
-    }
-
-    #[test]
-    fn stream_cap_flag_reaches_the_engine() {
-        let default = parse(&[]).expect("valid");
-        assert_eq!(default.stream_cap, None);
-        let capped = parse(&["--stream-cap", "1234"]).expect("valid");
-        assert_eq!(capped.stream_cap, Some(1234));
-        assert_eq!(capped.engine().stream_memory_cap(), 1234);
-        assert_eq!(
-            parse(&["--stream-cap"]),
-            Err(CliError::MissingValue("--stream-cap"))
-        );
-        assert_eq!(
-            parse(&["--stream-cap", "lots"]),
-            Err(CliError::InvalidValue("--stream-cap", "lots".to_string()))
         );
     }
 

@@ -67,10 +67,11 @@ fn run_all_rejects_bad_command_lines_with_exact_messages() {
         &["--threads", "0"],
         "invalid value `0` for flag `--threads`",
     );
+    // The stream spill cap is set by `WPSDM_STREAM_MEMORY_CAP` alone.
     assert_cli_error(
         bin,
-        &["--stream-cap", "lots"],
-        "invalid value `lots` for flag `--stream-cap`",
+        &["--stream-cap", "4096"],
+        "unknown flag `--stream-cap`",
     );
     assert_cli_error(
         bin,

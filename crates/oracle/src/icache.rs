@@ -11,7 +11,7 @@ use wp_cache::{
 };
 use wp_energy::{CacheEnergyModel, Energy, PredictionTableEnergy};
 use wp_mem::Addr;
-use wp_predictors::{Btb, ReturnAddressStack, Sawp};
+use wp_predictors::{Btb, PcWayPredictor, ReturnAddressStack};
 
 use crate::cache::{AccessKind, OracleCache, OracleGeometry, Placement};
 use crate::probe::{resolve_probe, ProbeOutcome};
@@ -37,7 +37,9 @@ pub struct OracleICache {
     /// formula the optimized [`wp_cache::IWaySelect`] precomputes.
     way_field_energy: Energy,
     btb: Btb,
-    sawp: Sawp,
+    /// Section 2.3's Sequential Address Way-Predictor (SAWP): a PC-indexed
+    /// way table predicting the way of the fetch that follows each PC.
+    sawp: PcWayPredictor,
     ras: ReturnAddressStack,
     stats: ICacheStats,
 }
@@ -59,11 +61,11 @@ impl OracleICache {
             energy: CacheEnergyModel::new(mem_geometry),
             way_field_energy: PredictionTableEnergy::new(
                 config.prediction_table_entries,
-                Sawp::bits_per_entry(config.associativity),
+                PcWayPredictor::bits_per_entry(config.associativity),
             )
             .access_energy(),
             btb: Btb::new(BTB_ENTRIES),
-            sawp: Sawp::new(config.prediction_table_entries),
+            sawp: PcWayPredictor::new(config.prediction_table_entries),
             ras: ReturnAddressStack::new(RAS_DEPTH),
             stats: ICacheStats::default(),
         })

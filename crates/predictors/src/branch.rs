@@ -4,7 +4,8 @@
 //! The predictor combines a PC-indexed bimodal component with a
 //! global-history (gshare) component; a chooser table of two-bit counters
 //! selects between them per branch, as in the Alpha 21264-style hybrid the
-//! paper's configuration implies.
+//! paper's configuration implies. The table sizes and the history length
+//! are constants: every simulated machine uses this one predictor.
 
 use wp_mem::Addr;
 
@@ -35,29 +36,23 @@ impl BranchOutcome {
     }
 }
 
-/// Sizing of the hybrid predictor's three tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HybridConfig {
-    /// Entries in the bimodal (PC-indexed) table.
-    pub bimodal_entries: usize,
-    /// Entries in the gshare (history-XOR-PC-indexed) table.
-    pub gshare_entries: usize,
-    /// Entries in the chooser table.
-    pub chooser_entries: usize,
-    /// Number of global history bits.
-    pub history_bits: u32,
-}
+/// Entries in the bimodal (PC-indexed) table.
+const BIMODAL_ENTRIES: usize = 2048;
+/// Entries in the gshare (history-XOR-PC-indexed) table.
+const GSHARE_ENTRIES: usize = 4096;
+/// Entries in the chooser table.
+const CHOOSER_ENTRIES: usize = 2048;
+/// Number of global history bits.
+const HISTORY_BITS: u32 = 12;
+/// The global history bits the gshare index reads.
+const HISTORY_MASK: u64 = (1 << HISTORY_BITS) - 1;
 
-impl Default for HybridConfig {
-    fn default() -> Self {
-        Self {
-            bimodal_entries: 2048,
-            gshare_entries: 4096,
-            chooser_entries: 2048,
-            history_bits: 12,
-        }
-    }
-}
+// The table indices mask the PC, so every size must be a power of two.
+const _: () = assert!(
+    BIMODAL_ENTRIES.is_power_of_two()
+        && GSHARE_ENTRIES.is_power_of_two()
+        && CHOOSER_ENTRIES.is_power_of_two()
+);
 
 /// Two-level hybrid branch direction predictor.
 ///
@@ -76,7 +71,6 @@ impl Default for HybridConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct HybridBranchPredictor {
-    config: HybridConfig,
     bimodal: Vec<SaturatingCounter>,
     gshare: Vec<SaturatingCounter>,
     chooser: Vec<SaturatingCounter>,
@@ -87,47 +81,24 @@ pub struct HybridBranchPredictor {
 
 impl Default for HybridBranchPredictor {
     fn default() -> Self {
-        Self::new(HybridConfig::default())
-    }
-}
-
-impl HybridBranchPredictor {
-    /// Creates a predictor with the given table sizes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any table size is not a power of two.
-    pub fn new(config: HybridConfig) -> Self {
-        for (name, v) in [
-            ("bimodal_entries", config.bimodal_entries),
-            ("gshare_entries", config.gshare_entries),
-            ("chooser_entries", config.chooser_entries),
-        ] {
-            assert!(v.is_power_of_two(), "{name} must be a power of two");
-        }
         Self {
-            config,
-            bimodal: vec![SaturatingCounter::two_bit(1); config.bimodal_entries],
-            gshare: vec![SaturatingCounter::two_bit(1); config.gshare_entries],
-            chooser: vec![SaturatingCounter::two_bit(2); config.chooser_entries],
+            bimodal: vec![SaturatingCounter::two_bit(1); BIMODAL_ENTRIES],
+            gshare: vec![SaturatingCounter::two_bit(1); GSHARE_ENTRIES],
+            chooser: vec![SaturatingCounter::two_bit(2); CHOOSER_ENTRIES],
             history: 0,
             predictions: 0,
             mispredictions: 0,
         }
     }
+}
 
-    /// The table sizing in use.
-    pub fn config(&self) -> &HybridConfig {
-        &self.config
-    }
-
+impl HybridBranchPredictor {
     fn bimodal_index(&self, pc: Addr) -> usize {
         ((pc >> 2) as usize) & (self.bimodal.len() - 1)
     }
 
     fn gshare_index(&self, pc: Addr) -> usize {
-        let history_mask = (1u64 << self.config.history_bits) - 1;
-        (((pc >> 2) ^ (self.history & history_mask)) as usize) & (self.gshare.len() - 1)
+        (((pc >> 2) ^ (self.history & HISTORY_MASK)) as usize) & (self.gshare.len() - 1)
     }
 
     fn chooser_index(&self, pc: Addr) -> usize {
@@ -269,14 +240,5 @@ mod tests {
         let before = p.mispredictions();
         p.update(pc, BranchOutcome::NotTaken);
         assert_eq!(p.mispredictions(), before + 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_config_panics() {
-        let _ = HybridBranchPredictor::new(HybridConfig {
-            bimodal_entries: 1000,
-            ..HybridConfig::default()
-        });
     }
 }

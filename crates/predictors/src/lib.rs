@@ -7,16 +7,17 @@
 //! access is non-conflicting* and can use direct mapping:
 //!
 //! * [`PcWayPredictor`] — PC-indexed way prediction for d-cache loads
-//!   (early-available but ~60 % accurate; Section 2.2.1).
+//!   (early-available but ~60 % accurate; Section 2.2.1), and the
+//!   i-cache's Sequential Address Way-Predictor (SAWP; Section 2.3).
 //! * [`XorWayPredictor`] — way prediction indexed by the XOR approximation
 //!   of the load address (more accurate but late-available; Section 2.2.1).
 //! * [`SelDmPredictor`] — the PC-indexed two-bit-counter table that flags an
 //!   access as direct-mapped or set-associative (Section 2.2.2).
 //! * [`VictimList`] — the 16-entry list of recently evicted blocks that
 //!   identifies conflicting blocks (Section 2.2.2).
-//! * [`Btb`], [`Sawp`], [`ReturnAddressStack`], [`HybridBranchPredictor`] —
-//!   the fetch-engine structures, extended with way fields, that provide
-//!   timely i-cache way predictions (Section 2.3 / Figure 3).
+//! * [`Btb`], [`ReturnAddressStack`], [`HybridBranchPredictor`] — the
+//!   fetch-engine structures, extended with way fields, that provide
+//!   timely i-cache way predictions with the SAWP (Section 2.3 / Figure 3).
 //! * [`SaturatingCounter`] — the shared two-bit counter building block.
 //!
 //! # Example
@@ -41,16 +42,14 @@ mod branch;
 mod btb;
 mod counter;
 mod ras;
-mod sawp;
 mod seldm;
 mod victim_list;
 mod way_table;
 
-pub use branch::{BranchOutcome, HybridBranchPredictor, HybridConfig};
+pub use branch::{BranchOutcome, HybridBranchPredictor};
 pub use btb::{Btb, BtbEntry};
 pub use counter::SaturatingCounter;
 pub use ras::ReturnAddressStack;
-pub use sawp::Sawp;
 pub use seldm::{MappingPrediction, SelDmPredictor};
 pub use victim_list::VictimList;
 pub use way_table::{PcWayPredictor, XorWayPredictor};

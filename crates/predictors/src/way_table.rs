@@ -47,7 +47,9 @@ impl WayTable {
 ///
 /// The predictor exploits per-instruction block locality: a load that keeps
 /// accessing the same block (a loop walking an array block, or a load of a
-/// global) keeps hitting in the same way.
+/// global) keeps hitting in the same way. The i-cache's Sequential Address
+/// Way-Predictor (Section 2.3) is the same table, indexed by the PC of the
+/// fetch before the one it predicts.
 ///
 /// # Example
 ///

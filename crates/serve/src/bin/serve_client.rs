@@ -15,7 +15,7 @@
 //! profile-spec JSON file — and prints the streamed point frames sorted by
 //! plan index, then the terminal frame. `--metrics` prints the daemon's v2
 //! metrics snapshot. `--batch` skips the daemon entirely: it builds the
-//! request the daemon would receive, parses it with the daemon's own
+//! request `--connect` would send, parses it with the daemon's own
 //! [`wp_serve::protocol::parse_request`], simulates the point (or every
 //! point of the expanded sweep plan) in-process and renders it through the
 //! same [`wp_serve::protocol`] functions — so
@@ -23,7 +23,8 @@
 //! byte-identity check CI runs, for single points and sweeps alike. A
 //! machine or a plan the daemon rejects (`--assoc 3`, or a plan of more
 //! than 4,096 unique points) prints the daemon's `bad_request` response in
-//! both modes.
+//! both modes. Only a daemon can answer `--health`, `--metrics`,
+//! `--shutdown` and `--repeat`, so `--batch` refuses them.
 
 use std::time::Duration;
 
@@ -57,7 +58,7 @@ struct ClientOptions {
     assoc: Option<u64>,
     deadline_ms: Option<u64>,
     priority: Option<u8>,
-    repeat: u64,
+    repeat: Option<u64>,
     sweep: Option<String>,
     action: Action,
 }
@@ -75,7 +76,7 @@ impl Default for ClientOptions {
             assoc: None,
             deadline_ms: None,
             priority: None,
-            repeat: 1,
+            repeat: None,
             sweep: None,
             action: Action::Simulate,
         }
@@ -109,7 +110,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<ClientOptions, CliEr
                     _ => return Err(CliError::InvalidValue("--priority", value)),
                 }
             }
-            "--repeat" => options.repeat = parse_positive("--repeat", args.next())?,
+            "--repeat" => options.repeat = Some(parse_positive("--repeat", args.next())?),
             "--sweep" => options.sweep = Some(parse_value("--sweep", args.next())?),
             "--health" => options.action = Action::Health,
             "--metrics" => options.action = Action::Metrics,
@@ -241,38 +242,18 @@ fn run_daemon_sweep(connect: &str, request: &str) {
     println!("{terminal}");
 }
 
-fn main() {
-    let options =
-        parse_args(std::env::args().skip(1)).unwrap_or_else(|error| exit_usage(USAGE, error));
-    if options.batch {
-        // The local reference path: the request the daemon would receive,
-        // answered in-process — what daemon responses are diffed against.
-        let request = match &options.sweep {
-            Some(plan) => sweep_request(&options, plan),
-            None => {
-                let point = point_from(&options).unwrap_or_else(|e| exit_usage(USAGE, e));
-                protocol::simulate_request(1, &point, None)
-            }
-        };
-        run_batch(&request);
-        return;
-    }
-
-    let Some(connect) = options.connect.clone() else {
-        exit_usage(USAGE, "flag `--connect` (or `--batch`) is required");
-    };
-
+/// The request the flags ask for: what `--connect` sends and what
+/// `--batch` answers in-process.
+fn request_from(options: &ClientOptions) -> String {
     if let Some(plan) = &options.sweep {
-        run_daemon_sweep(&connect, &sweep_request(&options, plan));
-        return;
+        return sweep_request(options, plan);
     }
-
-    let request = match options.action {
+    match options.action {
         Action::Health => "{\"v\":1,\"id\":1,\"type\":\"health\"}".to_string(),
         Action::Metrics => protocol::metrics_request(1),
         Action::Shutdown => "{\"v\":1,\"id\":1,\"type\":\"shutdown\"}".to_string(),
         Action::Simulate => {
-            let point = point_from(&options).unwrap_or_else(|e| exit_usage(USAGE, e));
+            let point = point_from(options).unwrap_or_else(|e| exit_usage(USAGE, e));
             match options.priority {
                 // A priority makes it a v2 request; without one the frozen
                 // v1 bytes are sent, which CI's compat step relies on.
@@ -286,9 +267,43 @@ fn main() {
                 None => protocol::simulate_request(1, &point, options.deadline_ms),
             }
         }
-    };
+    }
+}
 
-    if options.repeat == 1 {
+fn main() {
+    let options =
+        parse_args(std::env::args().skip(1)).unwrap_or_else(|error| exit_usage(USAGE, error));
+    if options.batch {
+        // The local reference path: the request `--connect` would send,
+        // answered in-process — what daemon responses are diffed against.
+        let daemon_only = match options.action {
+            Action::Health => Some("--health"),
+            Action::Metrics => Some("--metrics"),
+            Action::Shutdown => Some("--shutdown"),
+            Action::Simulate => options.repeat.map(|_| "--repeat"),
+        };
+        if let Some(flag) = daemon_only {
+            exit_usage(
+                USAGE,
+                format!("flag `{flag}` needs a daemon (`--connect`), not `--batch`"),
+            );
+        }
+        run_batch(&request_from(&options));
+        return;
+    }
+
+    let Some(connect) = options.connect.clone() else {
+        exit_usage(USAGE, "flag `--connect` (or `--batch`) is required");
+    };
+    let request = request_from(&options);
+
+    if options.sweep.is_some() {
+        run_daemon_sweep(&connect, &request);
+        return;
+    }
+
+    let repeat = options.repeat.unwrap_or(1);
+    if repeat == 1 {
         let mut client = Client::connect(&connect).unwrap_or_else(|e| fail(e));
         let _ = client.set_timeout(Duration::from_secs(600));
         let response = client.request(&request).unwrap_or_else(|e| fail(e));
@@ -302,7 +317,7 @@ fn main() {
     let responses: Vec<Result<String, std::io::Error>> = std::thread::scope(|scope| {
         let request = &request;
         let connect = &connect;
-        let handles: Vec<_> = (0..options.repeat)
+        let handles: Vec<_> = (0..repeat)
             .map(|_| {
                 scope.spawn(move || {
                     let mut client = Client::connect(connect)?;

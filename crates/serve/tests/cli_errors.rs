@@ -176,6 +176,43 @@ fn serve_client_accepts_seed_zero_like_the_daemon() {
 }
 
 #[test]
+fn serve_client_batch_answers_the_request_connect_sends() {
+    // `--priority` makes `--connect` send a v2 request, so the batch
+    // reference must answer in v2 too.
+    let output = Command::new(env!("CARGO_BIN_EXE_serve_client"))
+        .args(["--batch", "--ops", "2000", "--priority", "3"])
+        .output()
+        .expect("serve_client spawns");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.starts_with("{\"v\":2,"), "stdout: {stdout}");
+    // Only a daemon can answer these; the batch path refuses them rather
+    // than printing a simulate result.
+    let bin = env!("CARGO_BIN_EXE_serve_client");
+    for flags in [
+        &["--health"][..],
+        &["--metrics"],
+        &["--shutdown"],
+        &["--repeat", "2"],
+    ] {
+        let args: Vec<&str> = ["--batch", "--ops", "2000"]
+            .iter()
+            .chain(flags)
+            .copied()
+            .collect();
+        assert_cli_error(
+            bin,
+            &args,
+            &format!(
+                "flag `{}` needs a daemon (`--connect`), not `--batch`",
+                flags[0]
+            ),
+        );
+    }
+}
+
+#[test]
 fn serve_client_batch_prints_the_daemons_bad_request_for_a_rejected_machine() {
     // `--connect` prints this response and exits 0; the batch reference
     // must print the same bytes and exit 0 too.

@@ -67,8 +67,7 @@ pub const STREAM_MEMORY_CAP_ENV: &str = "WPSDM_STREAM_MEMORY_CAP";
 /// The effective spill cap: [`STREAM_MEMORY_CAP_ENV`] if set, else
 /// [`DEFAULT_STREAM_MEMORY_CAP`]. Engines and [`SharedStream::materialize`]
 /// consult this, so an environment override reaches every materialization
-/// without a code change; `--stream-cap` on the experiment binaries
-/// overrides both.
+/// (every binary and the `wp-serve` daemon) without a code change.
 pub fn stream_memory_cap() -> usize {
     cap_from_env_value(std::env::var_os(STREAM_MEMORY_CAP_ENV).as_deref())
 }

@@ -8,7 +8,6 @@
 
 use wpsdm::cache::{DCacheController, DCachePolicy, ICacheController, ICachePolicy, L1Config};
 use wpsdm::cpu::{CpuConfig, Processor};
-use wpsdm::energy::ProcessorEnergyModel;
 use wpsdm::mem::{HierarchyConfig, MemoryHierarchy};
 use wpsdm::predictors::HybridBranchPredictor;
 use wpsdm::workloads::{Benchmark, TraceConfig, TraceGenerator};
@@ -33,8 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let technique = simulate(DCachePolicy::SelDmWayPredict)?;
 
     let dcache = technique.dcache_relative_to(&baseline);
-    let model = ProcessorEnergyModel::default();
-    let processor = technique.processor_relative_to(&baseline, &model);
+    let processor = technique.processor_relative_to(&baseline);
 
     println!("workload: perl-like synthetic trace, 200k micro-ops");
     println!(

@@ -5,7 +5,6 @@
 
 use wpsdm::cache::{DCacheController, DCachePolicy, ICacheController, ICachePolicy, L1Config};
 use wpsdm::cpu::{CpuConfig, Processor, SimResult};
-use wpsdm::energy::ProcessorEnergyModel;
 use wpsdm::mem::{HierarchyConfig, MemoryHierarchy};
 use wpsdm::predictors::HybridBranchPredictor;
 use wpsdm::workloads::{Benchmark, TraceConfig, TraceGenerator};
@@ -101,7 +100,6 @@ fn icache_way_prediction_cuts_icache_energy_without_slowing_down() {
 
 #[test]
 fn combined_techniques_reduce_overall_processor_energy_delay() {
-    let model = ProcessorEnergyModel::default();
     let mut savings = Vec::new();
     for benchmark in [Benchmark::Perl, Benchmark::Troff, Benchmark::Swim] {
         let baseline = simulate(benchmark, DCachePolicy::Parallel, ICachePolicy::Parallel);
@@ -110,7 +108,7 @@ fn combined_techniques_reduce_overall_processor_energy_delay() {
             DCachePolicy::SelDmWayPredict,
             ICachePolicy::WayPredict,
         );
-        let metrics = technique.processor_relative_to(&baseline, &model);
+        let metrics = technique.processor_relative_to(&baseline);
         savings.push(metrics.energy_delay_savings());
         // The L1s are a bounded share of processor energy, so overall
         // savings are far smaller than the per-cache savings.

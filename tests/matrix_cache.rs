@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use wpsdm::experiments::engine::SimEngine;
-use wpsdm::experiments::matrix_cache::MatrixCache;
+use wpsdm::experiments::matrix_cache::{MatrixCache, BREAKER_THRESHOLD};
 use wpsdm::experiments::storage::{FaultKind, FaultPlan, FaultyIo};
 use wpsdm::experiments::{report, run_all_plan, RunOptions, SimMatrix, ARTEFACTS};
 
@@ -134,8 +134,7 @@ fn read_only_cache_dir_degrades_but_results_stay_correct() {
 
     // Every mutating operation fails EACCES, as a read-only mount would.
     let dir = temp_dir("readonly");
-    let cache =
-        MatrixCache::with_io(&dir, Arc::new(FaultyIo::read_only())).with_breaker_threshold(4);
+    let cache = MatrixCache::with_io(&dir, Arc::new(FaultyIo::read_only()));
     let engine = SimEngine::default().with_matrix_cache(cache);
     let matrix = engine.run(&plan);
 
@@ -152,7 +151,7 @@ fn read_only_cache_dir_degrades_but_results_stay_correct() {
     // The right counters moved: every store failed, and with more failed
     // stores than the breaker threshold the cache degraded to pass-through.
     assert!(
-        matrix.cache_health().io_errors >= 4,
+        matrix.cache_health().io_errors >= u64::from(BREAKER_THRESHOLD),
         "failed stores must count as I/O errors (saw {})",
         matrix.cache_health().io_errors
     );

@@ -4,13 +4,12 @@
 //! selective-DM, and the perfect-prediction oracle — reduces to the same
 //! skeleton: a *way selection* made before the data array is touched, one
 //! pass through the tag store, and a *probe resolution* that prices the
-//! access in ways-probed, latency, and energy. [`AccessCore`] owns that
-//! skeleton once; the controllers specialise it with a [`WaySelect`] policy
-//! (the prediction stack) and their own statistics.
-//!
-//! New access policies — way memoization, cache-level prediction, or
-//! anything else from the related work — plug in by implementing
-//! [`WaySelect`]; the probe/latency/energy accounting comes for free.
+//! access in ways-probed, latency, and energy. [`AccessCore`] owns the tag
+//! store and the pricing. Each controller picks its way from its own
+//! prediction stack, calls [`AccessCore::read`], trains the stack, and
+//! counts the access into its statistics, all in one function; a new policy
+//! is a [`crate::DCachePolicy`] or [`crate::ICachePolicy`] variant and its
+//! arms in that controller.
 
 use wp_energy::{CacheEnergyModel, Energy};
 use wp_mem::{AccessKind, AccessResult, Placement, SetAssocCache, WayIndex};
@@ -70,18 +69,18 @@ impl WaySource {
 /// A way selection together with its provenance and the prediction-structure
 /// energy spent producing it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Selection {
+pub(crate) struct Selection {
     /// The probe decision.
-    pub choice: WaySelection,
+    pub(crate) choice: WaySelection,
     /// Which structure made it.
-    pub source: WaySource,
+    pub(crate) source: WaySource,
     /// Energy charged to the prediction structures for this access.
-    pub energy: Energy,
+    pub(crate) energy: Energy,
 }
 
 impl Selection {
     /// A conventional parallel probe with no prediction involvement.
-    pub fn parallel() -> Self {
+    pub(crate) fn parallel() -> Self {
         Self {
             choice: WaySelection::Parallel,
             source: WaySource::None,
@@ -118,84 +117,22 @@ pub struct Probe {
     pub energy: Energy,
 }
 
-/// What the tag store observed, fed back to the policy for training.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Observation {
-    /// The way the block occupies after the access (hit way, or the way
-    /// filled on a miss).
-    pub way: WayIndex,
-    /// Whether the block was resident.
-    pub hit: bool,
-    /// Whether the block sits in its direct-mapping way.
-    pub in_direct_mapped_way: bool,
-}
-
-/// A way-selection policy: the prediction stack consulted before the probe
-/// and trained after it.
-///
-/// Implementations exist for the fetch-engine i-cache
-/// ([`crate::IWaySelect`]) and for the d-cache, where a private view of
-/// [`crate::DWaySelect`] fixes the d-cache policy at compile time
-/// ([`crate::DPolicyKernel`]); further policies from the literature can be
-/// added without touching the accounting in [`AccessCore`].
-pub trait WaySelect {
-    /// Per-access context (PC and approximate address for loads, the fetch
-    /// kind for instruction fetches).
-    type Ctx;
-
-    /// Chooses how to probe for this access, charging any
-    /// prediction-structure energy to [`Selection::energy`].
-    fn select(&mut self, ctx: &Self::Ctx) -> Selection;
-
-    /// Trains the prediction structures with the observed outcome. `cache`
-    /// is the tag store, for policies that record the way of a *different*
-    /// block (the RAS records the return block's way at call time). Returns
-    /// any additional prediction energy.
-    fn train(&mut self, ctx: &Self::Ctx, observed: Observation, cache: &SetAssocCache) -> Energy;
-}
-
-/// One full read access through the core: tag-store result, priced probe,
-/// selection provenance, and prediction energy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoreAccess {
-    /// Raw tag-store outcome (hit, way, eviction, placement info).
-    pub result: AccessResult,
-    /// Priced probe.
-    pub probe: Probe,
-    /// The way selection that drove the probe.
-    pub selection: Selection,
-    /// Total prediction-structure energy for this access (selection plus
-    /// training).
-    pub prediction_energy: Energy,
-}
-
-impl CoreAccess {
-    /// Total energy of the access: cache arrays plus prediction structures.
-    pub fn energy(&self) -> Energy {
-        self.probe.energy + self.prediction_energy
-    }
-}
-
 /// The shared substrate of an energy-aware L1 controller: configuration,
 /// tag store, energy model, and the probe/latency/energy accounting rules.
 ///
 /// # Example
 ///
-/// Stores involve no way selection in any policy (end of Section 2.1), so
-/// they exercise the core without a [`WaySelect`] implementation:
-///
 /// ```
-/// use wp_cache::{AccessCore, L1Config};
+/// use wp_cache::{AccessCore, L1Config, ProbeOutcome, WaySelection};
 /// use wp_mem::Placement;
 ///
 /// # fn main() -> Result<(), wp_cache::ConfigError> {
 /// let mut core = AccessCore::new(L1Config::paper_dcache())?;
-/// let miss = core.write(0x1000, Placement::SetAssociative);
-/// let hit = core.write(0x1000, Placement::SetAssociative);
-/// assert!(miss.result.is_miss() && hit.result.is_hit());
-/// assert_eq!(hit.probe.ways_probed, 1);
-/// // The miss also paid the refill write into the selected way.
-/// assert!(miss.probe.energy > hit.probe.energy);
+/// let (miss, _) = core.read(0x1000, Placement::SetAssociative, WaySelection::Parallel);
+/// let predicted = WaySelection::Predicted(miss.way);
+/// let (hit, probe) = core.read(0x1000, Placement::SetAssociative, predicted);
+/// assert!(miss.is_miss() && hit.is_hit());
+/// assert_eq!((probe.outcome, probe.ways_probed), (ProbeOutcome::SingleWay, 1));
 /// # Ok(())
 /// # }
 /// ```
@@ -350,45 +287,26 @@ impl AccessCore {
         &self.energy
     }
 
-    /// One read access under policy `select`: consult the policy, run the
-    /// tag store, price the probe, and train the policy.
+    /// One read access probed as `choice`: run the tag store (filling a
+    /// miss at `placement`) and price the probe.
     #[inline(always)]
-    pub fn read<P: WaySelect>(
+    pub fn read(
         &mut self,
-        select: &mut P,
-        ctx: &P::Ctx,
         addr: Addr,
         placement: Placement,
-    ) -> CoreAccess {
-        let selection = select.select(ctx);
+        choice: WaySelection,
+    ) -> (AccessResult, Probe) {
         let result = self.cache.access(addr, AccessKind::Read, placement);
-        let probe = self.costs.resolve(selection.choice, &result);
-        let observed = Observation {
-            way: result.way,
-            hit: result.hit,
-            in_direct_mapped_way: result.in_direct_mapped_way,
-        };
-        let train_energy = select.train(ctx, observed, &self.cache);
-        CoreAccess {
-            result,
-            probe,
-            selection,
-            prediction_energy: selection.energy + train_energy,
-        }
+        (result, self.costs.resolve(choice, &result))
     }
 
     /// One write access: stores check the tag array first and then write
     /// only the matching way, in every policy (end of Section 2.1), so they
     /// involve no way selection.
     #[inline]
-    pub fn write(&mut self, addr: Addr, placement: Placement) -> CoreAccess {
+    pub fn write(&mut self, addr: Addr, placement: Placement) -> (AccessResult, Probe) {
         let result = self.cache.access(addr, AccessKind::Write, placement);
-        CoreAccess {
-            result,
-            probe: self.costs.price_write(&result),
-            selection: Selection::parallel(),
-            prediction_energy: 0.0,
-        }
+        (result, self.costs.price_write(&result))
     }
 }
 
@@ -396,22 +314,7 @@ impl AccessCore {
 mod tests {
     use super::*;
 
-    /// A scripted policy for exercising the core in isolation.
-    struct Scripted(WaySelection);
-
-    impl WaySelect for Scripted {
-        type Ctx = ();
-        fn select(&mut self, _ctx: &()) -> Selection {
-            Selection {
-                choice: self.0,
-                source: WaySource::WayTable,
-                energy: 0.25,
-            }
-        }
-        fn train(&mut self, _ctx: &(), _observed: Observation, _cache: &SetAssocCache) -> Energy {
-            0.5
-        }
-    }
+    const SA: Placement = Placement::SetAssociative;
 
     fn core() -> AccessCore {
         AccessCore::new(L1Config::paper_dcache()).expect("valid config")
@@ -420,69 +323,59 @@ mod tests {
     #[test]
     fn parallel_probe_touches_all_ways() {
         let mut core = core();
-        let mut p = Scripted(WaySelection::Parallel);
-        let access = core.read(&mut p, &(), 0x8000, Placement::SetAssociative);
-        assert!(access.result.is_miss());
-        assert_eq!(access.probe.outcome, ProbeOutcome::Parallel);
-        assert_eq!(access.probe.ways_probed, 4);
-        assert_eq!(access.probe.latency, 1);
-        assert_eq!(access.prediction_energy, 0.75);
-        assert!(access.energy() > access.probe.energy);
+        let (result, probe) = core.read(0x8000, SA, WaySelection::Parallel);
+        assert!(result.is_miss());
+        assert_eq!(probe.outcome, ProbeOutcome::Parallel);
+        assert_eq!(probe.ways_probed, 4);
+        assert_eq!(probe.latency, 1);
     }
 
     #[test]
     fn predicted_probe_resolves_against_residency() {
         let mut core = core();
-        let mut warm = Scripted(WaySelection::Parallel);
-        let filled = core.read(&mut warm, &(), 0x8000, Placement::SetAssociative);
-        let way = filled.result.way;
+        let (filled, _) = core.read(0x8000, SA, WaySelection::Parallel);
+        let way = filled.way;
 
-        let mut right = Scripted(WaySelection::Predicted(way));
-        let hit = core.read(&mut right, &(), 0x8000, Placement::SetAssociative);
-        assert_eq!(hit.probe.outcome, ProbeOutcome::SingleWay);
-        assert_eq!(hit.probe.ways_probed, 1);
-        assert_eq!(hit.probe.latency, 1);
+        let (_, hit) = core.read(0x8000, SA, WaySelection::Predicted(way));
+        assert_eq!(hit.outcome, ProbeOutcome::SingleWay);
+        assert_eq!(hit.ways_probed, 1);
+        assert_eq!(hit.latency, 1);
 
-        let mut wrong = Scripted(WaySelection::Predicted(way + 1));
-        let miss = core.read(&mut wrong, &(), 0x8000, Placement::SetAssociative);
-        assert_eq!(miss.probe.outcome, ProbeOutcome::Mispredicted);
-        assert_eq!(miss.probe.ways_probed, 2);
-        assert_eq!(miss.probe.latency, 2);
+        let (_, miss) = core.read(0x8000, SA, WaySelection::Predicted(way + 1));
+        assert_eq!(miss.outcome, ProbeOutcome::Mispredicted);
+        assert_eq!(miss.ways_probed, 2);
+        assert_eq!(miss.latency, 2);
     }
 
     #[test]
     fn sequential_and_oracle_probe_nothing_on_a_miss() {
         let mut core = core();
-        let mut seq = Scripted(WaySelection::Sequential);
-        let access = core.read(&mut seq, &(), 0x9000, Placement::SetAssociative);
-        assert_eq!(access.probe.ways_probed, 0);
-        assert_eq!(access.probe.latency, 2);
-        let mut oracle = Scripted(WaySelection::Oracle);
-        let access = core.read(&mut oracle, &(), 0xa000, Placement::SetAssociative);
-        assert_eq!(access.probe.ways_probed, 0);
-        assert_eq!(access.probe.latency, 1);
+        let (_, probe) = core.read(0x9000, SA, WaySelection::Sequential);
+        assert_eq!(probe.ways_probed, 0);
+        assert_eq!(probe.latency, 2);
+        let (_, probe) = core.read(0xa000, SA, WaySelection::Oracle);
+        assert_eq!(probe.ways_probed, 0);
+        assert_eq!(probe.latency, 1);
     }
 
     #[test]
     fn misses_pay_the_refill_write() {
         let mut core = core();
-        let mut p = Scripted(WaySelection::Parallel);
-        let miss = core.read(&mut p, &(), 0xb000, Placement::SetAssociative);
-        let hit = core.read(&mut p, &(), 0xb000, Placement::SetAssociative);
+        let (_, miss) = core.read(0xb000, SA, WaySelection::Parallel);
+        let (_, hit) = core.read(0xb000, SA, WaySelection::Parallel);
         let refill = core.energy_model().data_way_write_energy();
-        assert!((miss.probe.energy - hit.probe.energy - refill).abs() < 1e-9);
+        assert!((miss.energy - hit.energy - refill).abs() < 1e-9);
     }
 
     #[test]
     fn writes_are_single_way_and_unpredicted() {
         let mut core = core();
-        let access = core.write(0xc000, Placement::SetAssociative);
-        assert!(access.result.is_miss());
-        assert_eq!(access.probe.ways_probed, 1);
-        assert_eq!(access.prediction_energy, 0.0);
-        let again = core.write(0xc000, Placement::SetAssociative);
-        assert!(again.result.is_hit());
-        assert!(again.probe.energy < access.probe.energy);
+        let (result, miss) = core.write(0xc000, SA);
+        assert!(result.is_miss());
+        assert_eq!(miss.ways_probed, 1);
+        let (again, hit) = core.write(0xc000, SA);
+        assert!(again.is_hit());
+        assert!(hit.energy < miss.energy);
     }
 
     #[test]

@@ -7,19 +7,18 @@
 //! no prediction (BTB misses, branch-misprediction restarts) default to a
 //! conventional parallel access.
 //!
-//! [`ICacheController`] specialises the shared [`AccessCore`] with the
-//! fetch-engine prediction stack exposed as a [`WaySelect`] policy
-//! ([`IWaySelect`]); the probe, latency, and energy accounting live in
+//! [`ICacheController`] pairs the shared [`AccessCore`] with the
+//! fetch-engine prediction stack. A fetch selects its way from the stack,
+//! reads through the core, trains the stack, and counts its Figure 10
+//! class and energy into [`ICacheStats`], all in one function; the caller
+//! gets back only the hit and the latency. The probe pricing lives in
 //! [`crate::access`].
 
 use wp_energy::{Energy, PredictionTableEnergy};
 use wp_mem::{Placement, SetAssocCache, WayIndex};
 use wp_predictors::{Btb, PcWayPredictor, ReturnAddressStack};
 
-use crate::access::{
-    AccessCore, CoreAccess, Observation, ProbeOutcome, Selection, WaySelect, WaySelection,
-    WaySource,
-};
+use crate::access::{AccessCore, ProbeOutcome, Selection, WaySelection, WaySource};
 use crate::config::{ConfigError, L1Config};
 use crate::policy::ICachePolicy;
 use crate::stats::ICacheStats;
@@ -79,22 +78,16 @@ pub enum IAccessClass {
     Mispredicted,
 }
 
-/// The result of one i-cache fetch access.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The result of one i-cache fetch access: what the fetch engine needs to
+/// schedule it. The fetch's class and energy are counted in
+/// [`ICacheStats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IAccessOutcome {
     /// True if the block was resident.
     pub hit: bool,
     /// L1 latency in cycles (misses additionally pay the L2/memory
     /// latency).
     pub latency: u64,
-    /// Energy dissipated, in model units.
-    pub energy: Energy,
-    /// Breakdown class.
-    pub class: IAccessClass,
-    /// Number of data ways probed.
-    pub ways_probed: usize,
-    /// The way the block resides in after the access.
-    pub way: WayIndex,
 }
 
 impl IAccessOutcome {
@@ -109,15 +102,6 @@ impl IAccessOutcome {
     }
 }
 
-/// Per-fetch context handed to the fetch-engine way-selection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FetchCtx {
-    /// PC being fetched.
-    pub pc: Addr,
-    /// How the fetch engine produced the PC.
-    pub kind: FetchKind,
-}
-
 /// Number of BTB entries (typical of the era's fetch engines). Public so
 /// reference implementations (the `wp-oracle` conformance simulator) build
 /// an identically sized fetch engine.
@@ -128,7 +112,7 @@ pub const RAS_DEPTH: usize = 16;
 /// The fetch-engine prediction stack: BTB, SAWP, and RAS with way fields,
 /// driven by an [`ICachePolicy`].
 #[derive(Debug, Clone)]
-pub struct IWaySelect {
+struct IWaySelect {
     policy: ICachePolicy,
     /// Energy of one way-field access, precomputed from the
     /// [`PredictionTableEnergy`] model at construction (the analytic model
@@ -143,7 +127,7 @@ pub struct IWaySelect {
 
 impl IWaySelect {
     /// Builds the fetch-engine stack for `config` under `policy`.
-    pub fn new(config: &L1Config, policy: ICachePolicy) -> Self {
+    fn new(config: &L1Config, policy: ICachePolicy) -> Self {
         Self {
             policy,
             way_field_energy: PredictionTableEnergy::new(
@@ -158,15 +142,12 @@ impl IWaySelect {
     }
 
     /// The BTB's predicted target for a taken branch at `branch_pc`, if any.
-    pub fn predicted_target(&self, branch_pc: Addr) -> Option<Addr> {
+    fn predicted_target(&self, branch_pc: Addr) -> Option<Addr> {
         self.btb.lookup(branch_pc).map(|e| e.target)
     }
-}
 
-impl WaySelect for IWaySelect {
-    type Ctx = FetchCtx;
-
-    fn select(&mut self, ctx: &FetchCtx) -> Selection {
+    /// Chooses how to probe a fetch produced as `kind`.
+    fn select(&mut self, kind: FetchKind) -> Selection {
         // The way prediction is produced by the previous access's
         // bookkeeping (BTB/SAWP/RAS), so it is available with no added
         // delay; its energy is charged with the way-field update in
@@ -174,7 +155,7 @@ impl WaySelect for IWaySelect {
         if self.policy == ICachePolicy::Parallel {
             return Selection::parallel();
         }
-        let (predicted, source) = match ctx.kind {
+        let (predicted, source) = match kind {
             FetchKind::Sequential { prev_pc } | FetchKind::NotTakenBranch { prev_pc } => {
                 (self.sawp.predict(prev_pc), WaySource::Sawp)
             }
@@ -195,7 +176,11 @@ impl WaySelect for IWaySelect {
         }
     }
 
-    fn train(&mut self, ctx: &FetchCtx, observed: Observation, cache: &SetAssocCache) -> Energy {
+    /// Trains the stack after the fetch of `pc`, produced as `kind`, found
+    /// its block in `way`. `cache` is the tag store: a call records the
+    /// way of a *different* block, its return target. Returns the
+    /// prediction energy.
+    fn train(&mut self, pc: Addr, kind: FetchKind, way: WayIndex, cache: &SetAssocCache) -> Energy {
         // Train the structures with the way the block actually occupies now.
         // The BTB and RAS themselves exist in the conventional fetch engine
         // too (they supply targets); only the way fields and the SAWP are
@@ -206,22 +191,22 @@ impl WaySelect for IWaySelect {
         if way_predicting {
             energy += self.way_field_energy;
         }
-        match ctx.kind {
+        match kind {
             FetchKind::Sequential { prev_pc } | FetchKind::NotTakenBranch { prev_pc } => {
                 if way_predicting {
-                    self.sawp.update(prev_pc, observed.way);
+                    self.sawp.update(prev_pc, way);
                 }
             }
             FetchKind::TakenBranch { branch_pc } => {
                 self.btb
-                    .update(branch_pc, ctx.pc, way_predicting.then_some(observed.way));
+                    .update(branch_pc, pc, way_predicting.then_some(way));
             }
             FetchKind::Call {
                 branch_pc,
                 return_pc,
             } => {
                 self.btb
-                    .update(branch_pc, ctx.pc, way_predicting.then_some(observed.way));
+                    .update(branch_pc, pc, way_predicting.then_some(way));
                 let return_way = way_predicting.then(|| cache.probe(return_pc)).flatten();
                 self.ras.push(return_pc, return_way);
             }
@@ -244,13 +229,13 @@ impl WaySelect for IWaySelect {
 /// let first = icache.fetch(0x40_0000, FetchKind::Redirect);
 /// assert!(first.is_miss());
 /// // The block that follows trains the SAWP...
-/// let second = icache.fetch(0x40_0020, FetchKind::Sequential { prev_pc: 0x40_0000 });
+/// icache.fetch(0x40_0020, FetchKind::Sequential { prev_pc: 0x40_0000 });
+/// assert_eq!(icache.stats().sawp_correct, 0);
 /// // ...so fetching the same pair again probes a single predicted way.
 /// icache.fetch(0x40_0000, FetchKind::Redirect);
 /// let predicted = icache.fetch(0x40_0020, FetchKind::Sequential { prev_pc: 0x40_0000 });
 /// assert!(predicted.is_hit());
-/// assert_eq!(predicted.ways_probed, 1);
-/// # let _ = (first, second);
+/// assert_eq!(icache.stats().sawp_correct, 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -310,51 +295,48 @@ impl ICacheController {
     }
 
     /// Fetches the instruction block containing `pc`, with `kind` describing
-    /// how the fetch engine produced the PC.
+    /// how the fetch engine produced the PC: selects the way, reads through
+    /// the core, trains the fetch engine, and counts the fetch.
     ///
     /// On a miss the block is filled; the caller adds L2/memory latency.
     pub fn fetch(&mut self, pc: Addr, kind: FetchKind) -> IAccessOutcome {
         self.stats.fetches += 1;
-        let ctx = FetchCtx { pc, kind };
-        let access = self
+        let selection = self.select.select(kind);
+        let (result, probe) = self
             .core
-            .read(&mut self.select, &ctx, pc, Placement::SetAssociative);
-        if !access.result.hit {
+            .read(pc, Placement::SetAssociative, selection.choice);
+        let train_energy = self.select.train(pc, kind, result.way, self.core.cache());
+        if !result.hit {
             self.stats.fetch_misses += 1;
         }
 
-        let class = classify(&access);
-        match class {
+        match classify(probe.outcome, selection.source) {
             IAccessClass::SawpCorrect => self.stats.sawp_correct += 1,
             IAccessClass::BtbCorrect => {
                 self.stats.btb_correct += 1;
-                if access.selection.source == WaySource::Ras {
+                if selection.source == WaySource::Ras {
                     self.stats.ras_correct += 1;
                 }
             }
             IAccessClass::NoPrediction => self.stats.no_prediction += 1,
             IAccessClass::Mispredicted => self.stats.mispredicted += 1,
         }
-        self.stats.cache_energy += access.probe.energy;
-        self.stats.prediction_energy += access.prediction_energy;
+        self.stats.cache_energy += probe.energy;
+        self.stats.prediction_energy += selection.energy + train_energy;
 
         IAccessOutcome {
-            hit: access.result.hit,
-            latency: access.probe.latency,
-            energy: access.energy(),
-            class,
-            ways_probed: access.probe.ways_probed,
-            way: access.result.way,
+            hit: result.hit,
+            latency: probe.latency,
         }
     }
 }
 
 /// Maps a resolved probe onto the Figure 10 breakdown classes.
-fn classify(access: &CoreAccess) -> IAccessClass {
-    match access.probe.outcome {
+fn classify(outcome: ProbeOutcome, source: WaySource) -> IAccessClass {
+    match outcome {
         ProbeOutcome::Mispredicted => IAccessClass::Mispredicted,
         ProbeOutcome::SingleWay => {
-            if access.selection.source.is_branch_structure() {
+            if source.is_branch_structure() {
                 IAccessClass::BtbCorrect
             } else {
                 IAccessClass::SawpCorrect
@@ -373,18 +355,35 @@ mod tests {
         ICacheController::new(L1Config::paper_icache(), policy).expect("valid config")
     }
 
+    /// One fetch on fresh statistics: the returned stats count this fetch
+    /// alone, so its class and its energy read straight off them.
+    fn fetch_alone(
+        c: &mut ICacheController,
+        pc: Addr,
+        kind: FetchKind,
+    ) -> (IAccessOutcome, ICacheStats) {
+        c.reset_stats();
+        let out = c.fetch(pc, kind);
+        (out, *c.stats())
+    }
+
+    /// The cache energy of a hit that probed `ways` single data ways.
+    fn ways_read(c: &ICacheController, ways: usize) -> Energy {
+        c.energy_model().n_way_read_energy(ways)
+    }
+
     #[test]
     fn parallel_policy_never_predicts() {
         let mut c = controller(ICachePolicy::Parallel);
+        let model = *c.energy_model();
+        let cold_fetch = model.parallel_read_energy() + model.data_way_write_energy();
         for i in 0..10u64 {
-            let out = c.fetch(
-                0x40_0000 + i * 32,
-                FetchKind::Sequential { prev_pc: 0x40_0000 },
-            );
-            assert_eq!(out.class, IAccessClass::NoPrediction);
-            assert_eq!(out.ways_probed, 4);
+            let kind = FetchKind::Sequential { prev_pc: 0x40_0000 };
+            let (_, s) = fetch_alone(&mut c, 0x40_0000 + i * 32, kind);
+            assert_eq!(s.no_prediction, 1);
+            // Every way probed, then the refill.
+            assert_eq!(s.cache_energy, cold_fetch);
         }
-        assert_eq!(c.stats().no_prediction, 10);
     }
 
     #[test]
@@ -396,9 +395,9 @@ mod tests {
         c.fetch(b, FetchKind::Sequential { prev_pc: a });
         // Second time around the SAWP predicts b's way.
         c.fetch(a, FetchKind::Redirect);
-        let out = c.fetch(b, FetchKind::Sequential { prev_pc: a });
-        assert_eq!(out.class, IAccessClass::SawpCorrect);
-        assert_eq!(out.ways_probed, 1);
+        let (out, s) = fetch_alone(&mut c, b, FetchKind::Sequential { prev_pc: a });
+        assert_eq!(s.sawp_correct, 1);
+        assert_eq!(s.cache_energy, ways_read(&c, 1));
         assert_eq!(out.latency, 1);
     }
 
@@ -409,11 +408,11 @@ mod tests {
         let target = 0x40_2000;
         // First taken fetch trains the BTB (the fetch itself had no
         // prediction, so it is a parallel access).
-        let first = c.fetch(target, FetchKind::TakenBranch { branch_pc });
-        assert_eq!(first.class, IAccessClass::NoPrediction);
-        let second = c.fetch(target, FetchKind::TakenBranch { branch_pc });
-        assert_eq!(second.class, IAccessClass::BtbCorrect);
-        assert_eq!(second.ways_probed, 1);
+        let (_, first) = fetch_alone(&mut c, target, FetchKind::TakenBranch { branch_pc });
+        assert_eq!(first.no_prediction, 1);
+        let (_, second) = fetch_alone(&mut c, target, FetchKind::TakenBranch { branch_pc });
+        assert_eq!(second.btb_correct, 1);
+        assert_eq!(second.cache_energy, ways_read(&c, 1));
         assert_eq!(c.predicted_target(branch_pc), Some(target));
     }
 
@@ -432,26 +431,30 @@ mod tests {
                 return_pc,
             },
         );
-        let ret = c.fetch(return_pc, FetchKind::Return);
-        assert_eq!(ret.class, IAccessClass::BtbCorrect);
-        assert_eq!(ret.ways_probed, 1);
-        assert_eq!(c.stats().ras_correct, 1, "RAS subset counter");
-        assert_eq!(c.stats().btb_correct, 1);
+        let (_, s) = fetch_alone(&mut c, return_pc, FetchKind::Return);
+        assert_eq!(s.cache_energy, ways_read(&c, 1));
+        assert_eq!(s.ras_correct, 1, "RAS subset counter");
+        assert_eq!(s.btb_correct, 1);
     }
 
     #[test]
     fn returns_without_a_stack_entry_default_to_parallel() {
         let mut c = controller(ICachePolicy::WayPredict);
-        let out = c.fetch(0x40_0500, FetchKind::Return);
-        assert_eq!(out.class, IAccessClass::NoPrediction);
+        c.fetch(0x40_0500, FetchKind::Return);
+        assert_eq!(c.stats().no_prediction, 1);
     }
 
     #[test]
     fn redirects_default_to_parallel() {
         let mut c = controller(ICachePolicy::WayPredict);
-        let out = c.fetch(0x40_0600, FetchKind::Redirect);
-        assert_eq!(out.class, IAccessClass::NoPrediction);
-        assert_eq!(out.ways_probed, 4);
+        let model = *c.energy_model();
+        c.fetch(0x40_0600, FetchKind::Redirect);
+        assert_eq!(c.stats().no_prediction, 1);
+        let refill = model.data_way_write_energy();
+        assert_eq!(
+            c.stats().cache_energy,
+            model.parallel_read_energy() + refill
+        );
     }
 
     #[test]
@@ -469,12 +472,12 @@ mod tests {
             c.fetch(b + i * set_stride, FetchKind::Redirect);
         }
         c.fetch(a, FetchKind::Redirect);
-        let out = c.fetch(b, FetchKind::Sequential { prev_pc: a });
+        let (out, s) = fetch_alone(&mut c, b, FetchKind::Sequential { prev_pc: a });
         // b was evicted, so this is either a miss (single-way probe) or, if
         // refilled in a different way, a misprediction; both are legal here,
         // but a misprediction must cost an extra cycle and probe.
-        if out.class == IAccessClass::Mispredicted {
-            assert_eq!(out.ways_probed, 2);
+        if s.mispredicted == 1 {
+            assert_eq!(s.cache_energy, ways_read(&c, 2));
             assert_eq!(out.latency, 2);
         } else {
             assert!(out.is_miss());

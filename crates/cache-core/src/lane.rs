@@ -6,10 +6,11 @@
 //! prices a probe (`base` or `base + extra` cycles, see
 //! [`L1Config::extra_probe_latency`]) but never changes cache state, so
 //! lanes whose configurations differ only in [`L1Config::base_latency`]
-//! share one controller. Each lane's outcome is its controller's outcome
-//! with the latency moved by the lane's base-latency difference, and each
-//! lane's statistics are its controller's: every lane is bit-identical to a
-//! private [`DCacheController`] fed the same access sequence.
+//! share one controller. Each lane's outcome (its hit and latency) is its
+//! controller's outcome with the latency moved by the lane's base-latency
+//! difference, and each lane's statistics (its classes, energies and
+//! counts) are its controller's: every lane is bit-identical to a private
+//! [`DCacheController`] fed the same access sequence.
 
 use crate::config::{ConfigError, L1Config};
 use crate::dcache::{Addr, DAccessOutcome, DCacheController};

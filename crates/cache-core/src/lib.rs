@@ -17,10 +17,10 @@
 //!   falls back to parallel, sequential, or way-predicted access.
 //!
 //! [`DCacheController`] and [`ICacheController`] implement every design
-//! option the paper evaluates (see [`DCachePolicy`] and [`ICachePolicy`]),
-//! accounting per access for latency, energy (via [`wp_energy`]), the
-//! Figure 6/8/10 access-breakdown classes, and prediction-structure
-//! overheads.
+//! option the paper evaluates (see [`DCachePolicy`] and [`ICachePolicy`]).
+//! Each access returns its hit and latency; its energy (via [`wp_energy`]),
+//! its Figure 6/8/10 access-breakdown class, and the prediction-structure
+//! overheads are counted in the controller's statistics.
 //!
 //! # Example
 //!
@@ -36,8 +36,9 @@
 //! assert!(outcome.is_miss()); // cold cache; the block is filled on the way
 //! let outcome = dcache.load(0x40_0100, 0x1000_0040, 0x1000_0040);
 //! assert!(outcome.is_hit());
-//! // The hit probed a single data way: far cheaper than a parallel read.
-//! assert_eq!(outcome.ways_probed, 1);
+//! // Both loads probed only their direct-mapping way: far cheaper than a
+//! // parallel read.
+//! assert_eq!(dcache.stats().direct_mapped_accesses, 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -53,15 +54,11 @@ mod lane;
 mod policy;
 mod stats;
 
-pub use access::{
-    AccessCore, CoreAccess, Observation, Probe, ProbeOutcome, Selection, WaySelect, WaySelection,
-    WaySource,
-};
+pub use access::{AccessCore, Probe, ProbeOutcome, WaySelection, WaySource};
 pub use config::{ConfigError, L1Config};
-pub use dcache::{DAccessClass, DAccessOutcome, DCacheController, DLoadCtx, DWaySelect};
+pub use dcache::{DAccessClass, DAccessOutcome, DCacheController};
 pub use icache::{
-    FetchCtx, FetchKind, IAccessClass, IAccessOutcome, ICacheController, IWaySelect, BTB_ENTRIES,
-    RAS_DEPTH,
+    FetchKind, IAccessClass, IAccessOutcome, ICacheController, BTB_ENTRIES, RAS_DEPTH,
 };
 pub use lane::{LaneDCache, MAX_LANES};
 pub use policy::{kernels, DCachePolicy, DPolicyKernel, ICachePolicy};

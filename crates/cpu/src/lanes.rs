@@ -11,8 +11,9 @@
 //! predictor's state depends only on the op stream, so every lane sees the
 //! same direction sequence) and one d-cache access per distinct d-cache
 //! state through [`wp_cache::LaneDCache`] (lanes that differ only in base
-//! latency share one controller), then steps each lane's scheduler with
-//! its own outcome.
+//! latency share one controller), which writes each lane's hit and latency
+//! straight into the walker's per-lane outcome slice, then steps each
+//! lane's scheduler with its own outcome.
 //!
 //! Everything timing-dependent stays per lane: the i-cache (its fetch
 //! sequence depends on the lane's scheduling), the memory hierarchy, and
@@ -29,10 +30,7 @@
 //! and the core configuration. Figure 10's six i-cache variants, for
 //! example, batch into a single lane group.
 
-use wp_cache::{
-    ConfigError, DAccessOutcome, DCachePolicy, ICacheController, ICachePolicy, L1Config,
-    LaneDCache, MAX_LANES,
-};
+use wp_cache::{ConfigError, DCachePolicy, ICacheController, ICachePolicy, L1Config, LaneDCache};
 use wp_mem::{HierarchyConfig, MemoryHierarchy};
 use wp_predictors::HybridBranchPredictor;
 use wp_workloads::{OpBlockSource, OpKind};
@@ -68,10 +66,10 @@ pub struct LaneMember {
 ///
 /// # Panics
 ///
-/// Panics if `members` is empty, wider than [`MAX_LANES`], or the members
-/// disagree on d-cache geometry — batch construction (`wp-experiments`)
-/// groups by `(policy, geometry)` before calling this — or if a member's
-/// core is one the scheduler cannot model
+/// Panics if `members` is empty, wider than [`wp_cache::MAX_LANES`], or
+/// the members disagree on d-cache geometry — batch construction
+/// (`wp-experiments`) groups by `(policy, geometry)` before calling this —
+/// or if a member's core is one the scheduler cannot model
 /// ([`CpuConfig::assert_supported`]).
 pub fn run_lane_batch(
     dpolicy: DCachePolicy,
@@ -104,18 +102,13 @@ fn run_lane_batch_kernel<K: wp_cache::DPolicyKernel>(
         .collect::<Result<Vec<_>, ConfigError>>()?;
     let mut predictor = HybridBranchPredictor::default();
 
-    let mut full = [DAccessOutcome::default(); MAX_LANES];
-    let full = &mut full[..members.len()];
     walk(source, &mut predictor, &mut lanes, |op, out| {
         match op.kind {
             OpKind::Load { addr, approx_addr } => {
-                dcache.load_kernel::<K>(op.pc, addr, approx_addr, full);
+                dcache.load_kernel::<K>(op.pc, addr, approx_addr, out);
             }
-            OpKind::Store { addr } => dcache.store(op.pc, addr, full),
-            _ => return,
-        }
-        for (out, &outcome) in out.iter_mut().zip(full.iter()) {
-            *out = outcome.into();
+            OpKind::Store { addr } => dcache.store(op.pc, addr, out),
+            _ => {}
         }
     });
 

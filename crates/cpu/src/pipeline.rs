@@ -23,7 +23,9 @@
 //! One scheduling loop runs every simulation. The per-op step lives in
 //! [`SchedState::step_op`], and the walker [`walk`] is its only caller: per
 //! op, one branch-predictor update for a branch or one d-access for a load
-//! or store, which yields every lane's L1 outcome, then each lane's step.
+//! or store, which writes every lane's L1 hit and latency (a
+//! [`DAccessOutcome`]; the d-cache counts the access's class and energy in
+//! its own statistics), then each lane's step.
 //! [`Processor::run_blocks`] walks one lane over its own bare
 //! [`DCacheController`]; the config-parallel lane runner ([`crate::lanes`])
 //! walks up to [`wp_cache::MAX_LANES`] lanes through the lane d-cache
@@ -284,34 +286,6 @@ impl OccupancyRing {
     }
 }
 
-/// The slice of a d-access the scheduler consumes: the L1 service latency
-/// and whether the hierarchy must service a miss. Everything else in a
-/// [`DAccessOutcome`] — energy, access class, way accounting — is
-/// accumulated inside the d-cache itself, so the transit between the
-/// d-side and the scheduler stays 8 bytes (the walker hands each lane one
-/// of these per memory op, by value).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct DServiced {
-    /// L1 latency in cycles (fits easily: probe latencies are small
-    /// configuration constants; miss penalties are added by the caller
-    /// from the hierarchy).
-    latency: u32,
-    /// True if the access missed in the L1 and the hierarchy must be
-    /// consulted.
-    miss: bool,
-}
-
-impl From<DAccessOutcome> for DServiced {
-    #[inline(always)]
-    fn from(out: DAccessOutcome) -> Self {
-        debug_assert!(out.latency <= u64::from(u32::MAX));
-        Self {
-            latency: out.latency as u32,
-            miss: !out.hit,
-        }
-    }
-}
-
 /// `cur_block` when no fetch block is current. Block addresses are `u64`
 /// (a 1-byte i-cache block is its PC), so this value is never one.
 const NO_BLOCK: u128 = u128::MAX;
@@ -384,7 +358,7 @@ impl SchedState {
         block_mask: u64,
         op: &MicroOp,
         predicted_taken: bool,
-        dout: DServiced,
+        dout: DAccessOutcome,
         icache: &mut ICacheController,
         hierarchy: &mut MemoryHierarchy,
     ) {
@@ -451,8 +425,8 @@ impl SchedState {
             }
             OpKind::Load { addr, .. } => {
                 self.activity.loads += 1;
-                let mut lat = u64::from(dout.latency);
-                if dout.miss {
+                let mut lat = dout.latency;
+                if dout.is_miss() {
                     let (below, _) = hierarchy.access(addr, AccessKind::Read);
                     lat += below;
                     self.activity.l2_accesses += 1;
@@ -461,13 +435,13 @@ impl SchedState {
             }
             OpKind::Store { addr } => {
                 self.activity.stores += 1;
-                if dout.miss {
+                if dout.is_miss() {
                     // The store's refill proceeds off the critical path,
                     // but it still consumes L2 bandwidth/energy.
                     let _ = hierarchy.access(addr, AccessKind::Write);
                     self.activity.l2_accesses += 1;
                 }
-                u64::from(dout.latency)
+                dout.latency
             }
             OpKind::Branch { .. } => {
                 self.activity.branches += 1;
@@ -611,9 +585,9 @@ pub(crate) fn walk(
     source: &mut impl OpBlockSource,
     predictor: &mut HybridBranchPredictor,
     lanes: &mut [Lane],
-    mut daccess: impl FnMut(&MicroOp, &mut [DServiced]),
+    mut daccess: impl FnMut(&MicroOp, &mut [DAccessOutcome]),
 ) {
-    let mut outcomes = [DServiced::default(); MAX_LANES];
+    let mut outcomes = [DAccessOutcome::default(); MAX_LANES];
     let outcomes = &mut outcomes[..lanes.len()];
     let mut buf = OpBuffer::new();
     loop {
@@ -743,8 +717,7 @@ impl Processor {
                     }
                     OpKind::Store { addr } => dcache.store(op.pc, addr),
                     _ => return,
-                }
-                .into();
+                };
             },
         ));
         self.lane

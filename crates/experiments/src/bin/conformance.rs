@@ -36,7 +36,7 @@ use wp_cache::DCachePolicy;
 use wp_experiments::conformance::{self, check_plan, random_points, GoldenDrift, GOLDEN_OPTIONS};
 use wp_experiments::engine::{SimEngine, SimPlan, SimPoint};
 use wp_experiments::runner::{
-    exit_usage, options_from_args, parse_value, MachineConfig, RunOptions,
+    exit_usage, options_from_args, parse_value, print_line, MachineConfig, RunOptions,
 };
 use wp_experiments::storage::FaultyIo;
 use wp_experiments::MatrixCache;
@@ -114,20 +114,20 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
 /// mismatch count.
 fn tally(section: &str, reports: &[conformance::PointReport]) -> usize {
     let mismatches: Vec<_> = reports.iter().filter(|r| !r.matches()).collect();
-    println!(
+    print_line(format_args!(
         "conformance[{section}]: {} points, {} mismatches",
         reports.len(),
         mismatches.len()
-    );
+    ));
     for report in &mismatches {
-        println!(
+        print_line(format_args!(
             "  MISMATCH {} on {:?} (ops {}, seed {}): fields {:?}",
             report.point.workload,
             report.point.machine.dpolicy,
             report.point.options.ops,
             report.point.options.seed,
             report.diff
-        );
+        ));
     }
     mismatches.len()
 }
@@ -138,7 +138,7 @@ fn main() {
 
     // ---- 1. the full run_all sweep ----
     if cli.skip_sweep {
-        println!("conformance[sweep]: skipped (--skip-sweep)");
+        print_line("conformance[sweep]: skipped (--skip-sweep)");
     } else {
         let plan = wp_experiments::run_all_plan(&cli.run);
         let unique = plan.unique_points().len();
@@ -183,7 +183,9 @@ fn main() {
             failures += tally("trace", &check_plan(&cli.engine, &plan));
         }
         Err(error) => {
-            println!("conformance[trace]: FAILED to capture/open trace: {error}");
+            print_line(format_args!(
+                "conformance[trace]: FAILED to capture/open trace: {error}"
+            ));
             failures += 1;
         }
     }
@@ -247,43 +249,45 @@ fn main() {
     // ---- 5. golden artefact snapshots ----
     if cli.bless {
         match conformance::bless_goldens(&cli.golden_dir, cli.threads) {
-            Ok(()) => println!(
+            Ok(()) => print_line(format_args!(
                 "conformance[golden]: blessed {} artefacts into {} (ops {}, seed {})",
                 conformance::golden_names().count(),
                 cli.golden_dir.display(),
                 GOLDEN_OPTIONS.ops,
                 GOLDEN_OPTIONS.seed
-            ),
+            )),
             Err(error) => {
-                println!("conformance[golden]: FAILED to bless: {error}");
+                print_line(format_args!(
+                    "conformance[golden]: FAILED to bless: {error}"
+                ));
                 failures += 1;
             }
         }
     } else {
         let drift = conformance::check_goldens(&cli.golden_dir, cli.threads);
-        println!(
+        print_line(format_args!(
             "conformance[golden]: {} artefacts, {} drifting",
             conformance::golden_names().count(),
             drift.len()
-        );
+        ));
         for entry in &drift {
             match entry {
-                GoldenDrift::Missing(name) => {
-                    println!("  MISSING golden {name}.json (run `conformance --bless`)")
-                }
-                GoldenDrift::Differs(name) => println!(
+                GoldenDrift::Missing(name) => print_line(format_args!(
+                    "  MISSING golden {name}.json (run `conformance --bless`)"
+                )),
+                GoldenDrift::Differs(name) => print_line(format_args!(
                     "  DRIFT {name}.json differs from the fresh render \
                      (intentional? re-run `conformance --bless` and commit)"
-                ),
+                )),
             }
         }
         failures += drift.len();
     }
 
     if failures == 0 {
-        println!("conformance: OK — oracle and optimized stacks agree bit for bit");
+        print_line("conformance: OK — oracle and optimized stacks agree bit for bit");
     } else {
-        println!("conformance: {failures} failures");
+        print_line(format_args!("conformance: {failures} failures"));
         std::process::exit(1);
     }
 }

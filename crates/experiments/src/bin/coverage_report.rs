@@ -16,8 +16,8 @@
 //! [--no-matrix-cache] [--matrix-cache-dir PATH]`
 
 use wp_experiments::conformance::GOLDEN_OPTIONS;
-use wp_experiments::coverage::{self, check_designed_cells, check_taxonomy, CoverageArtefact};
-use wp_experiments::runner::CliOptions;
+use wp_experiments::coverage::{self, check_designed_cells, CoverageArtefact};
+use wp_experiments::runner::{print_line, CliOptions};
 
 fn main() {
     let cli = CliOptions::from_env_or_exit();
@@ -40,27 +40,19 @@ fn main() {
             (vec![report], failures)
         }
         None => {
-            let artefact: CoverageArtefact = coverage::run_artefact(&engine, &options);
-            let mut failures: Vec<String> = artefact
-                .tier_reports()
-                .iter()
-                .flat_map(check_designed_cells)
-                .collect();
-            failures.extend(check_taxonomy(&artefact.reports));
+            let artefact = coverage::run_artefact(&engine, &options);
+            let failures = artefact.failures();
             (artefact.reports, failures)
         }
     };
 
     if cli.json {
-        println!(
-            "{}",
-            wp_experiments::report::to_json(&CoverageArtefact {
-                reports: reports.clone()
-            })
-        );
+        print_line(wp_experiments::report::to_json(&CoverageArtefact {
+            reports: reports.clone(),
+        }));
     } else {
         for report in &reports {
-            println!("{}", report.to_table());
+            print_line(report.to_table());
         }
     }
 

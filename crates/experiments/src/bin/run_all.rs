@@ -22,7 +22,7 @@
 
 use serde::{Serialize, Value};
 use wp_experiments::coverage;
-use wp_experiments::runner::CliOptions;
+use wp_experiments::runner::{print_line, CliOptions};
 use wp_experiments::ARTEFACTS;
 
 fn main() {
@@ -98,13 +98,13 @@ fn main() {
             let coverage = ("coverage".to_string(), coverage.to_value());
             Value::Object(artefacts.chain([coverage]).collect())
         });
-        println!("{json}");
+        print_line(json);
         return;
     }
     for artefact in &ARTEFACTS {
-        println!("{}\n", (artefact.table)(&matrix, &options));
+        print_line(format_args!("{}\n", (artefact.table)(&matrix, &options)));
     }
     if let Some(coverage) = &coverage {
-        println!("{}\n", coverage.to_table());
+        print_line(format_args!("{}\n", coverage.to_table()));
     }
 }

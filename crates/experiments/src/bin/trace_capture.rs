@@ -21,7 +21,9 @@
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
-use wp_experiments::runner::{exit_usage, parse_value, CliError, CliOptions, RunOptions};
+use wp_experiments::runner::{
+    exit_usage, parse_value, print_line, CliError, CliOptions, RunOptions,
+};
 use wp_workloads::{capture_to_file, ProfileSpec, TextTraceWriter, WorkloadSpec};
 
 const USAGE: &str = "usage: trace_capture (--workload NAME | --profile FILE) --out PATH \
@@ -107,11 +109,11 @@ fn capture_one(workload: &WorkloadSpec, out: &Path, run: &RunOptions, text: bool
     match result {
         Ok(records) => {
             let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
-            println!(
+            print_line(format_args!(
                 "captured {records} ops of `{label}` to {} ({bytes} bytes, {:.2} bytes/op)",
                 out.display(),
                 bytes as f64 / records.max(1) as f64,
-            );
+            ));
             true
         }
         Err(error) => {
@@ -150,13 +152,13 @@ fn main() {
                 };
                 all_ok &= capture_one(&workload, &cli.out.join(file), &cli.run, cli.text);
             }
-            println!(
+            print_line(format_args!(
                 "captured profile `{}` (tier {}, {} scenarios) into {}",
                 profile.name,
                 profile.tier.name(),
                 profile.scenarios.len(),
                 cli.out.display()
-            );
+            ));
             all_ok
         }
     };

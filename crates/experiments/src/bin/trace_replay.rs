@@ -22,7 +22,7 @@ use wp_cache::DCachePolicy;
 use wp_experiments::engine::{SimPlan, SimPoint};
 use wp_experiments::report::{ratio, TextTable};
 use wp_experiments::runner::{
-    exit_usage, parse_value, CliError, CliOptions, MachineConfig, RunOptions,
+    exit_usage, parse_value, print_line, CliError, CliOptions, MachineConfig, RunOptions,
 };
 use wp_workloads::WorkloadSpec;
 
@@ -155,13 +155,13 @@ fn main() {
     };
 
     if cli.json {
-        println!("{}", wp_experiments::report::to_json(&report));
+        print_line(wp_experiments::report::to_json(&report));
         return;
     }
-    println!(
+    print_line(format_args!(
         "trace {} (`{}`, {} records, replaying {} ops)",
         report.trace, report.source, report.records, report.replayed_ops
-    );
+    ));
     let mut table = TextTable::new(vec![
         "policy",
         "cycles",
@@ -182,5 +182,5 @@ fn main() {
             ratio(row.relative_energy_delay),
         ]);
     }
-    println!("{}", table.render());
+    print_line(table.render());
 }

@@ -19,10 +19,11 @@
 //! * `run_all --profile <file>` appends the matrix for an on-disk profile
 //!   to its report.
 //!
-//! A [`reference_report`] over two paper benchmarks rides along so classes
-//! the adversarial generators deliberately do not emit (return-stack way
-//! hits need call/return pairs) still have a covering cell —
-//! [`check_taxonomy`] proves no outcome class is dead across the union.
+//! A reference report over two paper benchmarks ([`reference_workloads`],
+//! base axis only) rides along so classes the adversarial generators
+//! deliberately do not emit (return-stack way hits need call/return pairs)
+//! still have a covering cell — [`check_taxonomy`] proves no outcome class
+//! is dead across the union.
 
 use serde::Serialize;
 use wp_cache::{DCachePolicy, ICachePolicy, L1Config};
@@ -102,7 +103,7 @@ pub fn policies() -> [DCachePolicy; 7] {
     DCachePolicy::all()
 }
 
-/// The benchmark pair behind [`reference_report`]: ordinary call/return
+/// The benchmark pair behind the reference report: ordinary call/return
 /// heavy workloads covering the classes the adversarial generators do not
 /// emit by design.
 pub fn reference_workloads() -> Vec<WorkloadSpec> {
@@ -178,11 +179,15 @@ impl CoverageReport {
 }
 
 /// The simulation points one workload set needs: every workload × every
-/// concrete d-cache policy × every configuration axis.
-pub fn workload_plan(workloads: &[WorkloadSpec], options: &RunOptions) -> SimPlan {
+/// concrete d-cache policy × every configuration axis in `axes`.
+pub fn workload_plan(
+    workloads: &[WorkloadSpec],
+    axes: &[(&str, MachineConfig)],
+    options: &RunOptions,
+) -> SimPlan {
     let mut plan = SimPlan::new();
     for workload in workloads {
-        for (_, machine) in config_axes() {
+        for (_, machine) in axes {
             for policy in policies() {
                 plan.add(SimPoint::with_workload(
                     workload.clone(),
@@ -195,28 +200,31 @@ pub fn workload_plan(workloads: &[WorkloadSpec], options: &RunOptions) -> SimPla
     plan
 }
 
-/// [`workload_plan`] for a profile's scenarios.
+/// [`workload_plan`] for a profile's scenarios over every
+/// [`config_axes`] entry.
 pub fn profile_plan(profile: &ProfileSpec, options: &RunOptions) -> SimPlan {
-    workload_plan(&profile.workloads(), options)
+    workload_plan(&profile.workloads(), &config_axes(), options)
 }
 
-/// Builds the matrix for `workloads` from already-executed results.
+/// Builds the matrix for `workloads` over `axes` from already-executed
+/// results.
 ///
 /// # Panics
 ///
 /// Panics if `matrix` is missing any point of
-/// [`workload_plan`]`(workloads, options)`.
+/// [`workload_plan`]`(workloads, axes, options)`.
 pub fn report_from_matrix(
     profile_name: &str,
     tier: &str,
     workloads: &[WorkloadSpec],
+    axes: &[(&str, MachineConfig)],
     matrix: &SimMatrix,
     options: &RunOptions,
 ) -> CoverageReport {
     let rows = policies()
         .iter()
         .flat_map(|&policy| {
-            config_axes().into_iter().map(move |(axis, machine)| {
+            axes.iter().map(move |&(axis, machine)| {
                 let mut counts = [0u64; 14];
                 for workload in workloads {
                     let result =
@@ -253,59 +261,10 @@ pub fn profile_report(
         &profile.name,
         profile.tier.name(),
         &profile.workloads(),
+        &config_axes(),
         matrix,
         options,
     )
-}
-
-/// The benchmark-pair matrix over the base axis only (see
-/// [`reference_workloads`]); `matrix` must hold [`reference_plan`]'s
-/// points.
-pub fn reference_report(matrix: &SimMatrix, options: &RunOptions) -> CoverageReport {
-    let workloads = reference_workloads();
-    let (axis, machine) = config_axes()[0];
-    let rows = policies()
-        .iter()
-        .map(|&policy| {
-            let mut counts = [0u64; 14];
-            for workload in &workloads {
-                let result =
-                    matrix.require_workload(workload, &machine.with_dpolicy(policy), options);
-                for (total, count) in counts.iter_mut().zip(outcome_counts(result)) {
-                    *total += count;
-                }
-            }
-            CoverageRow {
-                policy: policy.label().to_string(),
-                axis: axis.to_string(),
-                counts: counts.to_vec(),
-            }
-        })
-        .collect();
-    CoverageReport {
-        profile: "benchmarks".to_string(),
-        tier: "reference".to_string(),
-        ops: options.ops,
-        seed: options.seed,
-        classes: OUTCOME_CLASSES.iter().map(|c| c.to_string()).collect(),
-        rows,
-    }
-}
-
-/// The simulation points [`reference_report`] needs.
-pub fn reference_plan(options: &RunOptions) -> SimPlan {
-    let mut plan = SimPlan::new();
-    let (_, machine) = config_axes()[0];
-    for workload in reference_workloads() {
-        for policy in policies() {
-            plan.add(SimPoint::with_workload(
-                workload.clone(),
-                machine.with_dpolicy(policy),
-                *options,
-            ));
-        }
-    }
-    plan
 }
 
 /// One cell a profile is designed to reach, and why.
@@ -501,13 +460,18 @@ impl CoverageArtefact {
 }
 
 /// The union plan behind [`CoverageArtefact`]: all three built-in tiers
-/// plus the benchmark reference rows.
+/// plus the benchmark reference rows, whose matrix covers the base axis
+/// only.
 pub fn artefact_plan(options: &RunOptions) -> SimPlan {
     let mut plan = SimPlan::new();
     for profile in ProfileSpec::builtin_all() {
         plan.merge(profile_plan(&profile, options));
     }
-    plan.merge(reference_plan(options));
+    plan.merge(workload_plan(
+        &reference_workloads(),
+        &config_axes()[..1],
+        options,
+    ));
     plan
 }
 
@@ -518,7 +482,14 @@ pub fn artefact_from_matrix(matrix: &SimMatrix, options: &RunOptions) -> Coverag
         .iter()
         .map(|profile| profile_report(profile, matrix, options))
         .collect();
-    reports.push(reference_report(matrix, options));
+    reports.push(report_from_matrix(
+        "benchmarks",
+        "reference",
+        &reference_workloads(),
+        &config_axes()[..1],
+        matrix,
+        options,
+    ));
     CoverageArtefact { reports }
 }
 

@@ -9,10 +9,12 @@
 //! [`MachineConfig`] key type, the [`CancelToken`], and the command line
 //! the binaries share: [`CliOptions`], which parses each shared flag in one
 //! place ([`CliOptions::parse_flag`]) and builds the engine of the batch
-//! binaries and the `wp-serve` daemon ([`CliOptions::engine`]), and
-//! [`exit_usage`], how every binary refuses a bad command line.
+//! binaries and the `wp-serve` daemon ([`CliOptions::engine`]),
+//! [`exit_usage`], how every binary refuses a bad command line, and
+//! [`print_line`], how every binary writes to stdout.
 
 use core::fmt;
+use std::io::{self, Write};
 use std::sync::Arc;
 
 use serde::Serialize;
@@ -522,6 +524,23 @@ pub fn exit_usage(usage: &str, error: impl fmt::Display) -> ! {
     std::process::exit(2);
 }
 
+/// Prints `line` and a newline to stdout, flushed: the one stdout writer
+/// of every binary. `println!` panics once the reader has gone (`run_all |
+/// head`); this prints nothing then, quietly, so the binary still ends
+/// with the exit status its run earns, and a failing `conformance | head`
+/// still exits 1. Any other write error prints `error: …` to stderr and
+/// exits with status 1.
+pub fn print_line(line: impl fmt::Display) {
+    let mut stdout = io::stdout().lock();
+    match writeln!(stdout, "{line}").and_then(|()| stdout.flush()) {
+        Err(error) if error.kind() != io::ErrorKind::BrokenPipe => {
+            eprintln!("error: cannot write to stdout: {error}");
+            std::process::exit(1);
+        }
+        _ => {}
+    }
+}
+
 /// Shared body of the single-artefact binaries: parse the command line,
 /// execute the plan of the [`crate::ARTEFACTS`] row called `name` on the
 /// engine, and print the artefact as a text table or (`--json`)
@@ -561,9 +580,9 @@ pub fn artefact_main(name: &str) {
     }
     if cli.json {
         let json = crate::report::to_json_with(|| (artefact.json)(&matrix, &run));
-        println!("{json}");
+        print_line(json);
     } else {
-        println!("{}", (artefact.table)(&matrix, &run));
+        print_line((artefact.table)(&matrix, &run));
     }
 }
 

@@ -4,10 +4,12 @@
 //! `error: <specific message>` plus the usage line to stderr and exit
 //! with status 2 — across the binaries (`run_all`, `trace_capture`,
 //! `trace_replay`, `conformance`, `coverage_report`). A trace with no ops
-//! is a runtime error of `trace_replay` (exit 1).
+//! is a runtime error of `trace_replay` (exit 1). A binary whose stdout
+//! closes early stops printing without a panic and exits with the status
+//! its run earns.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Runs a binary with `args`; returns `(exit_code, stderr)`.
 fn run(binary: &str, args: &[&str]) -> (i32, String) {
@@ -15,6 +17,26 @@ fn run(binary: &str, args: &[&str]) -> (i32, String) {
         .args(args)
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn {binary}: {e}"));
+    (
+        output.status.code().expect("binary exited with a code"),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
+}
+
+/// Runs a binary with `args` and closes its stdout's read end right after
+/// the spawn, before the binary can print, as `binary | true` does;
+/// returns `(exit_code, stderr)`.
+fn run_with_closed_stdout(binary: &str, args: &[&str]) -> (i32, String) {
+    let mut child = Command::new(binary)
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap_or_else(|e| panic!("failed to spawn {binary}: {e}"));
+    drop(child.stdout.take());
+    let output = child
+        .wait_with_output()
+        .unwrap_or_else(|e| panic!("failed to wait for {binary}: {e}"));
     (
         output.status.code().expect("binary exited with a code"),
         String::from_utf8_lossy(&output.stderr).into_owned(),
@@ -312,5 +334,41 @@ fn conformance_rejects_bad_command_lines_with_exact_messages() {
         bin,
         &["--health-json", "/tmp/health.json"],
         "flag `--health-json` is not supported by conformance",
+    );
+}
+
+#[test]
+fn binaries_stop_quietly_on_a_closed_stdout() {
+    for binary in [env!("CARGO_BIN_EXE_run_all"), env!("CARGO_BIN_EXE_fig4")] {
+        let (code, stderr) =
+            run_with_closed_stdout(binary, &["--quick", "--ops", "1000", "--no-matrix-cache"]);
+        assert_eq!(code, 0, "{binary} must exit 0; stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{binary} panicked: {stderr}");
+    }
+}
+
+#[test]
+fn a_failing_conformance_exits_1_on_a_closed_stdout() {
+    // Every golden is missing from an empty directory, so the run fails;
+    // losing its stdout must not turn that into a pass or a panic.
+    let dir = temp_dir("goldens");
+    let (code, stderr) = run_with_closed_stdout(
+        env!("CARGO_BIN_EXE_conformance"),
+        &[
+            "--quick",
+            "--ops",
+            "1000",
+            "--random",
+            "0",
+            "--skip-sweep",
+            "--golden-dir",
+            dir.to_str().unwrap(),
+        ],
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(code, 1, "conformance must exit 1; stderr: {stderr}");
+    assert!(
+        !stderr.contains("panicked"),
+        "conformance panicked: {stderr}"
     );
 }

@@ -6,7 +6,6 @@
 //! (LRU-chosen) position — the distinction selective direct-mapping rests on.
 
 use crate::geometry::CacheGeometry;
-use crate::stats::CacheStats;
 use crate::{Addr, BlockAddr, WayIndex};
 
 /// Whether an access reads or writes the block.
@@ -176,7 +175,6 @@ pub struct SetAssocCache {
     /// [`FLAG_DM`]): the fill path overwrites the whole byte in one store
     /// and the eviction path reads both flags in one load.
     flags: Vec<u8>,
-    stats: CacheStats,
     clock: u64,
 }
 
@@ -191,7 +189,6 @@ impl SetAssocCache {
             lru_stamps: vec![0; blocks],
             valid: BitSet::new(blocks),
             flags: vec![0; blocks],
-            stats: CacheStats::default(),
             clock: 0,
         }
     }
@@ -284,17 +281,7 @@ impl SetAssocCache {
         &self.geometry
     }
 
-    /// Accumulated hit/miss statistics.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    /// Resets the accumulated statistics without touching cache contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
-    /// Looks up `addr` without modifying replacement state or statistics.
+    /// Looks up `addr` without modifying replacement state.
     ///
     /// Returns the way holding the block if it is resident. This models a
     /// pure tag-array probe.
@@ -305,7 +292,8 @@ impl SetAssocCache {
     }
 
     /// Performs a full access: looks up `addr`, fills on a miss using the
-    /// requested `placement`, updates LRU state and statistics.
+    /// requested `placement`, and updates LRU state. The tag store keeps no
+    /// statistics: its callers count what they report.
     ///
     /// On a miss the returned [`AccessResult::evicted`] carries the victim
     /// block so callers (e.g. the selective-DM victim list) can observe
@@ -325,7 +313,6 @@ impl SetAssocCache {
             if kind == AccessKind::Write {
                 self.flags[index] |= FLAG_DIRTY;
             }
-            self.stats.record_hit(kind);
             return AccessResult {
                 hit: true,
                 way,
@@ -334,7 +321,6 @@ impl SetAssocCache {
             };
         }
 
-        self.stats.record_miss(kind);
         let (way, evicted) = self.fill_scanned(set, tag, dm_way, placement, scan.victim_way);
         if kind == AccessKind::Write {
             self.flags[base + way] |= FLAG_DIRTY;
@@ -373,9 +359,6 @@ impl SetAssocCache {
             dirty: self.flags[index] & FLAG_DIRTY != 0,
             direct_mapped: self.flags[index] & FLAG_DM != 0,
         });
-        if evicted.is_some() {
-            self.stats.record_eviction();
-        }
         self.valid.set(index, true);
         self.flags[index] = if victim_way == dm_way { FLAG_DM } else { 0 };
         self.tags[index] = tag;
@@ -408,8 +391,6 @@ mod tests {
         assert!(c
             .access(0x100, AccessKind::Read, Placement::SetAssociative)
             .is_hit());
-        assert_eq!(c.stats().reads, 2);
-        assert_eq!(c.stats().read_misses, 1);
     }
 
     #[test]

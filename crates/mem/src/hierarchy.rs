@@ -77,6 +77,7 @@ pub enum HierarchyOutcome {
 pub struct MemoryHierarchy {
     config: HierarchyConfig,
     l2: SetAssocCache,
+    l2_stats: CacheStats,
     memory_accesses: u64,
 }
 
@@ -96,6 +97,7 @@ impl MemoryHierarchy {
         Ok(Self {
             config,
             l2: SetAssocCache::new(geometry),
+            l2_stats: CacheStats::default(),
             memory_accesses: 0,
         })
     }
@@ -107,7 +109,7 @@ impl MemoryHierarchy {
 
     /// L2 statistics.
     pub fn l2_stats(&self) -> &CacheStats {
-        self.l2.stats()
+        &self.l2_stats
     }
 
     /// Number of accesses that reached main memory.
@@ -129,9 +131,14 @@ impl MemoryHierarchy {
     /// across L1 misses is captured.
     pub fn access(&mut self, addr: Addr, kind: AccessKind) -> (u64, HierarchyOutcome) {
         let result = self.l2.access(addr, kind, Placement::SetAssociative);
+        if result.evicted.is_some() {
+            self.l2_stats.record_eviction();
+        }
         if result.is_hit() {
+            self.l2_stats.record_hit(kind);
             (self.config.l2_latency, HierarchyOutcome::L2Hit)
         } else {
+            self.l2_stats.record_miss(kind);
             self.memory_accesses += 1;
             (
                 self.config.l2_latency + self.memory_transfer_latency(),
@@ -143,7 +150,7 @@ impl MemoryHierarchy {
     /// Resets L2 statistics and the memory access counter (contents are
     /// preserved, mirroring a warm-up / measurement split).
     pub fn reset_stats(&mut self) {
-        self.l2.reset_stats();
+        self.l2_stats = CacheStats::default();
         self.memory_accesses = 0;
     }
 }

@@ -13,7 +13,8 @@
 //!   position) and eviction reporting, as required by selective-DM.
 //! * [`MemoryHierarchy`] — the L2 + main-memory latency model of Table 1
 //!   (1 M 8-way 12-cycle L2, 80 cycles + 4 cycles per 8 bytes memory).
-//! * [`CacheStats`] — hit/miss/eviction accounting shared by all levels.
+//! * [`CacheStats`] — the L2's hit/miss/eviction counts. The L1
+//!   controllers in `wp-cache` keep their own statistics.
 //!
 //! # Example
 //!

@@ -1,8 +1,9 @@
-//! Hit/miss accounting shared by every cache level.
+//! Hit/miss accounting for the L2.
 
 use crate::cache::AccessKind;
 
-/// Access counters for a single cache.
+/// Access counters for one cache: the L2, counted by
+/// [`crate::MemoryHierarchy`].
 ///
 /// All counters are raw event counts; derived ratios are provided as
 /// methods so they are always consistent with the counts.
@@ -71,15 +72,6 @@ impl CacheStats {
     pub fn record_eviction(&mut self) {
         self.evictions += 1;
     }
-
-    /// Merges another set of counters into this one.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.reads += other.reads;
-        self.read_misses += other.read_misses;
-        self.writes += other.writes;
-        self.write_misses += other.write_misses;
-        self.evictions += other.evictions;
-    }
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -114,21 +106,5 @@ mod tests {
         assert_eq!(s.misses(), 2);
         assert!((s.miss_ratio() - 2.0 / 6.0).abs() < 1e-12);
         assert!((s.miss_rate_percent() - 100.0 * 2.0 / 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = CacheStats {
-            reads: 10,
-            read_misses: 2,
-            writes: 5,
-            write_misses: 1,
-            evictions: 3,
-        };
-        let b = a;
-        a.merge(&b);
-        assert_eq!(a.reads, 20);
-        assert_eq!(a.misses(), 6);
-        assert_eq!(a.evictions, 6);
     }
 }

@@ -41,7 +41,8 @@ pub struct OracleDCache {
     cache: OracleCache,
     energy: CacheEnergyModel,
     /// Energy of one prediction-table access, computed once from the same
-    /// `wp-energy` formula the optimized [`wp_cache::DWaySelect`] uses.
+    /// `wp-energy` formula the optimized [`wp_cache::DCacheController`]
+    /// uses.
     table_energy: Energy,
     /// Energy of one victim-list access, likewise.
     victim_energy: Energy,
@@ -94,8 +95,8 @@ impl OracleDCache {
     }
 
     /// Fill placement for `block_addr` under the current policy: the
-    /// per-access re-statement of [`wp_cache::DWaySelect`]'s placement
-    /// rule.
+    /// per-access re-statement of [`wp_cache::DCacheController`]'s
+    /// placement rule.
     fn placement(&self, block_addr: u64) -> Placement {
         if !self.policy.uses_selective_dm() || self.victims.is_conflicting(block_addr) {
             Placement::SetAssociative
@@ -229,7 +230,6 @@ impl OracleDCache {
             DAccessClass::WayPredicted => self.stats.way_predicted_accesses += 1,
             DAccessClass::Sequential => self.stats.sequential_accesses += 1,
             DAccessClass::Mispredicted => self.stats.mispredicted_accesses += 1,
-            DAccessClass::Write => {}
         }
         self.stats.cache_energy += probe.energy;
         self.stats.prediction_energy += prediction_energy;

@@ -34,7 +34,7 @@ pub struct OracleICache {
     cache: OracleCache,
     energy: CacheEnergyModel,
     /// Energy of one way-field access, computed from the same `wp-energy`
-    /// formula the optimized [`wp_cache::IWaySelect`] precomputes.
+    /// formula the optimized [`wp_cache::ICacheController`] precomputes.
     way_field_energy: Energy,
     btb: Btb,
     /// Section 2.3's Sequential Address Way-Predictor (SAWP): a PC-indexed

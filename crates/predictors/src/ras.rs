@@ -26,8 +26,6 @@ use wp_mem::{Addr, WayIndex};
 pub struct ReturnAddressStack {
     entries: Vec<(Addr, Option<WayIndex>)>,
     capacity: usize,
-    overflows: u64,
-    underflows: u64,
 }
 
 impl ReturnAddressStack {
@@ -41,8 +39,6 @@ impl ReturnAddressStack {
         Self {
             entries: Vec::with_capacity(capacity),
             capacity,
-            overflows: 0,
-            underflows: 0,
         }
     }
 
@@ -65,7 +61,6 @@ impl ReturnAddressStack {
     /// of the return target if known.
     pub fn push(&mut self, return_addr: Addr, way: Option<WayIndex>) {
         if self.entries.len() == self.capacity {
-            self.overflows += 1;
             self.entries.remove(0);
         }
         self.entries.push((return_addr, way));
@@ -74,21 +69,7 @@ impl ReturnAddressStack {
     /// Pops the most recent return address and its way prediction, or `None`
     /// if the stack is empty.
     pub fn pop(&mut self) -> Option<(Addr, Option<WayIndex>)> {
-        let popped = self.entries.pop();
-        if popped.is_none() {
-            self.underflows += 1;
-        }
-        popped
-    }
-
-    /// Number of pushes that discarded the oldest entry.
-    pub fn overflows(&self) -> u64 {
-        self.overflows
-    }
-
-    /// Number of pops on an empty stack.
-    pub fn underflows(&self) -> u64 {
-        self.underflows
+        self.entries.pop()
     }
 }
 
@@ -111,7 +92,6 @@ mod tests {
         ras.push(0x100, None);
         ras.push(0x200, None);
         ras.push(0x300, None);
-        assert_eq!(ras.overflows(), 1);
         assert_eq!(ras.pop(), Some((0x300, None)));
         assert_eq!(ras.pop(), Some((0x200, None)));
         assert_eq!(ras.pop(), None, "0x100 was discarded");
@@ -121,7 +101,10 @@ mod tests {
     fn underflow_is_counted() {
         let mut ras = ReturnAddressStack::new(2);
         assert_eq!(ras.pop(), None);
-        assert_eq!(ras.underflows(), 1);
+        // An underflow leaves the stack usable.
+        ras.push(0x100, Some(1));
+        assert_eq!(ras.pop(), Some((0x100, Some(1))));
+        assert_eq!(ras.pop(), None);
     }
 
     #[test]

@@ -41,7 +41,8 @@ pub struct VictimList {
     capacity: usize,
     conflict_threshold: u32,
     clock: u64,
-    allocations: u64,
+    /// Entries displaced because the list was full; every 256th rebuilds
+    /// the filters.
     replacements: u64,
     /// 64-bit membership filter over the *conflicting* entries: bit
     /// `hash(block) % 64` is set for every block whose count exceeds the
@@ -71,7 +72,6 @@ impl VictimList {
             capacity,
             conflict_threshold,
             clock: 0,
-            allocations: 0,
             replacements: 0,
             conflict_filter: 0,
             presence_filter: 0,
@@ -98,12 +98,6 @@ impl VictimList {
         }
     }
 
-    /// The paper's configuration: 16 entries, conflicting after more than
-    /// two evictions.
-    pub fn paper_default() -> Self {
-        Self::new(16, 2)
-    }
-
     /// Number of entries the list can hold.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -117,16 +111,6 @@ impl VictimList {
     /// True if no victims have been recorded (or all have aged out).
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Number of new entries allocated so far.
-    pub fn allocations(&self) -> u64 {
-        self.allocations
-    }
-
-    /// Number of entries displaced because the list was full.
-    pub fn replacements(&self) -> u64 {
-        self.replacements
     }
 
     /// Records that `block` was just evicted from the cache.
@@ -150,7 +134,6 @@ impl VictimList {
                 return conflicting;
             }
         }
-        self.allocations += 1;
         let entry = VictimEntry {
             block,
             count: 1,
@@ -218,9 +201,21 @@ mod tests {
 
     #[test]
     fn paper_default_has_16_entries() {
-        let list = VictimList::paper_default();
-        assert_eq!(list.capacity(), 16);
+        // The paper's list: 16 entries, conflicting after two evictions.
+        let mut list = VictimList::new(16, 2);
         assert!(list.is_empty());
+        let flagged = 0x1000;
+        for _ in 0..3 {
+            list.record_eviction(flagged);
+        }
+        // Fifteen newer victims fill the list without displacing the flag…
+        for i in 1..16u64 {
+            list.record_eviction(0x1000 + i * 0x100);
+        }
+        assert!(list.is_conflicting(flagged));
+        // …and a sixteenth displaces it, the least recently touched.
+        list.record_eviction(0x9000);
+        assert!(!list.is_conflicting(flagged));
     }
 
     #[test]
@@ -252,7 +247,6 @@ mod tests {
         list.record_eviction(0x100);
         list.record_eviction(0x300);
         assert_eq!(list.len(), 2);
-        assert_eq!(list.replacements(), 1);
         assert!(
             list.eviction_count(0x200).is_none(),
             "stale entry displaced"
@@ -274,7 +268,7 @@ mod tests {
 
     #[test]
     fn untracked_blocks_are_not_conflicting() {
-        let list = VictimList::paper_default();
+        let list = VictimList::new(16, 2);
         assert!(!list.is_conflicting(0xdead_0000));
         assert_eq!(list.eviction_count(0xdead_0000), None);
     }

@@ -11,10 +11,9 @@
 //! the daemon drains in-flight work, answers new requests with
 //! `shutting_down`, and exits 0. See `docs/SERVICE.md`.
 
-use std::io::Write;
 use std::time::Duration;
 
-use wp_experiments::runner::{exit_usage, parse_positive, parse_value};
+use wp_experiments::runner::{exit_usage, parse_positive, parse_value, print_line};
 use wp_experiments::{CliError, CliOptions, PointService};
 use wp_serve::server::{self, Listen, ServerConfig};
 use wp_serve::signal;
@@ -106,9 +105,11 @@ fn main() {
         }
     };
     // The bound address (with the actual port for `--listen host:0`) goes to
-    // stdout so wrappers can discover it; flush before blocking.
-    println!("wp-serve: listening on {scheme}://{}", server.addr());
-    let _ = std::io::stdout().flush();
+    // stdout, flushed, so wrappers can discover it.
+    print_line(format_args!(
+        "wp-serve: listening on {scheme}://{}",
+        server.addr()
+    ));
 
     while !signal::requested() && !server.shutdown_requested() {
         std::thread::sleep(Duration::from_millis(50));

@@ -29,7 +29,7 @@
 use std::time::Duration;
 
 use serde::Value;
-use wp_experiments::runner::{exit_usage, parse_positive, parse_value};
+use wp_experiments::runner::{exit_usage, parse_positive, parse_value, print_line};
 use wp_experiments::{simulate_workload, CliError, MachineConfig, RunOptions, SimPoint};
 use wp_serve::protocol::{self, ErrorCode, Request, SweepPlanSpec, SweepRequest};
 use wp_serve::Client;
@@ -191,7 +191,7 @@ fn run_batch(request: &str) {
         |point: &SimPoint| simulate_workload(&point.workload, &point.machine, &point.options);
     match protocol::parse_request(request.as_bytes()) {
         Ok(Request::Simulate { v, id, point, .. }) => {
-            println!("{}", protocol::ok_response_for(v, id, &simulate(&point)));
+            print_line(protocol::ok_response_for(v, id, &simulate(&point)));
         }
         Ok(Request::Sweep(SweepRequest {
             id,
@@ -200,21 +200,22 @@ fn run_batch(request: &str) {
             ..
         })) => {
             for (index, point) in points.iter().enumerate() {
-                println!(
-                    "{}",
-                    protocol::stream_point_response(id, index, &simulate(point))
-                );
+                print_line(protocol::stream_point_response(id, index, &simulate(point)));
             }
-            println!(
-                "{}",
-                protocol::sweep_summary_response(id, requested, points.len(), points.len())
-            );
+            print_line(protocol::sweep_summary_response(
+                id,
+                requested,
+                points.len(),
+                points.len(),
+            ));
         }
         Ok(_) => unreachable!("the batch path builds only simulate and sweep requests"),
-        Err((v, id, message)) => println!(
-            "{}",
-            protocol::error_response(v, id, ErrorCode::BadRequest, &message)
-        ),
+        Err((v, id, message)) => print_line(protocol::error_response(
+            v,
+            id,
+            ErrorCode::BadRequest,
+            &message,
+        )),
     }
 }
 
@@ -237,9 +238,9 @@ fn run_daemon_sweep(connect: &str, request: &str) {
     // compares line-for-line against the batch rendering.
     frames.sort_by_key(|(index, _)| *index);
     for (_, frame) in &frames {
-        println!("{frame}");
+        print_line(frame);
     }
-    println!("{terminal}");
+    print_line(terminal);
 }
 
 /// The request the flags ask for: what `--connect` sends and what
@@ -307,7 +308,7 @@ fn main() {
         let mut client = Client::connect(&connect).unwrap_or_else(|e| fail(e));
         let _ = client.set_timeout(Duration::from_secs(600));
         let response = client.request(&request).unwrap_or_else(|e| fail(e));
-        println!("{response}");
+        print_line(response);
         return;
     }
 
@@ -333,7 +334,7 @@ fn main() {
     });
     for response in responses {
         match response {
-            Ok(response) => println!("{response}"),
+            Ok(response) => print_line(response),
             Err(error) => fail(error),
         }
     }

@@ -1,9 +1,10 @@
 //! Command-line error paths of the `serve` and `serve_client` binaries,
 //! asserted against the exact messages — same contract as the experiment
 //! binaries (`error: <message>` plus usage on stderr, exit 2) — plus the
-//! protocol client's id-echo verification against a misbehaving daemon.
+//! protocol client's id-echo verification against a misbehaving daemon,
+//! and a `--batch` run that stops quietly when its stdout closes early.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use wp_experiments::{simulate_workload, MachineConfig, RunOptions};
@@ -280,6 +281,25 @@ fn serve_client_batch_refuses_a_sweep_plan_the_daemon_refuses() {
                 "sweep exceeds 4096 unique points (4172 requested)"
             )
         )
+    );
+}
+
+#[test]
+fn serve_client_batch_stops_quietly_on_a_closed_stdout() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_serve_client"))
+        .args(["--batch", "--ops", "1000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("serve_client spawns");
+    // Close the read end before the point is simulated, as `| true` does.
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("serve_client finishes");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    assert!(
+        !stderr.contains("panicked"),
+        "serve_client panicked: {stderr}"
     );
 }
 

@@ -6,7 +6,10 @@
 use proptest::prelude::*;
 use wpsdm::cache::{DCacheController, DCachePolicy, L1Config};
 use wpsdm::energy::CacheEnergyModel;
-use wpsdm::mem::{AccessKind, AccessResult, CacheGeometry, Placement, SetAssocCache};
+use wpsdm::mem::{
+    AccessKind, AccessResult, CacheGeometry, HierarchyConfig, MemoryHierarchy, Placement,
+    SetAssocCache,
+};
 use wpsdm::oracle::{OracleAccess, OracleCache, OracleGeometry};
 use wpsdm::predictors::{MappingPrediction, SaturatingCounter, SelDmPredictor, VictimList};
 use wpsdm::workloads::{Benchmark, TraceConfig, TraceGenerator};
@@ -74,12 +77,17 @@ proptest! {
     fn cache_stats_are_consistent(
         addrs in prop::collection::vec(0u64..0x8000, 1..300),
     ) {
-        let geometry = CacheGeometry::new(4 * 1024, 32, 2).expect("valid geometry");
-        let mut cache = SetAssocCache::new(geometry);
+        let mut hierarchy = MemoryHierarchy::new(HierarchyConfig {
+            l2_size_bytes: 4 * 1024,
+            l2_block_bytes: 32,
+            l2_associativity: 2,
+            ..HierarchyConfig::default()
+        })
+        .expect("valid geometry");
         for addr in &addrs {
-            cache.access(*addr, AccessKind::Read, Placement::SetAssociative);
+            hierarchy.access(*addr, AccessKind::Read);
         }
-        let stats = cache.stats();
+        let stats = hierarchy.l2_stats();
         prop_assert_eq!(stats.accesses(), addrs.len() as u64);
         prop_assert!(stats.miss_ratio() >= 0.0 && stats.miss_ratio() <= 1.0);
         prop_assert!(stats.misses() <= stats.accesses());
@@ -218,8 +226,9 @@ proptest! {
     }
 
     /// Controller accounting identity: every load lands in exactly one
-    /// breakdown class, latency is at least the base latency, and energy is
-    /// positive.
+    /// breakdown class, latency is at least the base latency, and each load
+    /// adds energy, but never more cache energy than a parallel read of
+    /// every way plus the refill (no load probes more ways than there are).
     #[test]
     fn dcache_controller_accounting_holds(
         addrs in prop::collection::vec((0u64..64, 0u64..0x4000), 1..200),
@@ -228,11 +237,15 @@ proptest! {
         let policy = DCachePolicy::all()[policy_idx];
         let mut controller = DCacheController::new(L1Config::paper_dcache(), policy)
             .expect("valid config");
+        let model = *controller.energy_model();
+        let all_ways = model.parallel_read_energy() + model.data_way_write_energy();
         for (pc, addr) in &addrs {
+            let before = *controller.stats();
             let out = controller.load(0x400 + pc * 4, *addr, *addr);
+            let after = controller.stats();
             prop_assert!(out.latency >= 1);
-            prop_assert!(out.energy > 0.0);
-            prop_assert!(out.ways_probed <= controller.config().associativity);
+            prop_assert!(after.total_energy() > before.total_energy());
+            prop_assert!(after.cache_energy - before.cache_energy <= all_ways + 1e-9);
         }
         let stats = controller.stats();
         let classified = stats.direct_mapped_accesses
